@@ -15,6 +15,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "common/random.h"
 #include "datagen/names.h"
 #include "join/exact_index.h"
@@ -125,38 +128,43 @@ void BM_Op4_FindMatches_SHJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_Op4_FindMatches_SHJoin)->Arg(10)->Arg(20)->Arg(30)->Arg(40);
 
-/// Operations 1+3+4, SSHJoin: gram extraction, T(t) construction with
-/// counters, verification. This is the full approximate NEXT() kernel.
-void BM_Op34_FullProbe_SSHJoin(benchmark::State& state) {
+/// One approximate probe with gram extraction, reusing one scratch
+/// across probes as the engine does (without it, every probe would
+/// allocate a candidate table the size of the pool).
+void RunFullProbe(benchmark::State& state,
+                  const join::ApproxProbeOptions& options) {
   const auto pool = MakePool(static_cast<size_t>(state.range(0)), 3);
   IndexedPool indexed(pool);
   const join::JoinSpec spec = Spec();
+  join::ApproxProbeScratch scratch;
+  std::vector<join::JoinMatch> out;
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(join::ProbeApproximate(
-        indexed.qgrams, indexed.store, pool[i++ % pool.size()], spec,
-        exec::Side::kLeft, 0, join::ApproxProbeOptions{}, nullptr));
+    const std::string& probe = pool[i++ % pool.size()];
+    out.clear();
+    join::ProbeApproximateInto(indexed.qgrams, indexed.store, probe,
+                               text::GramSet::Of(probe, spec.qgram), spec,
+                               exec::Side::kLeft, 0, options, &scratch,
+                               nullptr, &out);
+    benchmark::DoNotOptimize(out.data());
   }
   state.SetLabel("|jA|=" + std::to_string(state.range(0)));
 }
+
+/// Operations 1+3+4, SSHJoin: gram extraction, T(t) construction,
+/// verification. This is the full approximate NEXT() kernel.
+void BM_Op34_FullProbe_SSHJoin(benchmark::State& state) {
+  RunFullProbe(state, join::ApproxProbeOptions{});
+}
 BENCHMARK(BM_Op34_FullProbe_SSHJoin)->Arg(10)->Arg(20)->Arg(30)->Arg(40);
 
-/// Ablation: the §2.2 insert-phase optimization off (every gram may
-/// insert candidates into T(t)).
+/// Ablation: the §2.2 insert-phase optimization off (every gram's
+/// posting list is scanned into T(t)).
 void BM_Op34_FullProbe_SSHJoin_NoInsertPhaseOpt(benchmark::State& state) {
-  const auto pool = MakePool(static_cast<size_t>(state.range(0)), 3);
-  IndexedPool indexed(pool);
-  const join::JoinSpec spec = Spec();
   join::ApproxProbeOptions options;
   options.insert_phase_optimization = false;
   options.rare_grams_first = false;
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(join::ProbeApproximate(
-        indexed.qgrams, indexed.store, pool[i++ % pool.size()], spec,
-        exec::Side::kLeft, 0, options, nullptr));
-  }
-  state.SetLabel("|jA|=" + std::to_string(state.range(0)));
+  RunFullProbe(state, options);
 }
 BENCHMARK(BM_Op34_FullProbe_SSHJoin_NoInsertPhaseOpt)
     ->Arg(10)

@@ -195,6 +195,7 @@ uint64_t JoinShard::CommittedMemoryUsage() const {
   bytes += cross_step_outputs_.capacity() * sizeof(StepOutputs);
   bytes += cross_matches_.capacity() * sizeof(CrossMatch);
   bytes += cross_tmp_.capacity() * sizeof(join::JoinMatch);
+  bytes += cross_scratch_.ApproximateMemoryUsage();
   return bytes;
 }
 

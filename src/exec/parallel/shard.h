@@ -191,6 +191,10 @@ class JoinShard {
   const join::ApproxProbeStats& cross_probe_stats() const {
     return cross_stats_;
   }
+  /// Phase-B probe working memory (memory accounting).
+  const join::ApproxProbeScratch& cross_probe_scratch() const {
+    return cross_scratch_;
+  }
 
   uint32_t index() const { return index_; }
   /// @}
@@ -210,7 +214,8 @@ class JoinShard {
   /// the task-group wait, may read it).
   /// @{
   /// Core stores/indexes + pending/epoch tiers + routing maps + phase
-  /// output buffers.
+  /// output buffers + the phase-B probe scratch (its candidate table
+  /// grows to the largest other-shard index probed).
   uint64_t CommittedMemoryUsage() const;
   /// The route-ahead staged tier only.
   uint64_t StagedMemoryUsage() const;

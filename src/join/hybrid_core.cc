@@ -142,6 +142,7 @@ size_t HybridJoinCore::ApproximateMemoryUsage() const {
     bytes += exact_[i].ApproximateMemoryUsage();
     bytes += qgram_[i].ApproximateMemoryUsage();
   }
+  bytes += probe_scratch_.ApproximateMemoryUsage();
   return bytes;
 }
 

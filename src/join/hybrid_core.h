@@ -151,10 +151,14 @@ class HybridJoinCore {
   /// Cumulative work counters of all approximate probes.
   const ApproxProbeStats& approx_probe_stats() const { return approx_stats_; }
 
+  /// Working memory of the approximate probes (memory accounting).
+  const ApproxProbeScratch& probe_scratch() const { return probe_scratch_; }
+
   /// Tuples inserted by all switch catch-ups so far.
   uint64_t catchup_tuples() const { return catchup_tuples_; }
 
-  /// Rough total heap footprint (stores + all four indexes).
+  /// Rough total heap footprint (stores + all four indexes + the
+  /// approximate probe's candidate table).
   size_t ApproximateMemoryUsage() const;
   /// @}
 
@@ -181,8 +185,8 @@ class HybridJoinCore {
   uint64_t approximate_pairs_ = 0;
   uint64_t catchup_tuples_ = 0;
   ApproxProbeStats approx_stats_;
-  /// Reusable working memory for approximate probes (cleared per
-  /// probe, capacity kept).
+  /// Reusable working memory for approximate probes (capacity kept
+  /// across probes).
   ApproxProbeScratch probe_scratch_;
 };
 

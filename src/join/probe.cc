@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <optional>
 
 #include "join/filter.h"
 #include "text/similarity.h"
@@ -12,9 +13,9 @@ namespace join {
 
 namespace {
 
-/// Sticky T(t) marker for a candidate the positional filter rejected:
+/// Sticky T(t) counter for a candidate the positional filter rejected:
 /// the rejection proved the pair's total overlap can never reach the
-/// required minimum, so the candidate must not be re-inserted (or
+/// required minimum, so the candidate must not be counted (or
 /// verified) by later grams. Real counters never get near this value —
 /// they are bounded by the probe's gram count.
 constexpr uint32_t kRejectedSentinel = std::numeric_limits<uint32_t>::max();
@@ -34,6 +35,122 @@ void EmitMatch(const storage::TupleStore& store, std::string_view probe_key,
                            equal ? MatchKind::kExact
                                  : MatchKind::kApproximate});
   if (stats != nullptr) ++stats->matches;
+}
+
+/// Size of the intersection of two sorted gram lists, by merging them.
+/// The merge stops as soon as the overlap found plus the grams left on
+/// the shorter remaining side falls below `required`; the result is
+/// then some count below `required`. Otherwise it is exact.
+size_t BoundedOverlap(const std::vector<text::GramKey>& a,
+                      const std::vector<text::GramKey>& b, size_t required) {
+  size_t i = 0;
+  size_t j = 0;
+  size_t overlap = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) {
+      ++overlap;
+      ++i;
+      ++j;
+      continue;
+    }
+    if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+    if (overlap + std::min(a.size() - i, b.size() - j) < required) break;
+  }
+  return overlap;
+}
+
+/// Verification by gram-set intersection, shared by the plain kernel
+/// and the prefix-filtered one (whose counters undercount shared
+/// grams). T(t) entries outside `band` are dropped; each survivor must
+/// share at least max(k, MinPairOverlap) grams with the probe. That
+/// bound is the smallest overlap reaching the threshold — similarity is
+/// nondecreasing in the overlap — so every pair reaching it matches,
+/// with its similarity computed from the full overlap exactly as the
+/// counting kernels compute it. A candidate's overlap is at most its
+/// T(t) count plus `unseen`, the shared grams its count cannot have
+/// seen; candidates that cannot reach the bound that way are dropped
+/// before their gram sets are merged.
+void VerifyCandidates(const QGramIndex& index,
+                      const storage::TupleStore& store,
+                      std::string_view probe_key,
+                      const text::GramSet& probe_grams, const JoinSpec& spec,
+                      size_t k, const GramCountBand& band, size_t unseen,
+                      Side probe_side, storage::TupleId probe_id,
+                      const ApproxProbeScratch& work, ApproxProbeStats* stats,
+                      std::vector<JoinMatch>* out) {
+  const size_t g = probe_grams.size();
+  for (storage::TupleId candidate : work.candidates) {
+    const text::GramSet& candidate_grams = index.GramSetOf(candidate);
+    const size_t candidate_size = candidate_grams.size();
+    if (!band.Contains(candidate_size)) continue;
+    if (stats != nullptr) ++stats->candidates;
+    const std::optional<size_t> required = MinPairOverlap(
+        spec.measure, g, candidate_size, spec.sim_threshold);
+    if (!required.has_value()) continue;
+    const size_t bound = std::max(k, *required);
+    if (work.Count(candidate) + unseen < bound) continue;
+    const size_t overlap =
+        BoundedOverlap(probe_grams.grams(), candidate_grams.grams(), bound);
+    if (overlap < bound) continue;
+    if (stats != nullptr) ++stats->verified;
+    EmitMatch(store, probe_key, probe_side, probe_id, candidate,
+              text::SetSimilarityFromOverlap(spec.measure, g, candidate_size,
+                                             overlap),
+              stats, out);
+  }
+}
+
+/// The plain (unfiltered) probe kernel: rank the probe grams by
+/// posting-list length, scan the g-k+1 rarest lists into T(t), verify
+/// the survivors by intersection.
+void PlainProbe(const QGramIndex& index, const storage::TupleStore& store,
+                std::string_view probe_key, const text::GramSet& probe_grams,
+                const JoinSpec& spec, Side probe_side,
+                storage::TupleId probe_id, const ApproxProbeOptions& options,
+                ApproxProbeScratch& work, ApproxProbeStats* stats,
+                std::vector<JoinMatch>* out) {
+  const size_t g = probe_grams.size();
+  const size_t k =
+      text::MinOverlapForThreshold(spec.measure, g, spec.sim_threshold);
+
+  // One posting lookup per gram: its length ranks the gram ("reverse
+  // frequency order" = rarest first), its pointer feeds the scan.
+  auto& ordered = work.ordered;
+  ordered.clear();
+  for (text::GramKey key : probe_grams.grams()) {
+    const std::vector<storage::TupleId>* postings = index.Postings(key);
+    ordered.push_back(
+        ProbeGram{postings != nullptr ? postings->size() : 0, key, postings});
+  }
+  if (options.rare_grams_first) std::sort(ordered.begin(), ordered.end());
+
+  // Only the first g-k+1 lists can hold a match's first shared gram;
+  // the k-1 skipped ones are the longest.
+  const size_t scan_end =
+      options.insert_phase_optimization && k <= g ? g - k + 1 : g;
+  work.BeginProbe(index.watermark());
+  for (size_t i = 0; i < scan_end; ++i) {
+    const std::vector<storage::TupleId>* postings = ordered[i].postings;
+    if (postings == nullptr) continue;
+    if (stats != nullptr) stats->postings_scanned += postings->size();
+    for (storage::TupleId candidate : *postings) {
+      if (work.Contains(candidate)) {
+        ++work.Count(candidate);
+      } else {
+        work.Add(candidate, 1);
+        work.candidates.push_back(candidate);
+      }
+    }
+  }
+  // Each count is the tuple's shared grams among the scanned lists, so
+  // only the g - scan_end skipped ones can add to it.
+  VerifyCandidates(index, store, probe_key, probe_grams, spec, k,
+                   LengthBandFor(spec.measure, g, spec.sim_threshold),
+                   g - scan_end, probe_side, probe_id, work, stats, out);
 }
 
 /// The filtered probe kernel: length / prefix / positional filtering
@@ -56,11 +173,10 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
   // prefix argument use this one order — the index posted under it.
   auto& ordered = work.ordered;
   ordered.clear();
-  ordered.reserve(g);
   const text::GramOrder* order = filter.gram_order.get();
   for (text::GramKey key : probe_grams.grams()) {
-    ordered.emplace_back(order != nullptr ? order->FrequencyOf(key) : 0,
-                         key);
+    ordered.push_back(
+        ProbeGram{order != nullptr ? order->FrequencyOf(key) : 0, key});
   }
   std::sort(ordered.begin(), ordered.end());
 
@@ -72,10 +188,6 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
     band.hi = std::numeric_limits<size_t>::max();
   }
 
-  auto& counters = work.counters;
-  counters.clear();
-  if (counters.bucket_count() == 0) counters.reserve(64);
-
   // Only the first g-k+1 grams may insert (§2.2's rule — identical to
   // the probe-side prefix length); with prefix indexing the remaining
   // grams are not even scanned, since the counter is no longer the
@@ -83,17 +195,17 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
   const size_t insert_end =
       PrefixLengthFor(spec.measure, g, spec.sim_threshold);
   const size_t scan_end = filter.prefix ? insert_end : g;
-  size_t rejected = 0;
+  work.BeginProbe(index.watermark());
   for (size_t i = 0; i < scan_end; ++i) {
     const std::vector<GramPosting>* postings =
-        index.PayloadPostings(ordered[i].second);
+        index.PayloadPostings(ordered[i].key);
     if (postings == nullptr) continue;
     if (stats != nullptr) stats->postings_scanned += postings->size();
     const bool may_insert = i < insert_end;
     for (const GramPosting& posting : *postings) {
-      auto it = counters.find(posting.id);
-      if (it != counters.end()) {
-        if (it->second != kRejectedSentinel) ++it->second;
+      if (work.Contains(posting.id)) {
+        uint32_t& count = work.Count(posting.id);
+        if (count != kRejectedSentinel) ++count;
         continue;
       }
       if (!may_insert) continue;
@@ -112,64 +224,52 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
         if (!required.has_value() ||
             !PositionalCompatible(g, i, posting.gram_count, posting.position,
                                   *required)) {
-          counters.emplace(posting.id, kRejectedSentinel);
-          ++rejected;
+          work.Add(posting.id, kRejectedSentinel);
           if (stats != nullptr) ++stats->position_rejected;
           continue;
         }
       }
-      counters.emplace(posting.id, 1u);
+      work.Add(posting.id, 1);
+      work.candidates.push_back(posting.id);
     }
   }
-  if (stats != nullptr) stats->candidates += counters.size() - rejected;
 
   if (filter.prefix) {
-    // Prefix postings undercount shared grams, so the counter cannot
-    // drive verification; intersect the gram sets instead. The overlap
-    // is the same integer the unfiltered counter would have reached,
-    // fed through the same coefficient — bytewise identical output.
-    for (const auto& [candidate, counter] : counters) {
-      if (counter == kRejectedSentinel) continue;
-      if (stats != nullptr) ++stats->verified;
-      const text::GramSet& candidate_grams = index.GramSetOf(candidate);
-      const size_t overlap = probe_grams.OverlapWith(candidate_grams);
-      const double sim = text::SetSimilarityFromOverlap(
-          spec.measure, g, candidate_grams.size(), overlap);
-      if (sim < spec.sim_threshold) continue;
-      EmitMatch(store, probe_key, probe_side, probe_id, candidate, sim,
-                stats, out);
-    }
-  } else {
-    // Every gram was scanned, so surviving counters hold the exact
-    // overlap — verify exactly as the unfiltered kernel does.
-    for (const auto& [candidate, overlap] : counters) {
-      if (overlap == kRejectedSentinel) continue;
-      if (overlap < k) continue;
-      if (stats != nullptr) ++stats->verified;
-      const double sim = text::SetSimilarityFromOverlap(
-          spec.measure, g, index.GramSetSize(candidate), overlap);
-      if (sim < spec.sim_threshold) continue;
-      EmitMatch(store, probe_key, probe_side, probe_id, candidate, sim,
-                stats, out);
-    }
+    // A shared gram outside the stored tuple's posted prefix is never
+    // counted, so the counts bound nothing: every gram may be unseen.
+    VerifyCandidates(index, store, probe_key, probe_grams, spec, k, band, g,
+                     probe_side, probe_id, work, stats, out);
+    return;
+  }
+  // Every gram was scanned, so the counters hold the exact overlap.
+  if (stats != nullptr) stats->candidates += work.candidates.size();
+  for (storage::TupleId candidate : work.candidates) {
+    const uint32_t overlap = work.Count(candidate);
+    if (overlap == kRejectedSentinel || overlap < k) continue;
+    if (stats != nullptr) ++stats->verified;
+    const double sim = text::SetSimilarityFromOverlap(
+        spec.measure, g, index.GramSetSize(candidate), overlap);
+    if (sim < spec.sim_threshold) continue;
+    EmitMatch(store, probe_key, probe_side, probe_id, candidate, sim, stats,
+              out);
   }
 }
 
 }  // namespace
 
-void ApproxProbeScratch::NoteProbeCompleted() {
-  peak_candidates = std::max(peak_candidates, counters.size());
-  if (++probes_since_shrink_check < kShrinkCheckInterval) return;
-  const size_t steady = std::max(kMinCounterBuckets, peak_candidates);
-  if (counters.bucket_count() > kShrinkFactor * steady) {
-    // Rebuild at steady-state size; swapping releases the oversized
-    // bucket table immediately.
-    std::unordered_map<storage::TupleId, uint32_t> fresh;
-    fresh.reserve(steady);
-    counters.swap(fresh);
+void ApproxProbeScratch::BeginProbe(size_t tuples) {
+  candidates.clear();
+  if (table.size() < tuples) table.resize(tuples);
+  if (++stamp == 0) {
+    std::fill(table.begin(), table.end(), Slot{});
+    stamp = 1;
   }
-  probes_since_shrink_check = 0;
-  peak_candidates = 0;
+}
+
+size_t ApproxProbeScratch::ApproximateMemoryUsage() const {
+  return ordered.capacity() * sizeof(ProbeGram) +
+         candidates.capacity() * sizeof(storage::TupleId) +
+         table.capacity() * sizeof(Slot);
 }
 
 void ApproxProbeStats::MergeFrom(const ApproxProbeStats& other) {
@@ -235,8 +335,7 @@ size_t ProbeApproximateInto(const QGramIndex& index,
   }
 
   // The probe's working memory: caller-provided scratch when available
-  // (cleared, capacity kept — steady-state probes allocate nothing),
-  // else probe-local.
+  // (steady-state probes allocate nothing), else probe-local.
   ApproxProbeScratch local;
   ApproxProbeScratch& work = scratch != nullptr ? *scratch : local;
 
@@ -244,69 +343,15 @@ size_t ProbeApproximateInto(const QGramIndex& index,
     FilteredProbe(index, store, probe_key, probe_grams, spec, probe_side,
                   probe_id, work, stats, out);
   } else {
-    const size_t g = probe_grams.size();
-    const size_t k =
-        text::MinOverlapForThreshold(spec.measure, g, spec.sim_threshold);
-
-    // Order the probe's grams; "reverse frequency order" = rarest
-    // first.
-    auto& ordered = work.ordered;
-    ordered.clear();
-    ordered.reserve(g);
-    for (text::GramKey key : probe_grams.grams()) {
-      ordered.emplace_back(index.Frequency(key), key);
-    }
-    if (options.rare_grams_first) {
-      std::sort(ordered.begin(), ordered.end());
-    }
-
-    // T(t): candidate tuple -> number of shared grams seen so far. For
-    // every candidate in T the final count equals the exact overlap,
-    // because each shared gram either inserted it or incremented it.
-    auto& counters = work.counters;
-    counters.clear();
-    if (counters.bucket_count() == 0) counters.reserve(64);
-    const size_t insert_phase_end =
-        options.insert_phase_optimization && k <= g ? g - k + 1 : g;
-    for (size_t i = 0; i < ordered.size(); ++i) {
-      const std::vector<storage::TupleId>* postings =
-          index.Postings(ordered[i].second);
-      if (postings == nullptr) continue;
-      if (stats != nullptr) stats->postings_scanned += postings->size();
-      const bool may_insert = i < insert_phase_end;
-      for (storage::TupleId candidate : *postings) {
-        if (may_insert) {
-          ++counters[candidate];
-        } else {
-          auto it = counters.find(candidate);
-          if (it != counters.end()) ++it->second;
-        }
-      }
-    }
-    if (stats != nullptr) stats->candidates += counters.size();
-
-    // Verification: the counter is the overlap; all four coefficients
-    // are functions of (g, candidate gram-set size, overlap). The
-    // candidate's gram-set size comes from the stored side's cache —
-    // no strings are touched unless equality must be decided.
-    for (const auto& [candidate, overlap] : counters) {
-      if (overlap < k) continue;
-      if (stats != nullptr) ++stats->verified;
-      const size_t candidate_size = index.GramSetSize(candidate);
-      const double sim = text::SetSimilarityFromOverlap(
-          spec.measure, g, candidate_size, overlap);
-      if (sim < spec.sim_threshold) continue;
-      EmitMatch(store, probe_key, probe_side, probe_id, candidate, sim,
-                stats, out);
-    }
+    PlainProbe(index, store, probe_key, probe_grams, spec, probe_side,
+               probe_id, options, work, stats, out);
   }
-  // Deterministic output order (unordered_map iteration is not); only
-  // the region this probe appended is reordered.
+  // Deterministic output order (candidates come in discovery order);
+  // only the region this probe appended is reordered.
   std::sort(out->begin() + static_cast<ptrdiff_t>(out_begin), out->end(),
             [](const JoinMatch& a, const JoinMatch& b) {
               return a.stored_id < b.stored_id;
             });
-  work.NoteProbeCompleted();
   return out->size() - out_begin;
 }
 

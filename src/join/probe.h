@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "join/exact_index.h"
@@ -20,55 +18,86 @@ namespace join {
 /// defaults are the paper's algorithm).
 struct ApproxProbeOptions {
   /// §2.2's optimization: only the first g-k+1 grams may *insert*
-  /// candidates into T(t); the remaining k-1 grams only increment
-  /// counters of existing candidates. Sound because a tuple sharing
-  /// none of the first g-k+1 grams can share at most k-1 < k grams.
+  /// candidates into T(t), so only those posting lists are scanned.
+  /// Sound because a tuple sharing none of the first g-k+1 grams can
+  /// share at most k-1 < k grams. Off, every probe gram's list is
+  /// scanned.
   bool insert_phase_optimization = true;
   /// Process probe grams in ascending posting-frequency order
-  /// ("reverse frequency order"), so the insert phase consumes the
-  /// rarest — shortest — posting lists and T(t) stays small.
+  /// ("reverse frequency order"), so the scanned g-k+1 lists are the
+  /// rarest — shortest — ones and T(t) stays small.
   bool rare_grams_first = true;
+};
+
+/// \brief One probe gram in scan order.
+struct ProbeGram {
+  /// Ordering rank: the gram's posting-list length in the plain kernel
+  /// ("reverse frequency order"), its fixed global-order frequency in
+  /// the filtered kernel. Ties break by key.
+  size_t rank = 0;
+  text::GramKey key = 0;
+  /// Plain layout: the posting list found while ranking (null for a
+  /// gram the index has never seen), so the scan does not look it up
+  /// again. Unused by the filtered kernel.
+  const std::vector<storage::TupleId>* postings = nullptr;
+
+  friend bool operator<(const ProbeGram& a, const ProbeGram& b) {
+    return a.rank != b.rank ? a.rank < b.rank : a.key < b.key;
+  }
 };
 
 /// \brief Reusable per-probe working memory.
 ///
-/// One approximate probe needs a frequency-ordered gram list and the
-/// T(t) candidate counter table; both are cleared (capacity kept) and
-/// reused when the caller passes the same scratch to every probe, so
-/// steady-state probing allocates nothing. Owned by one single-threaded
-/// prober (e.g. a HybridJoinCore).
-///
-/// The counter map would otherwise stay at its high-water bucket count
-/// forever — one pathologically wide probe early in a million-row
-/// sweep pins peak memory for the rest of the run. NoteProbeCompleted
-/// (called by the probe kernels after each probe) tracks the recent
-/// peak candidate count and rebuilds the map once its bucket table
-/// exceeds kShrinkFactor × that steady state.
+/// Holds the probe's ordered grams and T(t), the candidate table. T(t)
+/// is dense: one slot per TupleId of the probed index, holding a
+/// generation stamp and the number of scanned posting lists the tuple
+/// appeared in. A slot belongs to the current probe iff it carries the
+/// current stamp, so opening a probe takes a fresh stamp instead of
+/// clearing anything. The table only ever grows, to the largest index
+/// probed — 8 bytes per indexed tuple. Reusing one scratch across
+/// indexes of different sizes is fine (phase B probes three other
+/// shards' indexes with one). Owned by one single-threaded prober
+/// (e.g. a HybridJoinCore).
 struct ApproxProbeScratch {
-  /// (gram order rank, gram) pairs of the probe, sorted ascending. The
-  /// rank is the live posting frequency in the unfiltered kernel
-  /// ("reverse frequency order") and the fixed global-order frequency
-  /// in the filtered kernel.
-  std::vector<std::pair<size_t, text::GramKey>> ordered;
-  /// T(t): candidate tuple -> number of shared grams seen so far.
-  std::unordered_map<storage::TupleId, uint32_t> counters;
+  /// One T(t) slot.
+  struct Slot {
+    /// Generation stamp; 0 is never a live stamp.
+    uint32_t stamp = 0;
+    /// Scanned posting lists holding the tuple (or the filtered
+    /// kernel's positional-rejection sentinel).
+    uint32_t count = 0;
+  };
 
-  /// Shrink policy knobs: every kShrinkCheckInterval probes, rebuild
-  /// the counter map when its bucket count exceeds kShrinkFactor × the
-  /// interval's peak candidate count (but never below
-  /// kMinCounterBuckets).
-  static constexpr size_t kShrinkCheckInterval = 64;
-  static constexpr size_t kShrinkFactor = 8;
-  static constexpr size_t kMinCounterBuckets = 64;
+  /// The probe's grams, sorted ascending (ProbeGram::operator<).
+  std::vector<ProbeGram> ordered;
+  /// The current probe's candidates in discovery order (positionally
+  /// rejected tuples excluded).
+  std::vector<storage::TupleId> candidates;
+  /// T(t), indexed by TupleId.
+  std::vector<Slot> table;
+  /// The current probe's stamp.
+  uint32_t stamp = 0;
 
-  /// Called by the probe kernels once the probe's counters are dead;
-  /// applies the shrink policy.
-  void NoteProbeCompleted();
+  /// Opens a probe against an index of `tuples` tuples: empties
+  /// `candidates`, grows the table to cover every id, and takes a
+  /// fresh stamp. When the stamp wraps, the table is zeroed so no
+  /// stale slot can alias it.
+  void BeginProbe(size_t tuples);
 
-  /// Probes since the last shrink check.
-  size_t probes_since_shrink_check = 0;
-  /// Largest candidate count observed since the last shrink check.
-  size_t peak_candidates = 0;
+  /// True iff `id` is in the current probe's T(t).
+  bool Contains(storage::TupleId id) const {
+    return table[id].stamp == stamp;
+  }
+  /// Adds `id` to the current probe's T(t) with `count`.
+  void Add(storage::TupleId id, uint32_t count) {
+    table[id] = Slot{stamp, count};
+  }
+  /// Count of a tuple in the current probe's T(t) (Contains(id)).
+  uint32_t& Count(storage::TupleId id) { return table[id].count; }
+  uint32_t Count(storage::TupleId id) const { return table[id].count; }
+
+  /// Heap bytes held (capacity-based, like the indexes' figures).
+  size_t ApproximateMemoryUsage() const;
 };
 
 /// \brief Work counters for one approximate probe, feeding the Table 1
@@ -76,10 +105,13 @@ struct ApproxProbeScratch {
 struct ApproxProbeStats {
   uint64_t grams = 0;                ///< |q(t)| of the probe
   uint64_t postings_scanned = 0;     ///< Σ posting-list lengths touched
-  uint64_t candidates = 0;           ///< |T(t)| (positionally rejected
+  uint64_t candidates = 0;           ///< distinct scanned tuples whose
+                                     ///< gram count lies in the length
+                                     ///< band (positionally rejected
                                      ///< entries excluded)
-  uint64_t verified = 0;             ///< candidates submitted to
-                                     ///< verification
+  uint64_t verified = 0;             ///< candidates whose overlap with
+                                     ///< the probe reached the pair's
+                                     ///< required minimum
   uint64_t matches = 0;              ///< pairs passing the threshold
   uint64_t length_skipped = 0;       ///< posting entries pruned by the
                                      ///< length filter
@@ -116,31 +148,40 @@ std::vector<JoinMatch> ProbeExact(const ExactIndex& index,
 /// \brief Probes the q-gram index with a probe tuple's join-attribute
 /// value — the SSHJoin NEXT() kernel (§2.2).
 ///
-/// Implements candidate generation via counted gram lookups with the
-/// insert-phase optimization, then verifies every candidate with the
-/// exact coefficient computed from (probe size, candidate size,
-/// overlap). The result is exactly the set of stored tuples with
-/// sim(probe, stored) >= spec.sim_threshold; matches whose strings are
-/// bytewise equal are flagged kExact (similarity 1.0), the rest
-/// kApproximate.
+/// A prefix-only probe: the probe's grams are ordered rarest first and
+/// only the first g-k+1 posting lists are scanned, where k is the
+/// probe-side minimum overlap (§2.2 — a tuple missing all of them
+/// shares at most k-1 grams). The distinct tuples found form T(t);
+/// those whose gram count is outside the length band are dropped, as
+/// are those whose scanned-list hits plus the k-1 skipped lists cannot
+/// reach the pair's required overlap (MinPairOverlap). Each survivor is
+/// verified by a sorted-merge intersection of the two gram sets that
+/// gives up as soon as the remaining grams cannot lift the overlap to
+/// that minimum. The similarity comes from the full overlap through
+/// SetSimilarityFromOverlap. The result is exactly the set of stored
+/// tuples with sim(probe, stored) >= spec.sim_threshold; matches whose
+/// strings are bytewise equal are flagged kExact (similarity 1.0), the
+/// rest kApproximate. Soundness rests on the probe side alone, so the
+/// index posts every gram and no global gram order is needed.
 ///
 /// When `spec.filter` enables any filter, the probe runs the filtered
 /// kernel instead: probe grams are scanned ascending in the filter's
 /// fixed global gram order, out-of-band candidates are length-skipped
 /// before touching T(t), positionally hopeless candidates are rejected
-/// at discovery, and with prefix indexing only the probe's g-k+1
-/// prefix grams are scanned (candidates then verified by exact gram-
-/// set intersection). The index must have been built with the same
+/// at discovery, and with prefix indexing the index posts only each
+/// tuple's g-k+1 prefix grams (candidates are then verified like the
+/// plain kernel's). The index must have been built with the same
 /// filter configuration (checked by assert). The match set, match
 /// order, similarity values, and kinds are byte-identical to the
-/// unfiltered kernel — filters change cost, never results. The legacy
+/// unfiltered kernel — filters change cost, never results. The
 /// ablation knobs in `options` apply to the unfiltered kernel only.
 ///
 /// `probe_grams` is the probe key's gram set — for stored probing
 /// tuples it comes straight from the store's gram cache, so neither
 /// side of the verification re-runs gram extraction. `store` supplies
-/// candidate strings for the equality check; `scratch` (may be null)
-/// makes the probe allocation-free in steady state; `stats` may be
+/// candidate strings for the equality check; `scratch` makes the probe
+/// allocation-free in steady state (null = a probe-local scratch,
+/// whose candidate table costs O(index size) per call); `stats` may be
 /// null. Matches are appended to `*out` (sorted by stored id within
 /// the appended region); returns the number appended.
 size_t ProbeApproximateInto(const QGramIndex& index,

@@ -137,6 +137,51 @@ TEST(MemoryAccountingTest, ParallelJoinAggregatesShardMemory) {
   EXPECT_EQ(stats.peak_memory_bytes, join.peak_memory_bytes());
 }
 
+TEST(MemoryAccountingTest, ProbeCandidateTablesAreCharged) {
+  // Approximate probing grows two candidate tables per shard — the
+  // core's (phase A) and the shard's cross-probe one (phase B) — to
+  // the largest index each probed. Both sit inside the committed
+  // figure the budget tree charges.
+  const datagen::TestCase tc = SmallCase();
+  exec::RelationScan child(&tc.child);
+  exec::RelationScan parent(&tc.parent);
+  ParallelJoinOptions options = Options(tc);
+  options.base.adaptive.policy = adaptive::AdaptivePolicy::kPinned;
+  options.base.adaptive.initial_state = adaptive::ProcessorState::kLapRap;
+  ParallelAdaptiveJoin join(&child, &parent, options);
+  auto count = exec::CountAll(&join);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+
+  uint64_t committed = 0;
+  for (size_t i = 0; i < join.num_shards(); ++i) {
+    const JoinShard& shard = join.shard(i);
+    const join::HybridJoinCore& core = shard.core();
+    const join::ApproxProbeScratch& phase_a = core.probe_scratch();
+    const join::ApproxProbeScratch& phase_b = shard.cross_probe_scratch();
+    // One slot per tuple of the largest index probed.
+    EXPECT_GT(phase_a.table.size(), 0u);
+    EXPECT_GT(phase_b.table.size(), 0u);
+    EXPECT_GE(phase_a.ApproximateMemoryUsage(),
+              phase_a.table.size() * sizeof(join::ApproxProbeScratch::Slot));
+    EXPECT_GE(phase_b.ApproximateMemoryUsage(),
+              phase_b.table.size() * sizeof(join::ApproxProbeScratch::Slot));
+
+    size_t structures = 0;
+    for (exec::Side side : {exec::Side::kLeft, exec::Side::kRight}) {
+      structures += core.store(side).ApproximateMemoryUsage() +
+                    core.exact_index(side).ApproximateMemoryUsage() +
+                    core.qgram_index(side).ApproximateMemoryUsage();
+    }
+    EXPECT_EQ(core.ApproximateMemoryUsage(),
+              structures + phase_a.ApproximateMemoryUsage());
+    EXPECT_GE(shard.CommittedMemoryUsage(),
+              core.ApproximateMemoryUsage() +
+                  phase_b.ApproximateMemoryUsage());
+    committed += shard.CommittedMemoryUsage();
+  }
+  EXPECT_GE(join.ApproximateMemoryUsage(), committed);
+}
+
 TEST(MemoryAccountingTest, BudgetTreeChargedAtControlPointsAndReleased) {
   const datagen::TestCase tc = SmallCase();
   mem::BudgetNode root("global");

@@ -3,11 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "join/brute_force.h"
+#include "join/filter.h"
+#include "storage/relation.h"
 #include "text/gram_order.h"
+#include "text/similarity.h"
 
 namespace aqp {
 namespace join {
@@ -296,7 +304,8 @@ TEST(ProbeFilteredTest, SampledGramOrderPreservesResults) {
 TEST(ProbeFilteredTest, FiltersActuallyPrune) {
   // A corpus with one near-duplicate and several length-incompatible /
   // position-incompatible neighbours: the filters must report pruning
-  // work, and the candidate count must drop versus unfiltered.
+  // work and touch fewer postings than a walk of every probe gram's
+  // list, with identical matches.
   const std::string base = "TAA BZ SANTA CRISTINA VALGARDENA TERME";
   Fixture plain;
   FilteredFixture filtered(
@@ -315,11 +324,12 @@ TEST(ProbeFilteredTest, FiltersActuallyPrune) {
   }
   std::string probe = base;
   probe[10] = 'x';
+  ApproxProbeOptions every_list;
+  every_list.insert_phase_optimization = false;
   ApproxProbeStats unfiltered_stats;
   const auto expected =
       ProbeApproximate(plain.qgrams, plain.store, probe, Spec(0.85),
-                       exec::Side::kLeft, 0, ApproxProbeOptions{},
-                       &unfiltered_stats);
+                       exec::Side::kLeft, 0, every_list, &unfiltered_stats);
   JoinSpec spec = Spec(0.85);
   spec.filter.length = spec.filter.prefix = spec.filter.positional = true;
   ApproxProbeStats stats;
@@ -328,48 +338,276 @@ TEST(ProbeFilteredTest, FiltersActuallyPrune) {
                        exec::Side::kLeft, 0, ApproxProbeOptions{}, &stats);
   ASSERT_EQ(actual.size(), expected.size());
   EXPECT_EQ(actual.size(), 1u);
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].stored_id, expected[i].stored_id);
+    EXPECT_EQ(actual[i].similarity, expected[i].similarity);
+    EXPECT_EQ(actual[i].kind, expected[i].kind);
+  }
   EXPECT_GT(stats.length_skipped, 0u);
-  EXPECT_LT(stats.candidates, unfiltered_stats.candidates);
+  EXPECT_LT(stats.postings_scanned, unfiltered_stats.postings_scanned);
 }
 
-TEST(ProbeScratchTest, CounterMapShrinksAfterWideProbe) {
-  // One pathologically wide probe inflates the counter map; a long run
-  // of narrow probes must let the shrink policy release the bucket
-  // table instead of pinning peak memory forever.
-  Fixture f;
-  for (int i = 0; i < 1200; ++i) {
-    f.Add("SANTA CRISTINA VALGARDENA SHARED STEM " + std::to_string(i));
+// --- Kernel equivalence against the brute-force oracle ------------------
+
+/// A seeded corpus over a small alphabet, so strings share many grams:
+/// base strings of assorted lengths, one- to three-edit variants of
+/// them, and a few strings too short for unpadded grams.
+std::vector<std::string> RandomCorpus(uint32_t seed, size_t bases) {
+  std::mt19937 rng(seed);
+  const std::string alphabet = "ABCDE ";
+  std::uniform_int_distribution<size_t> pick(0, alphabet.size() - 1);
+  const auto letter = [&] { return alphabet[pick(rng)]; };
+  std::vector<std::string> corpus = {"", "A", "AB", "ABC"};
+  std::vector<std::string> roots;
+  for (size_t b = 0; b < bases; ++b) {
+    const size_t length = std::uniform_int_distribution<size_t>(3, 40)(rng);
+    std::string s;
+    for (size_t i = 0; i < length; ++i) s += letter();
+    roots.push_back(s);
+    corpus.push_back(s);
   }
-  ApproxProbeScratch scratch;
+  for (const std::string& root : roots) {
+    for (int variant = 0; variant < 2; ++variant) {
+      std::string s = root;
+      const int edits = std::uniform_int_distribution<int>(1, 3)(rng);
+      for (int e = 0; e < edits && !s.empty(); ++e) {
+        const size_t at =
+            std::uniform_int_distribution<size_t>(0, s.size() - 1)(rng);
+        switch (std::uniform_int_distribution<int>(0, 2)(rng)) {
+          case 0:
+            s[at] = letter();
+            break;
+          case 1:
+            s.insert(s.begin() + static_cast<ptrdiff_t>(at), letter());
+            break;
+          default:
+            s.erase(s.begin() + static_cast<ptrdiff_t>(at));
+            break;
+        }
+      }
+      corpus.push_back(s);
+    }
+  }
+  return corpus;
+}
+
+storage::Relation OneColumn(const std::vector<std::string>& values) {
+  storage::Relation r(storage::Schema({{"s", storage::ValueType::kString}}));
+  for (const auto& v : values) {
+    EXPECT_TRUE(r.Append(Tuple{Value(v)}).ok());
+  }
+  return r;
+}
+
+/// A gram-cached store + plain index over `values` (the engine's
+/// layout).
+struct IndexedSide {
+  TupleStore store;
+  QGramIndex qgrams;
+
+  IndexedSide(const std::vector<std::string>& values,
+              const text::QGramOptions& options)
+      : store(0, options), qgrams(options) {
+    for (const auto& v : values) store.Add(Tuple{Value(v)});
+    qgrams.CatchUpWith(store);
+  }
+};
+
+/// Probes every `probes` string into `side` through one scratch and
+/// checks the result against BruteForceSimilarityJoin: same stored ids
+/// in order, bitwise-equal similarities, kExact exactly for equal
+/// strings. Returns the summed stats.
+ApproxProbeStats ExpectMatchesBruteForce(
+    const std::vector<std::string>& probes,
+    const std::vector<std::string>& stored, const IndexedSide& side,
+    const JoinSpec& spec, const ApproxProbeOptions& options,
+    ApproxProbeScratch* scratch, const std::string& context) {
+  const auto pairs =
+      BruteForceSimilarityJoin(OneColumn(probes), OneColumn(stored), spec);
+  ApproxProbeStats stats;
   std::vector<JoinMatch> out;
-  const JoinSpec spec = Spec(0.99);
-  const std::string wide = "SANTA CRISTINA VALGARDENA SHARED STEM";
-  // Without the insert-phase optimization every probe gram inserts, so
-  // all 1200 stem-sharing tuples land in T(t) and the counter map
-  // grows to its high-water bucket count.
-  ApproxProbeOptions inflate;
-  inflate.insert_phase_optimization = false;
-  ProbeApproximateInto(f.qgrams, f.store, wide,
-                       text::GramSet::Of(wide, spec.qgram), spec,
-                       exec::Side::kLeft, 0, inflate, &scratch,
-                       nullptr, &out);
-  const size_t high_water = scratch.counters.bucket_count();
-  ASSERT_GT(high_water,
-            ApproxProbeScratch::kShrinkFactor *
-                ApproxProbeScratch::kMinCounterBuckets);
-  // Narrow probes share no grams with the corpus: zero candidates each.
-  // Two full check intervals guarantee one interval whose peak is
-  // untouched by the wide probe.
-  const std::string narrow = "zzz qqq jjj xxx www kkk";
-  const auto narrow_grams = text::GramSet::Of(narrow, spec.qgram);
-  for (size_t i = 0; i < 2 * ApproxProbeScratch::kShrinkCheckInterval; ++i) {
+  size_t next_pair = 0;
+  for (size_t p = 0; p < probes.size(); ++p) {
     out.clear();
-    ProbeApproximateInto(f.qgrams, f.store, narrow, narrow_grams, spec,
-                         exec::Side::kLeft, 0, ApproxProbeOptions{}, &scratch,
-                         nullptr, &out);
-    EXPECT_TRUE(out.empty());
+    ProbeApproximateInto(side.qgrams, side.store, probes[p],
+                         text::GramSet::Of(probes[p], spec.qgram), spec,
+                         exec::Side::kLeft, static_cast<TupleId>(p), options,
+                         scratch, &stats, &out);
+    std::vector<BrutePair> want;
+    while (next_pair < pairs.size() && pairs[next_pair].left_row == p) {
+      want.push_back(pairs[next_pair++]);
+    }
+    EXPECT_EQ(out.size(), want.size())
+        << context << " probe=\"" << probes[p] << "\"";
+    if (out.size() != want.size()) continue;
+    for (size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i].stored_id, want[i].right_row) << context;
+      EXPECT_EQ(out[i].similarity, want[i].similarity)
+          << context << " probe=\"" << probes[p] << "\"";
+      const bool equal = probes[p] == stored[want[i].right_row];
+      EXPECT_EQ(out[i].kind,
+                equal ? MatchKind::kExact : MatchKind::kApproximate)
+          << context;
+    }
   }
-  EXPECT_LT(scratch.counters.bucket_count(), high_water);
+  EXPECT_EQ(next_pair, pairs.size()) << context;
+  EXPECT_LE(stats.verified, stats.candidates) << context;
+  EXPECT_EQ(stats.matches, pairs.size()) << context;
+  return stats;
+}
+
+TEST(ProbeEquivalenceTest, RandomizedCorpusMatchesBruteForce) {
+  const std::vector<std::string> stored = RandomCorpus(11, 40);
+  std::vector<std::string> probes = RandomCorpus(12, 20);
+  // Verbatim copies of stored strings exercise the kExact flag.
+  probes.insert(probes.end(), stored.begin() + 4, stored.begin() + 10);
+  const text::SimilarityMeasure measures[] = {
+      text::SimilarityMeasure::kJaccard, text::SimilarityMeasure::kDice,
+      text::SimilarityMeasure::kCosine, text::SimilarityMeasure::kOverlap};
+  for (bool pad : {true, false}) {
+    text::QGramOptions options;
+    options.pad = pad;
+    const IndexedSide side(stored, options);
+    for (text::SimilarityMeasure measure : measures) {
+      for (double threshold : {0.5, 0.7, 0.85, 0.95}) {
+        for (bool prefix_scan : {true, false}) {
+          JoinSpec spec = Spec(threshold);
+          spec.measure = measure;
+          spec.qgram = options;
+          ApproxProbeOptions probe_options;
+          probe_options.insert_phase_optimization = prefix_scan;
+          const std::string context =
+              std::string(text::SimilarityMeasureName(measure)) + " theta=" +
+              std::to_string(threshold) + " pad=" + std::to_string(pad) +
+              " prefix_scan=" + std::to_string(prefix_scan);
+          ApproxProbeScratch scratch;
+          ExpectMatchesBruteForce(probes, stored, side, spec, probe_options,
+                                  &scratch, context);
+        }
+      }
+    }
+  }
+}
+
+TEST(ProbeEquivalenceTest, PrefixScanTouchesFewerPostings) {
+  const std::vector<std::string> stored = RandomCorpus(21, 60);
+  const std::vector<std::string> probes = RandomCorpus(22, 20);
+  const IndexedSide side(stored, text::QGramOptions{});
+  ApproxProbeOptions every_list;
+  every_list.insert_phase_optimization = false;
+  ApproxProbeScratch scratch;
+  const ApproxProbeStats prefix =
+      ExpectMatchesBruteForce(probes, stored, side, Spec(0.85),
+                              ApproxProbeOptions{}, &scratch, "prefix");
+  const ApproxProbeStats full =
+      ExpectMatchesBruteForce(probes, stored, side, Spec(0.85), every_list,
+                              &scratch, "full");
+  EXPECT_LT(prefix.postings_scanned, full.postings_scanned);
+  EXPECT_LE(prefix.candidates, full.candidates);
+  EXPECT_EQ(prefix.matches, full.matches);
+}
+
+TEST(ProbeScratchTest, ReusedAcrossIndexesOfDifferentSizes) {
+  // Phase B's pattern: one scratch probes several shards' indexes in
+  // turn, small after large and large after small.
+  const std::vector<std::string> large = RandomCorpus(31, 80);
+  const std::vector<std::string> small(large.begin(), large.begin() + 9);
+  const std::vector<std::string> medium = RandomCorpus(32, 30);
+  const std::vector<std::string> probes = RandomCorpus(33, 15);
+  const text::QGramOptions options;
+  const IndexedSide large_side(large, options);
+  const IndexedSide small_side(small, options);
+  const IndexedSide medium_side(medium, options);
+  ApproxProbeScratch scratch;
+  for (int round = 0; round < 2; ++round) {
+    ExpectMatchesBruteForce(probes, small, small_side, Spec(0.7),
+                            ApproxProbeOptions{}, &scratch, "small");
+    ExpectMatchesBruteForce(probes, large, large_side, Spec(0.7),
+                            ApproxProbeOptions{}, &scratch, "large");
+    ExpectMatchesBruteForce(probes, medium, medium_side, Spec(0.7),
+                            ApproxProbeOptions{}, &scratch, "medium");
+  }
+  EXPECT_GE(scratch.table.size(), large.size());
+}
+
+TEST(ProbeScratchTest, StampWrapClearsTable) {
+  const std::vector<std::string> stored = RandomCorpus(41, 30);
+  const std::vector<std::string> probes = RandomCorpus(42, 10);
+  const IndexedSide side(stored, text::QGramOptions{});
+  ApproxProbeScratch scratch;
+  // Stamp every slot with 1, the first live stamp after a wrap. A wrap
+  // that did not clear the table would see those slots as candidates
+  // already found and drop matches.
+  scratch.BeginProbe(stored.size());
+  ASSERT_EQ(scratch.stamp, 1u);
+  for (TupleId id = 0; id < stored.size(); ++id) scratch.Add(id, 1);
+  scratch.stamp = std::numeric_limits<uint32_t>::max() - 2;
+  ExpectMatchesBruteForce(probes, stored, side, Spec(0.5),
+                          ApproxProbeOptions{}, &scratch, "wrap");
+  EXPECT_LT(scratch.stamp, probes.size() + 1);
+}
+
+TEST(ProbeEquivalenceTest, PrefixPostingsDoNotBoundTheOverlap) {
+  // Under prefix indexing a stored tuple posts only its own prefix, so
+  // grams shared with the probe's scanned lists can go uncounted. Here
+  // the stored string extends the probe with grams that rank first in
+  // the global order and push the shared grams out of its prefix: the
+  // pair is found in few scanned lists, yet matches.
+  text::QGramOptions unpadded;
+  unpadded.pad = false;  // the extension keeps every probe gram
+  const std::string probe = "TAA BZ SANTA CRISTINA VALGARDENA";
+  const std::string stored = probe + "0123456789";
+  auto order = std::make_shared<text::GramOrder>();
+  for (int i = 0; i < 10; ++i) order->AddSample(probe, unpadded);
+  ApproxFilterOptions filter;
+  filter.prefix = true;
+  filter.gram_order = order;
+  JoinSpec spec = Spec(0.7);
+  spec.qgram = unpadded;
+  spec.filter = filter;
+  TupleStore store(0, unpadded);
+  QGramIndex index(unpadded, filter, spec.measure, spec.sim_threshold);
+  store.Add(Tuple{Value(stored)});
+  index.CatchUpWith(store);
+
+  const auto want =
+      BruteForceSimilarityJoin(OneColumn({probe}), OneColumn({stored}), spec);
+  ASSERT_EQ(want.size(), 1u);
+  const auto got =
+      ProbeApproximate(index, store, probe, spec, exec::Side::kLeft, 0,
+                       ApproxProbeOptions{}, nullptr);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].similarity, want[0].similarity);
+}
+
+TEST(ProbeEquivalenceTest, NoFeasibleOverlapRejectsCandidate) {
+  // Prefix indexing without the length filter lets a far shorter tuple
+  // reach verification: it shares the probe's rarest (key-order first)
+  // grams, yet even a full overlap cannot reach the threshold, so
+  // MinPairOverlap is nullopt and the candidate must be rejected.
+  const std::string probe = "SANTA CRISTINA VALGARDENA TERME";
+  const std::vector<std::string> stored = {"SANTA", probe, "SANTA CRISTINx"};
+  const text::QGramOptions options;
+  const size_t g = text::GramSet::Of(probe, options).size();
+  const size_t short_size = text::GramSet::Of("SANTA", options).size();
+  const std::optional<size_t> required =
+      MinPairOverlap(text::SimilarityMeasure::kJaccard, g, short_size, 0.85);
+  ASSERT_FALSE(required.has_value());
+  ApproxFilterOptions filter;
+  filter.prefix = true;
+  FilteredFixture filtered(filter, 0.85);
+  for (const auto& s : stored) filtered.Add(s);
+  JoinSpec spec = Spec(0.85);
+  spec.filter = filter;
+  ApproxProbeStats stats;
+  const auto matches =
+      ProbeApproximate(filtered.qgrams, filtered.store, probe, spec,
+                       exec::Side::kLeft, 0, ApproxProbeOptions{}, &stats);
+  ASSERT_EQ(matches.size(), 1u);
+  EXPECT_EQ(matches[0].stored_id, 1u);
+  EXPECT_EQ(matches[0].kind, MatchKind::kExact);
+  EXPECT_GT(stats.candidates, stats.verified);
+  EXPECT_EQ(stats.verified, 1u);
 }
 
 TEST(ProbeStatsTest, MergeAccumulates) {

@@ -252,8 +252,9 @@ TEST(QGramIndexPayloadTest, IncrementalCatchUpMatchesFreshBuild) {
   EXPECT_EQ(incremental.watermark(), fresh.watermark());
   EXPECT_EQ(incremental.distinct_grams(), fresh.distinct_grams());
   for (size_t i = 0; i < values.size(); ++i) {
-    for (text::GramKey key :
-         text::GramSet::Of(values[i], Q3()).grams()) {
+    // Named: a range-for over a temporary's member would dangle.
+    const text::GramSet grams = text::GramSet::Of(values[i], Q3());
+    for (text::GramKey key : grams.grams()) {
       const auto* a = incremental.PayloadPostings(key);
       const auto* b = fresh.PayloadPostings(key);
       ASSERT_EQ(a == nullptr, b == nullptr);
