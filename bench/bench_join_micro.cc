@@ -105,41 +105,6 @@ void BM_AdaptiveJoin_EndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_AdaptiveJoin_EndToEnd)->Arg(1000)->Arg(4000);
 
-/// The legacy iterator protocol on the same workload: one virtual
-/// Next() with Result<optional<Tuple>> packaging per output row, and
-/// per-tuple child pulls (batch_size = 1). This is what every drain
-/// paid before the vectorized NextBatch path existed.
-void BM_SHJoin_LegacyNextProtocol(benchmark::State& state) {
-  const auto& tc = SharedCase(2000);
-  for (auto _ : state) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    join::SymmetricJoinOptions options = JoinOptions();
-    options.batch_size = 1;
-    join::SHJoin join(&child, &parent, options);
-    if (!join.Open().ok()) {
-      state.SkipWithError("open failed");
-      return;
-    }
-    size_t count = 0;
-    while (true) {
-      auto next = join.Next();
-      if (!next.ok()) {
-        state.SkipWithError("join failed");
-        return;
-      }
-      if (!next->has_value()) break;
-      ++count;
-    }
-    (void)join.Close();
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(tc.child.size() + tc.parent.size()));
-}
-BENCHMARK(BM_SHJoin_LegacyNextProtocol);
-
 /// Columnar protocol drain: the native NextColumnBatch path — child
 /// scans fill typed column vectors, the store ingests (key view, hash,
 /// payload slice) rows, and output cells stream out of the stores'
@@ -173,41 +138,6 @@ void BM_SHJoin_ColumnarDrain(benchmark::State& state) {
       static_cast<int64_t>(tc.child.size() + tc.parent.size()));
 }
 BENCHMARK(BM_SHJoin_ColumnarDrain);
-
-/// The row-of-Tuples compatibility adapter on the same workload: the
-/// engine runs columnar inside, but every output row is materialized
-/// as a Tuple (vector of variant cells, heap string per string cell)
-/// at the batch boundary — the per-row cost the columnar protocol
-/// exists to avoid. Compare against BM_SHJoin_ColumnarDrain.
-void BM_SHJoin_RowAdapterDrain(benchmark::State& state) {
-  const auto& tc = SharedCase(2000);
-  for (auto _ : state) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    join::SHJoin join(&child, &parent, JoinOptions());
-    if (!join.Open().ok()) {
-      state.SkipWithError("open failed");
-      return;
-    }
-    size_t count = 0;
-    storage::TupleBatch batch(&join.output_schema(),
-                              storage::TupleBatch::kDefaultCapacity);
-    while (true) {
-      if (!join.NextBatch(&batch).ok()) {
-        state.SkipWithError("join failed");
-        return;
-      }
-      if (batch.empty()) break;
-      count += batch.size();
-    }
-    (void)join.Close();
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(tc.child.size() + tc.parent.size()));
-}
-BENCHMARK(BM_SHJoin_RowAdapterDrain);
 
 /// Batch-size sweep over the vectorized execution path: the same exact
 /// SHJoin workload with both the operator's internal step batching and

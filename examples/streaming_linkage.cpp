@@ -96,20 +96,22 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Pull the stream, reporting progress every 10%.
+  // Pull the stream, reporting progress every 10%. One-row batches
+  // hand each linked pair over as soon as its step produced it, so a
+  // progress line reports the exact step and state at that pair.
   size_t linked = 0;
   const size_t report_every = std::max<size_t>(1, 2 * n / 10);
   uint64_t next_report = report_every;
   std::cout << "streaming " << n << " + " << n << " customer records; "
             << "dirty region of feed B: [" << dirty_begin << ", "
             << dirty_end << ")\n\n";
+  storage::ColumnBatch pair(&join.output_schema(), 1);
   while (true) {
-    auto next = join.Next();
-    if (!next.ok()) {
-      std::cerr << next.status() << "\n";
+    if (auto s = join.NextColumnBatch(&pair); !s.ok()) {
+      std::cerr << s << "\n";
       return 1;
     }
-    if (!next->has_value()) break;
+    if (pair.empty()) break;
     ++linked;
     if (join.steps() >= next_report) {
       next_report += report_every;

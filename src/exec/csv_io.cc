@@ -286,23 +286,8 @@ Status CsvSource::Open() {
         "CSV header has more columns than the schema's " +
         std::to_string(schema_.num_fields()));
   }
-  row_batch_.Reset(&schema_, 1);
   open_ = true;
   return Status::OK();
-}
-
-Result<std::optional<storage::Tuple>> CsvSource::Next() {
-  if (!open_) return Status::FailedPrecondition("CsvSource not open");
-  AQP_FAILPOINT(fail::site::kCsvRead);
-  while (SkipBlankLines()) {
-    row_batch_.Clear();
-    bool committed = false;
-    AQP_RETURN_IF_ERROR(ScanRecordQuarantining(&row_batch_, &committed));
-    if (committed) {
-      return std::optional<storage::Tuple>(row_batch_.MaterializeRow(0));
-    }
-  }
-  return std::optional<storage::Tuple>();
 }
 
 Status CsvSource::NextColumnBatch(storage::ColumnBatch* out) {

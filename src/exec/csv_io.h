@@ -48,8 +48,6 @@ struct QuarantinedRow {
 /// materializes a row Relation, this source feeds the columnar
 /// pipeline directly (e.g. as a join child).
 ///
-/// Next() exists as the usual row-protocol compatibility adapter.
-///
 /// Malformed input is a hard error by default; with
 /// CsvSourceOptions::max_bad_rows > 0 the scanner instead quarantines
 /// up to that many bad records — each skipped record is counted and
@@ -70,7 +68,6 @@ class CsvSource : public Operator {
                                     CsvSourceOptions options = {});
 
   Status Open() override;
-  Result<std::optional<storage::Tuple>> Next() override;
   Status NextColumnBatch(storage::ColumnBatch* out) override;
   Status Close() override;
   const storage::Schema& output_schema() const override { return schema_; }
@@ -121,8 +118,6 @@ class CsvSource : public Operator {
   size_t line_ = 1;
   std::string scratch_;
   std::string cell_scratch_;
-  /// Single-row batch behind the Next() adapter.
-  storage::ColumnBatch row_batch_;
   bool open_ = false;
 };
 

@@ -9,34 +9,6 @@ const char* SideName(Side side) {
   return side == Side::kLeft ? "left" : "right";
 }
 
-Status Operator::NextColumnBatch(storage::ColumnBatch* out) {
-  out->Reset(&output_schema());
-  while (!out->full()) {
-    auto next = Next();
-    if (!next.ok()) {
-      out->Clear();
-      return next.status();
-    }
-    if (!next->has_value()) break;
-    out->AppendTupleRow(**next);
-  }
-  return Status::OK();
-}
-
-Status Operator::NextBatch(storage::TupleBatch* out) {
-  out->Reset(&output_schema());
-  while (!out->full()) {
-    auto next = Next();
-    if (!next.ok()) {
-      out->Clear();
-      return next.status();
-    }
-    if (!next->has_value()) break;
-    out->Append(std::move(**next));
-  }
-  return Status::OK();
-}
-
 Result<storage::Relation> CollectAll(Operator* op, const ExecOptions& options) {
   AQP_RETURN_IF_ERROR(op->Open());
   storage::Relation out(op->output_schema());

@@ -1,7 +1,6 @@
 #ifndef AQP_EXEC_OPERATOR_H_
 #define AQP_EXEC_OPERATOR_H_
 
-#include <optional>
 #include <string>
 
 #include "common/result.h"
@@ -9,8 +8,6 @@
 #include "storage/column_batch.h"
 #include "storage/relation.h"
 #include "storage/schema.h"
-#include "storage/tuple.h"
-#include "storage/tuple_batch.h"
 
 namespace aqp {
 namespace exec {
@@ -26,71 +23,45 @@ inline Side OtherSide(Side side) {
 /// "left" / "right".
 const char* SideName(Side side);
 
-/// \brief Pipelined iterator-model operator (OPEN/NEXT/CLOSE, Graefe),
-/// with a vectorized batch protocol layered on top.
+/// \brief Pipelined, vectorized iterator-model operator (OPEN / NEXT /
+/// CLOSE after Graefe, where NEXT delivers a columnar batch).
+///
+/// NextColumnBatch() is the one pull method: it refills a caller-owned
+/// columnar ColumnBatch with up to `capacity()` rows per call, moving
+/// *columns* (typed vectors + a string arena) instead of rows of
+/// variants. Row payloads are built only by sinks that need them
+/// (CollectAll, Drain).
 ///
 /// The adaptive framework (after Eurviriyanukul et al., cited as [11]
 /// in the paper) replaces physical operators only at *quiescent*
 /// states: states where the last input tuple consumed has been joined
 /// with every match it has, so no partial per-tuple state would be lost
-/// by a swap. Operators advertise this through `quiescent()`:
-///
-/// - `quiescent()` must be true right after Open() and after any Next()
-///   call that left no outstanding matches pending;
-/// - it must be false while matches for the current probe tuple are
-///   still being enumerated one Next() at a time.
-///
-/// Next() returns an engaged optional with the next output tuple, an
-/// empty optional at end-of-stream, or a non-OK status on error.
-///
-/// NextColumnBatch() is the native vectorized protocol: it refills a
-/// caller-owned columnar ColumnBatch with up to `capacity()` rows per
-/// call, amortizing the per-tuple virtual dispatch and Result/optional
-/// packaging across the whole batch and moving *columns* (typed
-/// vectors + a string arena) instead of rows of variants. Batch
-/// boundaries are quiescent by construction — every tuple the operator
-/// consumed to produce the batch has been fully processed, and all of
-/// its output is materialized in the batch (or an internal spill
-/// buffer), so adaptation may safely fire between batches. The default
-/// implementation adapts Next(), which keeps every operator working
-/// during the row → columnar migration; pipeline operators override it
-/// natively.
-///
-/// NextBatch() — the row-of-Tuples protocol — survives only as a
-/// compatibility adapter for tests and examples: its default pulls
-/// Next() exactly as before, and the joins override it to materialize
-/// rows from their late-materialized refs. Rows produced by either
-/// protocol are byte-identical and in identical order.
+/// by a swap. Batch boundaries are quiescent by construction — every
+/// tuple the operator consumed to produce a batch has been fully
+/// processed, and all of its output is in the batch or an internal
+/// spill buffer — so adaptation may safely fire between batches.
+/// Operators advertise this through `quiescent()`: it is true right
+/// after Open() and whenever no produced-but-undelivered output is
+/// buffered; it is false while spilled output of an earlier step still
+/// waits for a later NextColumnBatch() call.
 class Operator {
  public:
   virtual ~Operator() = default;
 
-  /// Prepares the operator; must be called exactly once before Next().
+  /// Prepares the operator; must be called exactly once before
+  /// NextColumnBatch().
   virtual Status Open() = 0;
-
-  /// Produces the next output tuple, or nullopt at end-of-stream.
-  virtual Result<std::optional<storage::Tuple>> Next() = 0;
 
   /// Refills `out` (cleared and schema-stamped first) with up to
   /// out->capacity() output rows in columnar form. An empty batch after
   /// an OK return signals end-of-stream. On error the partial batch is
-  /// discarded and the error returned, exactly as a failing Next()
-  /// would surface it.
-  ///
-  /// Base-class behavior adapts Next(); overriding operators must keep
-  /// the same contract, including producing rows in the same order
-  /// that repeated Next() calls would.
-  virtual Status NextColumnBatch(storage::ColumnBatch* out);
+  /// discarded and the error returned: a failing call delivers no rows.
+  virtual Status NextColumnBatch(storage::ColumnBatch* out) = 0;
 
-  /// Row-protocol compatibility adapter (see class comment): refills
-  /// `out` with up to out->capacity() output tuples, same order and
-  /// end-of-stream convention as NextColumnBatch().
-  virtual Status NextBatch(storage::TupleBatch* out);
-
-  /// Releases resources; no Next() may follow.
+  /// Releases resources; no NextColumnBatch() may follow.
   virtual Status Close() = 0;
 
-  /// Schema of the tuples produced by Next().
+  /// Schema of the rows produced by NextColumnBatch().
   virtual const storage::Schema& output_schema() const = 0;
 
   /// True iff the operator is in a quiescent state (§2.1).
@@ -136,7 +107,7 @@ class OpenGuard {
 /// alongside Operator. Counting drains detect it via dynamic_cast and
 /// skip row materialization entirely; the produced row count, the
 /// production order, and all quiescent-point/adaptation behavior must
-/// be identical to what NextBatch() would have driven.
+/// be identical to what NextColumnBatch() would have driven.
 class UnmaterializedCounter {
  public:
   virtual ~UnmaterializedCounter() = default;

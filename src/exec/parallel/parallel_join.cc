@@ -1077,17 +1077,7 @@ Status ParallelAdaptiveJoin::NextMatchRefs(size_t max_refs,
   return Status::OK();
 }
 
-Result<std::optional<storage::Tuple>> ParallelAdaptiveJoin::Next() {
-  if (!open_) return Status::FailedPrecondition(name() + " not open");
-  bool have_output = false;
-  AQP_RETURN_IF_ERROR(EnsureOutput(&have_output));
-  if (!have_output) return std::optional<storage::Tuple>();
-  return std::optional<storage::Tuple>(
-      MaterializeRow(out_buffer_[out_pos_++]));
-}
-
-template <typename Batch>
-Status ParallelAdaptiveJoin::FillBatch(Batch* out) {
+Status ParallelAdaptiveJoin::NextColumnBatch(storage::ColumnBatch* out) {
   if (!open_) return Status::FailedPrecondition(name() + " not open");
   out->Reset(&output_schema_);
   // On error the partial batch is discarded per the Operator contract;
@@ -1107,17 +1097,9 @@ Status ParallelAdaptiveJoin::FillBatch(Batch* out) {
       return status;
     }
     if (!have_output) break;
-    EmitRef(out_buffer_[out_pos_++], out);
+    MaterializeRefInto(out_buffer_[out_pos_++], out);
   }
   return Status::OK();
-}
-
-Status ParallelAdaptiveJoin::NextColumnBatch(storage::ColumnBatch* out) {
-  return FillBatch(out);
-}
-
-Status ParallelAdaptiveJoin::NextBatch(storage::TupleBatch* out) {
-  return FillBatch(out);
 }
 
 Result<size_t> ParallelAdaptiveJoin::AdvanceUnmaterialized(size_t max_rows) {

@@ -234,9 +234,9 @@ struct ParallelMatchRef {
 /// probes' ascending-stored-id output order.
 ///
 /// Three drive modes are supported, all producing identical streams:
-/// row protocol (Next/NextBatch, materialized at delivery), match-ref
-/// protocol (NextMatchRefs + MaterializeRow), and the counting drain
-/// (AdvanceUnmaterialized; never builds a row).
+/// column batches (NextColumnBatch, materialized at delivery), match
+/// refs (NextMatchRefs + MaterializeRefInto or MaterializeRow), and the
+/// counting drain (AdvanceUnmaterialized; never builds a row).
 class ParallelAdaptiveJoin : public exec::Operator,
                              public exec::UnmaterializedCounter {
  public:
@@ -246,9 +246,7 @@ class ParallelAdaptiveJoin : public exec::Operator,
   ~ParallelAdaptiveJoin() override;
 
   Status Open() override;
-  Result<std::optional<storage::Tuple>> Next() override;
   Status NextColumnBatch(storage::ColumnBatch* out) override;
-  Status NextBatch(storage::TupleBatch* out) override;
   Status Close() override;
   const storage::Schema& output_schema() const override {
     return output_schema_;
@@ -352,25 +350,6 @@ class ParallelAdaptiveJoin : public exec::Operator,
     uint32_t probe_ordinal = 0;
     uint32_t stored_ordinal = 0;
   };
-
-  /// Per-batch-type ref emission (the only difference between the two
-  /// delivery protocols).
-  void EmitRef(const ParallelMatchRef& ref,
-               storage::ColumnBatch* out) const {
-    MaterializeRefInto(ref, out);
-  }
-  void EmitRef(const ParallelMatchRef& ref,
-               storage::TupleBatch* out) const {
-    out->Append(MaterializeRow(ref));
-  }
-
-  /// Shared drive loop of NextColumnBatch/NextBatch: emits buffered
-  /// refs until the batch is full or the stream ends. On error the
-  /// partial batch is discarded and the output cursor rewound (valid
-  /// within one buffer generation), keeping the consumed refs
-  /// deliverable.
-  template <typename Batch>
-  Status FillBatch(Batch* out);
 
   /// Runs one epoch (control point, route-or-swap, phases, merge).
   /// Sets `*stream_ended` when no step could be routed. With
@@ -545,8 +524,9 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// Produced-but-undelivered output refs, in global order.
   std::vector<ParallelMatchRef> out_buffer_;
   size_t out_pos_ = 0;
-  /// Bumped whenever out_buffer_ is recycled (NextBatch's error-path
-  /// cursor rewind is only valid within one buffer generation).
+  /// Bumped whenever out_buffer_ is recycled (NextColumnBatch's
+  /// error-path cursor rewind is only valid within one buffer
+  /// generation).
   uint64_t buffer_generation_ = 0;
 
   bool open_ = false;

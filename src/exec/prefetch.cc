@@ -36,9 +36,6 @@ Status PrefetchSource::Open() {
   current_ = storage::ColumnBatch();
   cursor_ = 0;
   eos_ = false;
-  row_batch_ = storage::ColumnBatch();
-  row_pos_ = 0;
-  row_eos_ = false;
   {
     sync::MutexLock lock(&mu_);
     queue_.clear();
@@ -78,7 +75,6 @@ uint64_t PrefetchSource::ApproximateMemoryUsage() {
     }
   }
   bytes += current_.ApproximateMemoryUsage();
-  bytes += row_batch_.ApproximateMemoryUsage();
   return bytes;
 }
 
@@ -156,7 +152,9 @@ void PrefetchSource::ProducerLoop() {
 }
 
 Status PrefetchSource::NextColumnBatch(storage::ColumnBatch* out) {
-  if (!open_) return Status::Internal("PrefetchSource: Next before Open");
+  if (!open_) {
+    return Status::Internal("PrefetchSource: NextColumnBatch before Open");
+  }
   out->Reset(&child_->output_schema());
   if (cursor_ >= current_.size()) {
     if (eos_) return Status::OK();  // sticky end-of-stream
@@ -197,17 +195,6 @@ Status PrefetchSource::NextColumnBatch(storage::ColumnBatch* out) {
   for (size_t i = 0; i < take; ++i) out->AppendRowFrom(current_, cursor_ + i);
   cursor_ += take;
   return Status::OK();
-}
-
-Result<std::optional<storage::Tuple>> PrefetchSource::Next() {
-  while (row_pos_ >= row_batch_.size()) {
-    if (row_eos_) return std::optional<storage::Tuple>();
-    row_batch_.Reset(&child_->output_schema(), options_.batch_size);
-    row_pos_ = 0;
-    AQP_RETURN_IF_ERROR(NextColumnBatch(&row_batch_));
-    if (row_batch_.empty()) row_eos_ = true;
-  }
-  return std::optional<storage::Tuple>(row_batch_.MaterializeRow(row_pos_++));
 }
 
 }  // namespace exec

@@ -78,7 +78,6 @@ class PrefetchSource : public Operator {
   PrefetchSource& operator=(const PrefetchSource&) = delete;
 
   Status Open() override;
-  Result<std::optional<storage::Tuple>> Next() override;
   Status NextColumnBatch(storage::ColumnBatch* out) override;
   Status Close() override;
   const storage::Schema& output_schema() const override {
@@ -91,9 +90,9 @@ class PrefetchSource : public Operator {
   PrefetchStats stats() const AQP_EXCLUDES(mu_);
 
   /// Allocated footprint of the bounded chunk deque plus the
-  /// consumer-side serving batches. Locks the internal mutex for the
+  /// consumer-side serving batch. Locks the internal mutex for the
   /// queue (safe against a running producer); call from the consumer
-  /// thread, which owns the serving batches.
+  /// thread, which owns the serving batch.
   uint64_t ApproximateMemoryUsage() AQP_EXCLUDES(mu_);
 
  private:
@@ -132,11 +131,6 @@ class PrefetchSource : public Operator {
   storage::ColumnBatch current_;
   size_t cursor_ = 0;
   bool eos_ = false;
-
-  /// Row-protocol (Next) adapter state.
-  storage::ColumnBatch row_batch_;
-  size_t row_pos_ = 0;
-  bool row_eos_ = false;
 
   PrefetchStats stats_ AQP_GUARDED_BY(mu_);
 };

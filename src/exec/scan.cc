@@ -14,14 +14,6 @@ Status RelationScan::Open() {
   return Status::OK();
 }
 
-Result<std::optional<storage::Tuple>> RelationScan::Next() {
-  if (!open_) return Status::FailedPrecondition("RelationScan not open");
-  if (position_ >= relation_->size()) {
-    return std::optional<storage::Tuple>();
-  }
-  return std::optional<storage::Tuple>(relation_->row(position_++));
-}
-
 Status RelationScan::NextColumnBatch(storage::ColumnBatch* out) {
   if (!open_) return Status::FailedPrecondition("RelationScan not open");
   AQP_FAILPOINT(fail::site::kScanNext);
@@ -38,63 +30,8 @@ Status RelationScan::NextColumnBatch(storage::ColumnBatch* out) {
   return Status::OK();
 }
 
-Status RelationScan::NextBatch(storage::TupleBatch* out) {
-  if (!open_) return Status::FailedPrecondition("RelationScan not open");
-  out->Reset(&relation_->schema());
-  const size_t end =
-      std::min(relation_->size(), position_ + out->capacity());
-  const std::vector<storage::Tuple>& rows = relation_->rows();
-  for (; position_ < end; ++position_) {
-    out->Append(rows[position_]);
-  }
-  return Status::OK();
-}
-
 Status RelationScan::Close() {
   if (!open_) return Status::FailedPrecondition("RelationScan not open");
-  open_ = false;
-  return Status::OK();
-}
-
-Status VectorScan::Open() {
-  if (open_) return Status::FailedPrecondition("VectorScan already open");
-  open_ = true;
-  position_ = 0;
-  return Status::OK();
-}
-
-Result<std::optional<storage::Tuple>> VectorScan::Next() {
-  if (!open_) return Status::FailedPrecondition("VectorScan not open");
-  if (position_ >= tuples_.size()) {
-    return std::optional<storage::Tuple>();
-  }
-  return std::optional<storage::Tuple>(tuples_[position_++]);
-}
-
-Status VectorScan::NextColumnBatch(storage::ColumnBatch* out) {
-  if (!open_) return Status::FailedPrecondition("VectorScan not open");
-  out->Reset(&schema_);
-  const size_t end = std::min(tuples_.size(), position_ + out->capacity());
-  // Cell copies, not tuple copies: the scan stays re-openable and the
-  // batch owns plain bytes (column-major, like RelationScan).
-  out->AppendTupleRows(tuples_.data() + position_, end - position_);
-  position_ = end;
-  return Status::OK();
-}
-
-Status VectorScan::NextBatch(storage::TupleBatch* out) {
-  if (!open_) return Status::FailedPrecondition("VectorScan not open");
-  out->Reset(&schema_);
-  const size_t end = std::min(tuples_.size(), position_ + out->capacity());
-  // Copies, not moves: the scan stays re-openable.
-  for (; position_ < end; ++position_) {
-    out->Append(tuples_[position_]);
-  }
-  return Status::OK();
-}
-
-Status VectorScan::Close() {
-  if (!open_) return Status::FailedPrecondition("VectorScan not open");
   open_ = false;
   return Status::OK();
 }

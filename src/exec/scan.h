@@ -1,7 +1,6 @@
 #ifndef AQP_EXEC_SCAN_H_
 #define AQP_EXEC_SCAN_H_
 
-#include <memory>
 #include <string>
 
 #include "exec/operator.h"
@@ -15,10 +14,9 @@ namespace exec {
 /// Non-owning: the relation must outlive the scan. Scans are always
 /// quiescent (they hold no cross-call per-tuple state).
 ///
-/// NextColumnBatch is native: cells are written straight into the
-/// batch's column vectors/string arena, so no Tuple copy (one
-/// `vector<Value>` plus one heap string per row on this schema) ever
-/// happens on the scan→join hot path.
+/// Cells are written straight into the batch's column vectors/string
+/// arena, so no Tuple copy (one `vector<Value>` plus one heap string
+/// per row on this schema) ever happens on the scan→join hot path.
 class RelationScan : public Operator {
  public:
   /// Scans `relation` front to back.
@@ -26,9 +24,7 @@ class RelationScan : public Operator {
       : relation_(relation) {}
 
   Status Open() override;
-  Result<std::optional<storage::Tuple>> Next() override;
   Status NextColumnBatch(storage::ColumnBatch* out) override;
-  Status NextBatch(storage::TupleBatch* out) override;
   Status Close() override;
   const storage::Schema& output_schema() const override {
     return relation_->schema();
@@ -40,30 +36,6 @@ class RelationScan : public Operator {
 
  private:
   const storage::Relation* relation_;
-  size_t position_ = 0;
-  bool open_ = false;
-};
-
-/// \brief Owning scan over a tuple vector with an explicit schema.
-///
-/// Used when the producer does not want to keep a Relation alive
-/// (generator output handed straight to a join input).
-class VectorScan : public Operator {
- public:
-  VectorScan(storage::Schema schema, std::vector<storage::Tuple> tuples)
-      : schema_(std::move(schema)), tuples_(std::move(tuples)) {}
-
-  Status Open() override;
-  Result<std::optional<storage::Tuple>> Next() override;
-  Status NextColumnBatch(storage::ColumnBatch* out) override;
-  Status NextBatch(storage::TupleBatch* out) override;
-  Status Close() override;
-  const storage::Schema& output_schema() const override { return schema_; }
-  std::string name() const override { return "VectorScan"; }
-
- private:
-  storage::Schema schema_;
-  std::vector<storage::Tuple> tuples_;
   size_t position_ = 0;
   bool open_ = false;
 };

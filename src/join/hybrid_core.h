@@ -66,7 +66,7 @@ class HybridJoinCore {
   /// input path or the routing exchange, and carried along by the
   /// per-shard column scatter; falls back to hashing the key bytes
   /// when the lane is absent). A NULL join-key cell is treated as the
-  /// empty string — defined behavior where the row protocol rejects
+  /// empty string — defined behavior where the tuple step rejects
   /// NULL keys outright (Tuple::AsString on a NULL cell throws).
   /// Maintains the side's live index and
   /// probes the opposite side according to `probe_mode(side)`. Appends
@@ -79,8 +79,8 @@ class HybridJoinCore {
   size_t ProcessRowInto(Side side, const storage::ColumnBatch& batch,
                         size_t row, std::vector<JoinMatch>* out);
 
-  /// Row-protocol compatibility step (tests, benches, tuple-at-a-time
-  /// callers): same semantics, tuple decomposed by the store.
+  /// Tuple step (tests and benches): same semantics, tuple decomposed
+  /// by the store.
   size_t ProcessTupleInto(Side side, storage::Tuple tuple,
                           std::vector<JoinMatch>* out);
 

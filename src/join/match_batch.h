@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "join/join_types.h"
-#include "storage/tuple_batch.h"
+#include "storage/column_batch.h"
 
 namespace aqp {
 namespace join {
@@ -19,16 +19,16 @@ using MatchRef = JoinMatch;
 /// exchange of the late-materialized join output protocol.
 ///
 /// The symmetric join's hot path emits MatchRefs instead of
-/// concatenated Tuples; payload rows are only constructed when a
-/// consumer actually needs them (SymmetricJoin::MaterializeInto at the
-/// sink, or the row-protocol compatibility adapters). Counting drains
-/// never materialize at all.
+/// concatenated Tuples; output cells are only written when a consumer
+/// actually needs them (SymmetricJoin::MaterializeInto into a
+/// ColumnBatch). Counting drains never materialize at all.
 ///
-/// Like TupleBatch, capacity is a soft contract: Append past capacity
+/// Like ColumnBatch, capacity is a soft contract: Append past capacity
 /// degrades to growth instead of corruption.
 class MatchBatch {
  public:
-  explicit MatchBatch(size_t capacity = storage::TupleBatch::kDefaultCapacity) {
+  explicit MatchBatch(
+      size_t capacity = storage::ColumnBatch::kDefaultCapacity) {
     Reset(capacity);
   }
 
@@ -61,7 +61,7 @@ class MatchBatch {
 
  private:
   std::vector<MatchRef> refs_;
-  size_t capacity_ = storage::TupleBatch::kDefaultCapacity;
+  size_t capacity_ = storage::ColumnBatch::kDefaultCapacity;
 };
 
 }  // namespace join

@@ -51,42 +51,17 @@ Status SymmetricJoin::Open() {
   return Status::OK();
 }
 
-storage::Tuple SymmetricJoin::MaterializeRow(const MatchRef& ref) const {
-  const storage::TupleStore& l = core_.store(exec::Side::kLeft);
-  const storage::TupleStore& r = core_.store(exec::Side::kRight);
-  std::vector<storage::Value> values;
-  values.reserve(l.num_columns() + r.num_columns() +
-                 (options_.emit_similarity ? 1 : 0));
-  l.AppendValuesTo(ref.left_id(), &values);
-  r.AppendValuesTo(ref.right_id(), &values);
-  if (options_.emit_similarity) {
-    values.emplace_back(ref.similarity);
-  }
-  return storage::Tuple(std::move(values));
-}
-
-void SymmetricJoin::MaterializeInto(const MatchBatch& matches,
-                                    storage::TupleBatch* out) const {
-  for (const MatchRef& ref : matches) {
-    out->Append(MaterializeRow(ref));
-  }
-}
-
-void SymmetricJoin::MaterializeRefInto(const MatchRef& ref,
-                                       storage::ColumnBatch* out) const {
-  core_.store(exec::Side::kLeft).AppendCellsTo(ref.left_id(), out, 0);
-  core_.store(exec::Side::kRight)
-      .AppendCellsTo(ref.right_id(), out, left_width_);
-  if (options_.emit_similarity) {
-    out->AppendDouble(output_schema_.num_fields() - 1, ref.similarity);
-  }
-  out->CommitRow();
-}
-
 void SymmetricJoin::MaterializeInto(const MatchBatch& matches,
                                     storage::ColumnBatch* out) const {
+  const storage::TupleStore& left = core_.store(exec::Side::kLeft);
+  const storage::TupleStore& right = core_.store(exec::Side::kRight);
   for (const MatchRef& ref : matches) {
-    MaterializeRefInto(ref, out);
+    left.AppendCellsTo(ref.left_id(), out, 0);
+    right.AppendCellsTo(ref.right_id(), out, left_width_);
+    if (options_.emit_similarity) {
+      out->AppendDouble(output_schema_.num_fields() - 1, ref.similarity);
+    }
+    out->CommitRow();
   }
 }
 
@@ -155,7 +130,7 @@ Result<bool> SymmetricJoin::StepOnce(MatchBatch* out) {
   core_.AttributeApproxMatches(side, match_scratch_, obs.approx_attributed);
   batch_stats_.steps.push_back(obs);
   for (const JoinMatch& m : match_scratch_) {
-    if (out != nullptr && !out->full()) {
+    if (!out->full()) {
       out->Append(m);
     } else {
       pending_.push_back(m);
@@ -174,7 +149,7 @@ Status SymmetricJoin::RunStepBatch(MatchBatch* out, uint64_t max_steps,
   refill_excluded_ns_ = 0;
   Timer timer;
   while (executed < max_steps) {
-    if (out != nullptr && out->full()) break;
+    if (out->full()) break;
     auto stepped = StepOnce(out);
     if (!stepped.ok()) return stepped.status();
     if (!*stepped) {
@@ -194,23 +169,35 @@ Status SymmetricJoin::RunStepBatch(MatchBatch* out, uint64_t max_steps,
 Status SymmetricJoin::NextMatchBatch(MatchBatch* out) {
   if (!open_) return Status::FailedPrecondition(name_ + " not open");
   out->Clear();
-  // Refs spilled by a previous over-producing step go out first.
+  // Refs spilled by a previous over-producing step go out first. If
+  // the call fails they go back to the front of pending_: the caller
+  // discards a failed batch, so they must stay deliverable.
+  size_t drained = 0;
   while (!pending_.empty() && !out->full()) {
     out->Append(pending_.front());
     pending_.pop_front();
+    ++drained;
   }
   bool exhausted = false;
   while (!out->full() && !exhausted) {
     // Batch boundary: quiescent by construction.
-    AQP_RETURN_IF_ERROR(OnQuiescentPoint());
-    // Round the batch edge to the subclass's next control point, so
-    // the control loop activates at the same step counts as under
-    // tuple-at-a-time execution regardless of batch_size.
-    const uint64_t bound = StepsUntilControlPoint();
-    const uint64_t max_steps =
-        std::min<uint64_t>(bound, options_.batch_size);
-    AQP_RETURN_IF_ERROR(
-        RunStepBatch(out, std::max<uint64_t>(1, max_steps), &exhausted));
+    Status status = OnQuiescentPoint();
+    if (status.ok()) {
+      // Round the batch edge to the subclass's next control point, so
+      // the control loop activates at the same step counts as under
+      // tuple-at-a-time execution regardless of batch_size.
+      const uint64_t bound = StepsUntilControlPoint();
+      const uint64_t max_steps =
+          std::min<uint64_t>(bound, options_.batch_size);
+      status = RunStepBatch(out, std::max<uint64_t>(1, max_steps),
+                            &exhausted);
+    }
+    if (!status.ok()) {
+      pending_.insert(pending_.begin(), out->begin(),
+                      out->begin() + static_cast<ptrdiff_t>(drained));
+      out->Clear();
+      return status;
+    }
   }
   return Status::OK();
 }
@@ -221,72 +208,14 @@ Result<size_t> SymmetricJoin::AdvanceUnmaterialized(size_t max_rows) {
   return adapter_batch_.size();
 }
 
-Result<std::optional<storage::Tuple>> SymmetricJoin::Next() {
-  if (!open_) return Status::FailedPrecondition(name_ + " not open");
-  while (pending_.empty()) {
-    // Quiescent: the previous tuple's matches are fully enumerated.
-    AQP_RETURN_IF_ERROR(OnQuiescentPoint());
-    bool exhausted = false;
-    // One-step batches keep the tuple-at-a-time contract (a quiescent
-    // point before every step) on the shared batched machinery.
-    AQP_RETURN_IF_ERROR(RunStepBatch(nullptr, 1, &exhausted));
-    if (exhausted) return std::optional<storage::Tuple>();
-  }
-  // Materialize at delivery: rows never exist before a consumer asks.
-  storage::Tuple out = MaterializeRow(pending_.front());
-  pending_.pop_front();
-  return std::optional<storage::Tuple>(std::move(out));
-}
-
-template <typename Batch>
-Status SymmetricJoin::FillBatch(Batch* out) {
-  if (!open_) return Status::FailedPrecondition(name_ + " not open");
-  out->Reset(&output_schema_);
-  // Refs spilled by a previous over-producing step go out first. They
-  // are erased only after the whole call succeeds: on error the
-  // partial batch is discarded (Operator contract) and the refs stay
-  // deliverable, exactly as a failing Next() drive would leave them.
-  size_t drained = 0;
-  while (drained < pending_.size() && !out->full()) {
-    EmitRef(pending_[drained++], out);
-  }
-  bool exhausted = false;
-  while (!out->full() && !exhausted) {
-    // Batch boundary: quiescent by construction.
-    Status step_status = OnQuiescentPoint();
-    if (step_status.ok()) {
-      // Round the batch edge to the subclass's next control point, so
-      // the control loop activates at the same step counts as under
-      // tuple-at-a-time execution regardless of batch_size.
-      const uint64_t bound = StepsUntilControlPoint();
-      const uint64_t max_steps =
-          std::min<uint64_t>(bound, options_.batch_size);
-      adapter_batch_.Reset(out->capacity() - out->size());
-      step_status = RunStepBatch(&adapter_batch_,
-                                 std::max<uint64_t>(1, max_steps),
-                                 &exhausted);
-    }
-    if (!step_status.ok()) {
-      out->Clear();
-      return step_status;
-    }
-    MaterializeInto(adapter_batch_, out);
-  }
-  pending_.erase(pending_.begin(),
-                 pending_.begin() + static_cast<ptrdiff_t>(drained));
-  return Status::OK();
-}
-
-// Native columnar delivery: output columns are written straight from
-// the stores — no row payload is ever constructed.
+// Columnar delivery: output columns are written straight from the
+// stores — no row payload is ever constructed.
 Status SymmetricJoin::NextColumnBatch(storage::ColumnBatch* out) {
-  return FillBatch(out);
-}
-
-// Row-protocol compatibility adapter: rows are built exactly once, at
-// the sink boundary.
-Status SymmetricJoin::NextBatch(storage::TupleBatch* out) {
-  return FillBatch(out);
+  out->Reset(&output_schema_);
+  adapter_batch_.Reset(out->capacity());
+  AQP_RETURN_IF_ERROR(NextMatchBatch(&adapter_batch_));
+  MaterializeInto(adapter_batch_, out);
+  return Status::OK();
 }
 
 Status SymmetricJoin::Close() {

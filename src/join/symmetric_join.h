@@ -34,8 +34,8 @@ struct SymmetricJoinOptions {
   /// Rows per input batch pulled from the children, and the step-batch
   /// granularity of the vectorized execution path. 1 degenerates to
   /// tuple-at-a-time execution; results and adaptation traces are
-  /// identical for every value (see NextBatch()).
-  size_t batch_size = storage::TupleBatch::kDefaultCapacity;
+  /// identical for every value (see StepsUntilControlPoint()).
+  size_t batch_size = storage::ColumnBatch::kDefaultCapacity;
 };
 
 /// \brief Observables of one step batch: the steps executed between two
@@ -64,20 +64,19 @@ struct StepBatchStats {
 /// This is the iterator of Fig. 2, vectorized and late-materializing.
 /// Execution advances in *steps* (one input tuple fully joined per
 /// step, §2.1); the engine runs steps in batches of up to
-/// `options.batch_size`, pulling child input through TupleBatch refills
-/// and emitting MatchRef batches. A step's output is a set of
+/// `options.batch_size`, pulling child input through ColumnBatch
+/// refills and emitting MatchRef batches. A step's output is a set of
 /// references into the two tuple stores — no concatenated payload row
-/// is built on the hot path. Rows exist only where a consumer needs
-/// them:
+/// is built on the hot path. Output cells exist only where a consumer
+/// needs them:
 ///
 /// - NextMatchBatch() is the native protocol: it refills a MatchBatch
-///   with output refs; MaterializeInto()/MaterializeRow() concatenate
-///   stored tuples on demand (this is what the collecting sinks call);
-/// - NextBatch()/Next() are row-protocol compatibility adapters that
-///   materialize at delivery time, producing byte-identical rows in
-///   identical order to the pre-late-materialization engine;
+///   with output refs;
+/// - NextColumnBatch() is NextMatchBatch() followed by
+///   MaterializeInto(), which writes the stored cells of each ref
+///   straight into the caller's ColumnBatch;
 /// - counting drains go through exec::UnmaterializedCounter and never
-///   build a row at all.
+///   write an output cell at all.
 ///
 /// Between step batches the operator is quiescent by construction —
 /// every consumed tuple's matches are fully enumerated as refs — so
@@ -93,7 +92,7 @@ struct StepBatchStats {
 /// - OnBatchCompleted() fires after each step batch with the per-step
 ///   observables aggregated over the batch (monitor feed).
 ///
-/// All drive modes (match batches, row batches, tuple-at-a-time) may be
+/// The drive modes (match batches, column batches, counting) may be
 /// mixed on one operator instance.
 ///
 /// SHJoin pins both modes to exact, SSHJoin to approximate; the
@@ -106,9 +105,7 @@ class SymmetricJoin : public exec::Operator, public exec::UnmaterializedCounter 
                 ProbeMode initial_right_mode, std::string name);
 
   Status Open() override;
-  Result<std::optional<storage::Tuple>> Next() override;
   Status NextColumnBatch(storage::ColumnBatch* out) override;
-  Status NextBatch(storage::TupleBatch* out) override;
   Status Close() override;
   const storage::Schema& output_schema() const override {
     return output_schema_;
@@ -123,18 +120,9 @@ class SymmetricJoin : public exec::Operator, public exec::UnmaterializedCounter 
   /// Refills `out` (cleared first; capacity is the caller's) with up to
   /// out->capacity() output match refs. An empty batch after an OK
   /// return signals end-of-stream. Ref order equals the row order of
-  /// NextBatch()/Next().
+  /// NextColumnBatch(). On error `out` is cleared, and the refs it had
+  /// taken from the spill buffer go back to it for the next call.
   Status NextMatchBatch(MatchBatch* out);
-
-  /// Concatenates the stored tuples of `ref` (left fields, right
-  /// fields, optional similarity column) — row construction exists
-  /// only here and in the row-batch adapter below.
-  storage::Tuple MaterializeRow(const MatchRef& ref) const;
-
-  /// Materializes every ref of `matches` into `out`, in order. The
-  /// caller ensures `out` has room (soft capacity, as TupleBatch).
-  void MaterializeInto(const MatchBatch& matches,
-                       storage::TupleBatch* out) const;
 
   /// Columnar materialization: writes every ref's output cells —
   /// left store columns, right store columns, optional similarity —
@@ -184,28 +172,6 @@ class SymmetricJoin : public exec::Operator, public exec::UnmaterializedCounter 
   HybridJoinCore* mutable_core() { return &core_; }
 
  private:
-  /// Writes one ref's output cells into `out` (shared body of the
-  /// columnar materialization paths).
-  void MaterializeRefInto(const MatchRef& ref,
-                          storage::ColumnBatch* out) const;
-
-  /// Per-batch-type ref emission (the only difference between the two
-  /// delivery protocols).
-  void EmitRef(const MatchRef& ref, storage::ColumnBatch* out) const {
-    MaterializeRefInto(ref, out);
-  }
-  void EmitRef(const MatchRef& ref, storage::TupleBatch* out) const {
-    out->Append(MaterializeRow(ref));
-  }
-
-  /// Shared drive loop of NextColumnBatch/NextBatch: deliver spilled
-  /// pending refs, then run step batches until the caller's batch is
-  /// full or input is exhausted. On error the partial batch is
-  /// discarded and pending_ is left untouched (drained refs are only
-  /// erased once the call succeeds), so no produced ref is ever lost.
-  template <typename Batch>
-  Status FillBatch(Batch* out);
-
   /// Refills `side`'s input buffer with the child's next columnar
   /// batch and precomputes the join-key hash lane over it.
   Status RefillInput(exec::Side side);
@@ -233,8 +199,8 @@ class SymmetricJoin : public exec::Operator, public exec::UnmaterializedCounter 
   HybridJoinCore core_;
   exec::InterleaveScheduler scheduler_;
   storage::Schema output_schema_;
-  /// Produced-but-undelivered match refs: filled by Next()'s one-step
-  /// batches and by step outputs overflowing a batch target.
+  /// Produced-but-undelivered match refs: step outputs that overflowed
+  /// the caller's batch.
   std::deque<MatchRef> pending_;
   /// Read-ahead columnar buffers over the children, one per side.
   /// Rows are consumed in place (the step copies the payload slice
@@ -245,11 +211,10 @@ class SymmetricJoin : public exec::Operator, public exec::UnmaterializedCounter 
   size_t left_width_ = 0;
   /// Scratch reused across steps (cleared per step, capacity kept).
   std::vector<JoinMatch> match_scratch_;
-  /// Ref batch reused by the row/count adapters (NextBatch,
-  /// AdvanceUnmaterialized).
+  /// Ref batch reused by NextColumnBatch and AdvanceUnmaterialized.
   MatchBatch adapter_batch_;
   StepBatchStats batch_stats_;
-  /// Child NextBatch time inside the current step batch (subtracted
+  /// Child NextColumnBatch time inside the current step batch (subtracted
   /// from its elapsed_ns; see RunStepBatch/RefillInput).
   int64_t refill_excluded_ns_ = 0;
   uint64_t steps_ = 0;

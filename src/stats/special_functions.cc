@@ -2,20 +2,33 @@
 
 #include <cassert>
 #include <cmath>
+#include <math.h>  // lgamma_r (POSIX)
 
 namespace aqp {
 namespace stats {
 
+namespace {
+
+// std::lgamma stores the sign of Γ(x) in the global `signgam`, a data
+// race when concurrent queries run their binomial tests; lgamma_r
+// returns the same value and writes the sign to a local instead.
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 double LogBeta(double a, double b) {
   assert(a > 0 && b > 0);
-  return std::lgamma(a) + std::lgamma(b) - std::lgamma(a + b);
+  return LogGamma(a) + LogGamma(b) - LogGamma(a + b);
 }
 
 double LogBinomialCoefficient(unsigned long long n, unsigned long long k) {
   assert(k <= n);
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return LogGamma(static_cast<double>(n) + 1.0) -
+         LogGamma(static_cast<double>(k) + 1.0) -
+         LogGamma(static_cast<double>(n - k) + 1.0);
 }
 
 namespace {

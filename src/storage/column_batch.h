@@ -24,9 +24,9 @@ namespace storage {
 /// contiguous arena, so filling a batch performs no per-cell heap
 /// allocation — arena growth is amortized, and a recycled batch
 /// (Reset with the same schema) reaches an allocation-free steady
-/// state. This is what replaced the row-of-variant TupleBatch on the
-/// hot path: the PR 1 profile showed per-tuple `std::vector<Value>`
-/// and `std::string` construction dominating the exact-join loop.
+/// state. Rows of variants would cost a `std::vector<Value>` and a
+/// `std::string` per tuple; that construction once dominated the
+/// exact-join loop.
 ///
 /// An optional *join-key hash lane* carries one precomputed FNV-1a
 /// hash per row (ComputeKeyHashes over the join column); consumers
@@ -37,16 +37,16 @@ namespace storage {
 ///
 /// A batch borrows its schema from the producing operator (the schema
 /// must outlive the batch, which holds in the pull model). Capacity is
-/// a soft contract exactly as in TupleBatch: appends past capacity
-/// degrade to growth, not corruption.
+/// a soft contract: appends past capacity degrade to growth, not
+/// corruption.
 ///
 /// Views returned by StringAt() alias the arena and are invalidated by
 /// any append, Clear(), or Reset() — consume a row before mutating the
 /// batch (the pipeline copies rows into stores/sinks immediately).
 class ColumnBatch {
  public:
-  /// Default number of rows per batch (matches TupleBatch so row and
-  /// columnar drives see the same batch boundaries).
+  /// Default number of rows per batch; chosen so a batch of typical
+  /// linkage tuples stays comfortably inside the L2 cache.
   static constexpr size_t kDefaultCapacity = 1024;
 
   ColumnBatch() = default;
@@ -148,7 +148,8 @@ class ColumnBatch {
   void AbandonRow();
   /// @}
 
-  /// Appends one row from a Tuple (row-protocol compatibility paths).
+  /// Appends one row from a Tuple (tuple-producing sources such as
+  /// GeneratorSource).
   /// Cell types must match the schema; NULL cells are allowed anywhere.
   void AppendTupleRow(const Tuple& tuple);
 

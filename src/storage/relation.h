@@ -8,7 +8,6 @@
 #include "storage/column_batch.h"
 #include "storage/schema.h"
 #include "storage/tuple.h"
-#include "storage/tuple_batch.h"
 
 namespace aqp {
 namespace storage {
@@ -43,16 +42,6 @@ class Relation {
   /// Appends without validation (hot generator path; caller guarantees
   /// conformance).
   void AppendUnchecked(Tuple tuple) { rows_.push_back(std::move(tuple)); }
-
-  /// Splices a batch's rows onto the relation without validation,
-  /// leaving the batch empty (row-protocol compatibility path).
-  void AppendBatchUnchecked(TupleBatch* batch) {
-    rows_.reserve(rows_.size() + batch->size());
-    for (Tuple& tuple : *batch) {
-      rows_.push_back(std::move(tuple));
-    }
-    batch->Clear();
-  }
 
   /// Materializes a columnar batch's rows onto the relation without
   /// validation (batched CollectAll sink: the only place the columnar

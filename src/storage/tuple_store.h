@@ -70,8 +70,8 @@ class TupleStore {
   /// slice is copied column-to-column.
   TupleId AddRow(const ColumnBatch& batch, size_t row, uint64_t key_hash);
 
-  /// Appends a tuple (row-protocol compatibility adapter: decomposes
-  /// the tuple into the columnar payload). Interns the join key and
+  /// Appends a tuple (the tuple ingest path of tests and benches:
+  /// decomposes the tuple into the columnar payload). Interns the join key and
   /// caches its hash.
   TupleId Add(Tuple tuple);
 

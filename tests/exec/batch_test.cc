@@ -1,6 +1,6 @@
-// The vectorized operator protocol: NextBatch contracts on sources, the
-// default Next()-adapter, the batched drains, and batch-boundary
-// quiescence of the symmetric join.
+// The vectorized operator protocol: NextColumnBatch contracts on
+// sources, the batched drains, and batch-boundary quiescence of the
+// symmetric join.
 
 #include <gtest/gtest.h>
 
@@ -8,15 +8,16 @@
 #include "exec/sink.h"
 #include "exec/stream.h"
 #include "join/shjoin.h"
+#include "storage/column_batch.h"
 
 namespace aqp {
 namespace exec {
 namespace {
 
+using storage::ColumnBatch;
 using storage::Relation;
 using storage::Schema;
 using storage::Tuple;
-using storage::TupleBatch;
 using storage::Value;
 using storage::ValueType;
 
@@ -43,13 +44,15 @@ TEST(NextBatchTest, RelationScanFillsWholeBatches) {
   const Relation r = Ints(10);
   RelationScan scan(&r);
   ASSERT_TRUE(scan.Open().ok());
-  TupleBatch batch(&r.schema(), 4);
+  ColumnBatch batch(&r.schema(), 4);
   std::vector<int64_t> seen;
   while (true) {
-    ASSERT_TRUE(scan.NextBatch(&batch).ok());
+    ASSERT_TRUE(scan.NextColumnBatch(&batch).ok());
     if (batch.empty()) break;
     EXPECT_LE(batch.size(), 4u);
-    for (const Tuple& t : batch) seen.push_back(t.at(0).AsInt64());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      seen.push_back(batch.Int64At(0, i));
+    }
   }
   ASSERT_EQ(seen.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(seen[i], i);
@@ -57,115 +60,11 @@ TEST(NextBatchTest, RelationScanFillsWholeBatches) {
   ASSERT_TRUE(scan.Close().ok());
 }
 
-TEST(NextBatchTest, MatchesNextOrderExactly) {
-  const Relation r = Ints(7);
-  RelationScan a(&r);
-  RelationScan b(&r);
-  ASSERT_TRUE(a.Open().ok());
-  ASSERT_TRUE(b.Open().ok());
-  TupleBatch batch(&r.schema(), 3);
-  std::vector<Tuple> from_batches;
-  while (true) {
-    ASSERT_TRUE(a.NextBatch(&batch).ok());
-    if (batch.empty()) break;
-    for (Tuple& t : batch) from_batches.push_back(std::move(t));
-  }
-  for (const Tuple& expected : from_batches) {
-    auto next = b.Next();
-    ASSERT_TRUE(next.ok());
-    ASSERT_TRUE(next->has_value());
-    EXPECT_EQ(**next, expected);
-  }
-  EXPECT_FALSE(b.Next()->has_value());
-}
-
 TEST(NextBatchTest, NotOpenFails) {
   const Relation r = Ints(3);
   RelationScan scan(&r);
-  TupleBatch batch(&r.schema(), 4);
-  EXPECT_TRUE(scan.NextBatch(&batch).IsFailedPrecondition());
-}
-
-/// Operator relying on the base-class Next() adapter.
-class CountdownOperator : public Operator {
- public:
-  explicit CountdownOperator(int n) : remaining_(n) {}
-  Status Open() override { return Status::OK(); }
-  Result<std::optional<Tuple>> Next() override {
-    if (remaining_ <= 0) return std::optional<Tuple>();
-    return std::optional<Tuple>(Tuple{Value(remaining_--)});
-  }
-  Status Close() override { return Status::OK(); }
-  const Schema& output_schema() const override { return schema_; }
-  std::string name() const override { return "CountdownOperator"; }
-
- private:
-  Schema schema_ = Schema({{"x", ValueType::kInt64}});
-  int remaining_;
-};
-
-TEST(NextBatchTest, DefaultAdapterLoopsNext) {
-  CountdownOperator op(5);
-  ASSERT_TRUE(op.Open().ok());
-  TupleBatch batch(&op.output_schema(), 2);
-  ASSERT_TRUE(op.NextBatch(&batch).ok());
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].at(0).AsInt64(), 5);
-  EXPECT_EQ(batch[1].at(0).AsInt64(), 4);
-  ASSERT_TRUE(op.NextBatch(&batch).ok());
-  EXPECT_EQ(batch.size(), 2u);
-  ASSERT_TRUE(op.NextBatch(&batch).ok());
-  EXPECT_EQ(batch.size(), 1u);
-  ASSERT_TRUE(op.NextBatch(&batch).ok());
-  EXPECT_TRUE(batch.empty());
-}
-
-/// Operator that fails on the nth Next() call.
-class FailingOperator : public Operator {
- public:
-  explicit FailingOperator(int fail_at) : fail_at_(fail_at) {}
-  Status Open() override { return Status::OK(); }
-  Result<std::optional<Tuple>> Next() override {
-    if (++calls_ >= fail_at_) return Status::Internal("synthetic failure");
-    return std::optional<Tuple>(Tuple{Value(calls_)});
-  }
-  Status Close() override { return Status::OK(); }
-  const Schema& output_schema() const override { return schema_; }
-  std::string name() const override { return "FailingOperator"; }
-
- private:
-  Schema schema_ = Schema({{"x", ValueType::kInt64}});
-  int fail_at_;
-  int calls_ = 0;
-};
-
-TEST(NextBatchTest, DefaultAdapterPropagatesMidBatchError) {
-  FailingOperator op(3);
-  ASSERT_TRUE(op.Open().ok());
-  TupleBatch batch(&op.output_schema(), 8);
-  Status s = op.NextBatch(&batch);
-  EXPECT_TRUE(s.IsInternal());
-  // The partial batch is discarded, exactly like a failing Next().
-  EXPECT_TRUE(batch.empty());
-}
-
-TEST(NextBatchTest, PushSourceDrainsQueueAndReportsBlocked) {
-  PushSource src(OneString());
-  ASSERT_TRUE(src.Open().ok());
-  ASSERT_TRUE(src.Push(Tuple{Value("a")}).ok());
-  ASSERT_TRUE(src.Push(Tuple{Value("b")}).ok());
-  TupleBatch batch(&src.output_schema(), 8);
-  ASSERT_TRUE(src.NextBatch(&batch).ok());
-  EXPECT_EQ(batch.size(), 2u);
-  EXPECT_FALSE(src.blocked());
-  // Live stream, no tuples yet: empty batch + blocked.
-  ASSERT_TRUE(src.NextBatch(&batch).ok());
-  EXPECT_TRUE(batch.empty());
-  EXPECT_TRUE(src.blocked());
-  ASSERT_TRUE(src.Finish().ok());
-  ASSERT_TRUE(src.NextBatch(&batch).ok());
-  EXPECT_TRUE(batch.empty());
-  EXPECT_FALSE(src.blocked());
+  ColumnBatch batch(&r.schema(), 4);
+  EXPECT_TRUE(scan.NextColumnBatch(&batch).IsFailedPrecondition());
 }
 
 TEST(NextBatchTest, GeneratorSourceHonorsCapacity) {
@@ -175,12 +74,12 @@ TEST(NextBatchTest, GeneratorSourceHonorsCapacity) {
     return Tuple{Value(produced++)};
   });
   ASSERT_TRUE(src.Open().ok());
-  TupleBatch batch(&src.output_schema(), 3);
-  ASSERT_TRUE(src.NextBatch(&batch).ok());
+  ColumnBatch batch(&src.output_schema(), 3);
+  ASSERT_TRUE(src.NextColumnBatch(&batch).ok());
   EXPECT_EQ(batch.size(), 3u);
-  ASSERT_TRUE(src.NextBatch(&batch).ok());
+  ASSERT_TRUE(src.NextColumnBatch(&batch).ok());
   EXPECT_EQ(batch.size(), 2u);
-  ASSERT_TRUE(src.NextBatch(&batch).ok());
+  ASSERT_TRUE(src.NextColumnBatch(&batch).ok());
   EXPECT_TRUE(batch.empty());
 }
 
@@ -289,39 +188,124 @@ TEST(BatchQuiescenceTest, BoundariesAreQuiescentAndClampedToControlPoints) {
   EXPECT_TRUE(join.quiescent());
 }
 
-TEST(BatchQuiescenceTest, TupleAndBatchDrivesProduceIdenticalResults) {
+/// Drives `join` to end-of-stream through NextColumnBatch with batches
+/// of `capacity` rows; sets *spilled when any call left match refs
+/// buffered for a later call.
+std::vector<Tuple> DriveColumnBatches(join::SymmetricJoin* join,
+                                      size_t capacity, bool* spilled) {
+  std::vector<Tuple> rows;
+  EXPECT_TRUE(join->Open().ok());
+  ColumnBatch batch(nullptr, capacity);
+  while (true) {
+    EXPECT_TRUE(join->NextColumnBatch(&batch).ok());
+    if (batch.empty()) break;
+    EXPECT_LE(batch.size(), capacity);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      rows.push_back(batch.MaterializeRow(i));
+    }
+    if (!join->quiescent()) *spilled = true;
+  }
+  EXPECT_TRUE(join->Close().ok());
+  return rows;
+}
+
+TEST(BatchQuiescenceTest, CapacityOneAndTwoDrivesProduceIdenticalResults) {
+  // Steps that produce more matches than the caller's batch has room
+  // for spill the rest to pending_, which later calls deliver first.
+  // Batches of one and two rows force that path on different edges.
   const Relation left =
       Strings({"AAA", "BBB", "CCC", "AAA", "DDD", "EEE", "BBB"});
   const Relation right = Strings({"BBB", "AAA", "FFF", "AAA"});
-  // Tuple-at-a-time via Next().
   RelationScan l1(&left);
   RelationScan r1(&right);
-  join::SHJoin j1(&l1, &r1, join::SymmetricJoinOptions{});
-  ASSERT_TRUE(j1.Open().ok());
-  std::vector<Tuple> tuple_wise;
-  while (true) {
-    auto next = j1.Next();
-    ASSERT_TRUE(next.ok());
-    if (!next->has_value()) break;
-    tuple_wise.push_back(std::move(**next));
-  }
-  ASSERT_TRUE(j1.Close().ok());
-  // Batched via NextBatch with a small capacity to force spills.
+  ProbingJoin j1(&l1, &r1, join::SymmetricJoinOptions{}, 0);
+  bool spilled1 = false;
+  const std::vector<Tuple> one = DriveColumnBatches(&j1, 1, &spilled1);
   RelationScan l2(&left);
   RelationScan r2(&right);
-  join::SHJoin j2(&l2, &r2, join::SymmetricJoinOptions{});
-  ASSERT_TRUE(j2.Open().ok());
-  std::vector<Tuple> batch_wise;
-  TupleBatch batch(nullptr, 2);
-  while (true) {
-    ASSERT_TRUE(j2.NextBatch(&batch).ok());
-    if (batch.empty()) break;
-    for (Tuple& t : batch) batch_wise.push_back(std::move(t));
+  ProbingJoin j2(&l2, &r2, join::SymmetricJoinOptions{}, 0);
+  bool spilled2 = false;
+  const std::vector<Tuple> two = DriveColumnBatches(&j2, 2, &spilled2);
+  EXPECT_TRUE(spilled1);
+  EXPECT_TRUE(spilled2);
+  // Spilled refs are delivered before the next step runs, so every
+  // quiescent point still finds nothing buffered.
+  EXPECT_EQ(j1.non_quiescent_calls, 0u);
+  EXPECT_EQ(j2.non_quiescent_calls, 0u);
+  ASSERT_FALSE(one.empty());
+  ASSERT_EQ(one.size(), two.size());
+  for (size_t i = 0; i < one.size(); ++i) {
+    EXPECT_EQ(one[i], two[i]) << "row " << i;
   }
-  ASSERT_TRUE(j2.Close().ok());
-  ASSERT_EQ(tuple_wise.size(), batch_wise.size());
-  for (size_t i = 0; i < tuple_wise.size(); ++i) {
-    EXPECT_EQ(tuple_wise[i], batch_wise[i]) << "row " << i;
+}
+
+/// RelationScan wrapper whose next refill fails once when armed.
+class ArmableScan : public Operator {
+ public:
+  explicit ArmableScan(const Relation* rows) : scan_(rows) {}
+  Status Open() override { return scan_.Open(); }
+  Status NextColumnBatch(ColumnBatch* out) override {
+    if (fail_next) {
+      fail_next = false;
+      return Status::Unavailable("refill failed");
+    }
+    return scan_.NextColumnBatch(out);
+  }
+  Status Close() override { return scan_.Close(); }
+  const Schema& output_schema() const override {
+    return scan_.output_schema();
+  }
+  std::string name() const override { return "ArmableScan"; }
+
+  bool fail_next = false;
+
+ private:
+  RelationScan scan_;
+};
+
+TEST(BatchQuiescenceTest, FailedPullKeepsSpilledRefs) {
+  // Steps alternate L0 R0 L1 R1 L2: R1 matches L0 and L1, so a one-row
+  // pull leaves (L1, R1) spilled. The next pull delivers it first and
+  // then steps L2, whose refill fails: the spilled ref must survive
+  // the failed call and arrive with the next one.
+  const Relation left = Strings({"K", "K", "X"});
+  const Relation right = Strings({"Y", "K"});
+  join::SymmetricJoinOptions options;
+  options.batch_size = 1;  // one row per child refill
+  RelationScan clean_left(&left);
+  RelationScan clean_right(&right);
+  join::SHJoin clean(&clean_left, &clean_right, options);
+  auto expected = CollectAll(&clean);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(expected->size(), 2u);
+
+  ArmableScan flaky_left(&left);
+  RelationScan flaky_right(&right);
+  join::SHJoin join(&flaky_left, &flaky_right, options);
+  ASSERT_TRUE(join.Open().ok());
+  std::vector<Tuple> rows;
+  ColumnBatch one(nullptr, 1);
+  ASSERT_TRUE(join.NextColumnBatch(&one).ok());
+  ASSERT_EQ(one.size(), 1u);
+  rows.push_back(one.MaterializeRow(0));
+  ASSERT_FALSE(join.quiescent());
+
+  flaky_left.fail_next = true;
+  ColumnBatch two(nullptr, 2);
+  EXPECT_TRUE(join.NextColumnBatch(&two).IsUnavailable());
+  EXPECT_TRUE(two.empty());
+  EXPECT_FALSE(join.quiescent());
+  while (true) {
+    ASSERT_TRUE(join.NextColumnBatch(&two).ok());
+    if (two.empty()) break;
+    for (size_t i = 0; i < two.size(); ++i) {
+      rows.push_back(two.MaterializeRow(i));
+    }
+  }
+  ASSERT_TRUE(join.Close().ok());
+  ASSERT_EQ(rows.size(), expected->size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i], expected->row(i)) << "row " << i;
   }
 }
 

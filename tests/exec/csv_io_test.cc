@@ -65,26 +65,6 @@ TEST(CsvSourceTest, AgreesWithReadRelationCsv) {
   }
 }
 
-TEST(CsvSourceTest, NextAdapterMatchesColumnarRows) {
-  const std::string text = "id,loc,lat\n1,a,0.5\n2,b,1.5\n";
-  CsvSource columnar(TestSchema(), text);
-  auto rows = CollectAll(&columnar);
-  ASSERT_TRUE(rows.ok());
-
-  CsvSource tuple_wise(TestSchema(), text);
-  ASSERT_TRUE(tuple_wise.Open().ok());
-  for (size_t i = 0; i < rows->size(); ++i) {
-    auto next = tuple_wise.Next();
-    ASSERT_TRUE(next.ok());
-    ASSERT_TRUE(next->has_value());
-    EXPECT_EQ(**next, rows->row(i)) << "row " << i;
-  }
-  auto end = tuple_wise.Next();
-  ASSERT_TRUE(end.ok());
-  EXPECT_FALSE(end->has_value());
-  ASSERT_TRUE(tuple_wise.Close().ok());
-}
-
 TEST(CsvSourceTest, SkipsBlankLinesLikeParseCsv) {
   // ParseCsv (and therefore ReadRelationCsv) silently skips blank
   // lines; the columnar reader must load such feeds identically.
@@ -240,22 +220,6 @@ TEST(CsvSourceQuarantineTest, QuarantinedQuotedFieldResyncsPastItsNewlines) {
   EXPECT_EQ(batch.Int64At(0, 0), 7);
   EXPECT_EQ(source.bad_rows(), 1u);
   EXPECT_EQ(source.quarantine_log()[0].line, 2u);
-}
-
-TEST(CsvSourceQuarantineTest, NextAdapterQuarantinesToo) {
-  CsvSourceOptions options;
-  options.max_bad_rows = 2;
-  CsvSource source(TestSchema(), "id,loc,lat\nbad,a,1\n5,b,2.5\n", options);
-  ASSERT_TRUE(source.Open().ok());
-  auto next = source.Next();
-  ASSERT_TRUE(next.ok()) << next.status().ToString();
-  ASSERT_TRUE(next->has_value());
-  EXPECT_EQ((**next).at(0).AsInt64(), 5);
-  auto end = source.Next();
-  ASSERT_TRUE(end.ok());
-  EXPECT_FALSE(end->has_value());
-  EXPECT_EQ(source.bad_rows(), 1u);
-  ASSERT_TRUE(source.Close().ok());
 }
 
 TEST(CsvSourceQuarantineTest, ReopenResetsTheQuarantineLog) {

@@ -104,9 +104,9 @@ TEST(MemoryAccountingTest, PrefetchSourceReportsChunkDeque) {
   ASSERT_TRUE(prefetch.Open().ok());
   // Give the producer a beat to fill the deque, then consume one row so
   // the consumer-side serving batch exists too.
-  auto row = prefetch.Next();
-  ASSERT_TRUE(row.ok());
-  ASSERT_TRUE(row->has_value());
+  storage::ColumnBatch row(&prefetch.output_schema(), 1);
+  ASSERT_TRUE(prefetch.NextColumnBatch(&row).ok());
+  ASSERT_EQ(row.size(), 1u);
   EXPECT_GT(prefetch.ApproximateMemoryUsage(), 0u);
   ASSERT_TRUE(prefetch.Close().ok());
 }

@@ -47,8 +47,8 @@ TEST(OperatorTest, CountAll) {
   EXPECT_EQ(*count, 3u);
 }
 
-/// Operator that fails on the nth Next() call — exercises error
-/// propagation through the drain helpers.
+/// Operator that fails on its nth row — exercises error propagation
+/// through the drain helpers.
 class FailingOperator : public Operator {
  public:
   explicit FailingOperator(int fail_at) : fail_at_(fail_at) {}
@@ -56,9 +56,16 @@ class FailingOperator : public Operator {
     open_ = true;
     return Status::OK();
   }
-  Result<std::optional<storage::Tuple>> Next() override {
-    if (++calls_ >= fail_at_) return Status::Internal("synthetic failure");
-    return std::optional<Tuple>(Tuple{Value(calls_)});
+  Status NextColumnBatch(storage::ColumnBatch* out) override {
+    out->Reset(&schema_);
+    while (!out->full()) {
+      if (++calls_ >= fail_at_) {
+        out->Clear();
+        return Status::Internal("synthetic failure");
+      }
+      out->AppendTupleRow(Tuple{Value(calls_)});
+    }
+    return Status::OK();
   }
   Status Close() override {
     closed_ = true;

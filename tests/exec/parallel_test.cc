@@ -412,11 +412,18 @@ class FlakyChild : public exec::Operator {
     produced_ = 0;
     return Status::OK();
   }
-  Result<std::optional<storage::Tuple>> Next() override {
-    if (produced_ >= good_) return Status::IOError("stream dropped");
-    ++produced_;
-    return std::optional<storage::Tuple>(storage::Tuple{
-        storage::Value("KEY " + std::to_string(produced_ % 7))});
+  Status NextColumnBatch(storage::ColumnBatch* out) override {
+    out->Reset(&schema_);
+    while (!out->full()) {
+      if (produced_ >= good_) {
+        out->Clear();
+        return Status::IOError("stream dropped");
+      }
+      ++produced_;
+      out->AppendTupleRow(storage::Tuple{
+          storage::Value("KEY " + std::to_string(produced_ % 7))});
+    }
+    return Status::OK();
   }
   Status Close() override {
     ++closes_;
@@ -440,8 +447,8 @@ class UnopenableChild : public exec::Operator {
  public:
   UnopenableChild() : schema_({{"s", storage::ValueType::kString}}) {}
   Status Open() override { return Status::IOError("cannot connect"); }
-  Result<std::optional<storage::Tuple>> Next() override {
-    return Status::Internal("Next after failed Open");
+  Status NextColumnBatch(storage::ColumnBatch*) override {
+    return Status::Internal("NextColumnBatch after failed Open");
   }
   Status Close() override { return Status::OK(); }
   const storage::Schema& output_schema() const override { return schema_; }
@@ -514,8 +521,8 @@ TEST(ParallelJoinLifecycleTest, MidStreamRouteErrorIsStickyAndDiscardsPending) {
   Status retry = join.NextMatchRefs(1024, &refs);
   EXPECT_TRUE(retry.IsIOError()) << retry;
   EXPECT_EQ(retry.message(), first.message());
-  auto next = join.Next();
-  EXPECT_TRUE(next.status().IsIOError());
+  storage::ColumnBatch batch(&join.output_schema());
+  EXPECT_TRUE(join.NextColumnBatch(&batch).IsIOError());
   ASSERT_TRUE(join.Close().ok());
   EXPECT_EQ(left.closes(), 1);
   EXPECT_EQ(right.closes(), 1);
@@ -652,9 +659,6 @@ class TransientChild : public exec::Operator {
     calls_ = 0;
     return scan_.Open();
   }
-  Result<std::optional<storage::Tuple>> Next() override {
-    return scan_.Next();
-  }
   Status NextColumnBatch(storage::ColumnBatch* out) override {
     ++calls_;
     if (blips_.count(calls_) > 0) {
@@ -685,9 +689,6 @@ class TruncatingChild : public exec::Operator {
   Status Open() override {
     calls_ = 0;
     return scan_.Open();
-  }
-  Result<std::optional<storage::Tuple>> Next() override {
-    return scan_.Next();
   }
   Status NextColumnBatch(storage::ColumnBatch* out) override {
     if (++calls_ > good_calls_) return Status::IOError("feed cut off");

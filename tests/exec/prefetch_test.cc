@@ -70,23 +70,6 @@ TEST(PrefetchSourceTest, StreamMatchesUnwrappedChildAcrossGeometries) {
   }
 }
 
-TEST(PrefetchSourceTest, RowProtocolMatchesChild) {
-  const Relation r = ManyRows(37);
-  RelationScan scan(&r);
-  PrefetchSource prefetch(&scan);
-  ASSERT_TRUE(prefetch.Open().ok());
-  for (size_t i = 0; i < r.size(); ++i) {
-    auto next = prefetch.Next();
-    ASSERT_TRUE(next.ok()) << next.status().ToString();
-    ASSERT_TRUE(next->has_value());
-    EXPECT_EQ((**next).at(0).AsInt64(), static_cast<int64_t>(i));
-  }
-  auto eos = prefetch.Next();
-  ASSERT_TRUE(eos.ok());
-  EXPECT_FALSE(eos->has_value());
-  ASSERT_TRUE(prefetch.Close().ok());
-}
-
 TEST(PrefetchSourceTest, EndOfStreamIsSticky) {
   const Relation r = ManyRows(5);
   RelationScan scan(&r);

@@ -6,6 +6,7 @@ namespace aqp {
 namespace exec {
 namespace {
 
+using storage::ColumnBatch;
 using storage::Relation;
 using storage::Schema;
 using storage::Tuple;
@@ -24,12 +25,14 @@ TEST(RelationScanTest, ProducesAllRowsInOrder) {
   const Relation r = ThreeRows();
   RelationScan scan(&r);
   ASSERT_TRUE(scan.Open().ok());
+  ColumnBatch batch(&r.schema(), 2);
   std::vector<std::string> seen;
   while (true) {
-    auto next = scan.Next();
-    ASSERT_TRUE(next.ok());
-    if (!next->has_value()) break;
-    seen.push_back((**next).at(0).AsString());
+    ASSERT_TRUE(scan.NextColumnBatch(&batch).ok());
+    if (batch.empty()) break;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      seen.emplace_back(batch.StringAt(0, i));
+    }
   }
   EXPECT_EQ(seen, (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_TRUE(scan.Close().ok());
@@ -39,18 +42,20 @@ TEST(RelationScanTest, NextAfterExhaustionStaysAtEos) {
   const Relation r = ThreeRows();
   RelationScan scan(&r);
   ASSERT_TRUE(scan.Open().ok());
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(scan.Next().ok());
+  ColumnBatch batch(&r.schema(), 3);
+  ASSERT_TRUE(scan.NextColumnBatch(&batch).ok());
+  ASSERT_EQ(batch.size(), 3u);
   for (int i = 0; i < 3; ++i) {
-    auto next = scan.Next();
-    ASSERT_TRUE(next.ok());
-    EXPECT_FALSE(next->has_value());
+    ASSERT_TRUE(scan.NextColumnBatch(&batch).ok());
+    EXPECT_TRUE(batch.empty());
   }
 }
 
 TEST(RelationScanTest, LifecycleErrors) {
   const Relation r = ThreeRows();
   RelationScan scan(&r);
-  EXPECT_TRUE(scan.Next().status().IsFailedPrecondition());
+  ColumnBatch batch(&r.schema());
+  EXPECT_TRUE(scan.NextColumnBatch(&batch).IsFailedPrecondition());
   EXPECT_TRUE(scan.Close().IsFailedPrecondition());
   ASSERT_TRUE(scan.Open().ok());
   EXPECT_TRUE(scan.Open().IsFailedPrecondition());
@@ -61,13 +66,14 @@ TEST(RelationScanTest, LifecycleErrors) {
 TEST(RelationScanTest, ReopenRestarts) {
   const Relation r = ThreeRows();
   RelationScan scan(&r);
+  ColumnBatch batch(&r.schema(), 1);
   ASSERT_TRUE(scan.Open().ok());
-  ASSERT_TRUE(scan.Next().ok());
+  ASSERT_TRUE(scan.NextColumnBatch(&batch).ok());
   ASSERT_TRUE(scan.Close().ok());
   ASSERT_TRUE(scan.Open().ok());
-  auto next = scan.Next();
-  ASSERT_TRUE(next.ok());
-  EXPECT_EQ((**next).at(0).AsString(), "a");
+  ASSERT_TRUE(scan.NextColumnBatch(&batch).ok());
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.StringAt(0, 0), "a");
   ASSERT_TRUE(scan.Close().ok());
 }
 
@@ -75,30 +81,6 @@ TEST(RelationScanTest, AlwaysQuiescent) {
   const Relation r = ThreeRows();
   RelationScan scan(&r);
   EXPECT_TRUE(scan.quiescent());
-}
-
-TEST(VectorScanTest, OwnsItsTuples) {
-  Schema schema({{"s", ValueType::kString}});
-  VectorScan scan(schema, {Tuple{Value("x")}, Tuple{Value("y")}});
-  ASSERT_TRUE(scan.Open().ok());
-  auto a = scan.Next();
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ((**a).at(0).AsString(), "x");
-  auto b = scan.Next();
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ((**b).at(0).AsString(), "y");
-  auto end = scan.Next();
-  ASSERT_TRUE(end.ok());
-  EXPECT_FALSE(end->has_value());
-  ASSERT_TRUE(scan.Close().ok());
-}
-
-TEST(VectorScanTest, EmptyVector) {
-  VectorScan scan(Schema({{"s", ValueType::kString}}), {});
-  ASSERT_TRUE(scan.Open().ok());
-  auto next = scan.Next();
-  ASSERT_TRUE(next.ok());
-  EXPECT_FALSE(next->has_value());
 }
 
 }  // namespace

@@ -13,52 +13,6 @@ using storage::ValueType;
 
 Schema OneCol() { return Schema({{"s", ValueType::kString}}); }
 
-TEST(PushSourceTest, PushThenPull) {
-  PushSource src(OneCol());
-  ASSERT_TRUE(src.Open().ok());
-  ASSERT_TRUE(src.Push(Tuple{Value("a")}).ok());
-  ASSERT_TRUE(src.Push(Tuple{Value("b")}).ok());
-  auto a = src.Next();
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ((**a).at(0).AsString(), "a");
-  EXPECT_FALSE(src.blocked());
-  EXPECT_EQ(src.queued(), 1u);
-}
-
-TEST(PushSourceTest, BlockedVersusFinished) {
-  PushSource src(OneCol());
-  ASSERT_TRUE(src.Open().ok());
-  auto next = src.Next();
-  ASSERT_TRUE(next.ok());
-  EXPECT_FALSE(next->has_value());
-  EXPECT_TRUE(src.blocked());  // live stream, just empty
-  ASSERT_TRUE(src.Finish().ok());
-  next = src.Next();
-  ASSERT_TRUE(next.ok());
-  EXPECT_FALSE(next->has_value());
-  EXPECT_FALSE(src.blocked());  // now a real end-of-stream
-}
-
-TEST(PushSourceTest, DrainAfterFinish) {
-  PushSource src(OneCol());
-  ASSERT_TRUE(src.Open().ok());
-  ASSERT_TRUE(src.Push(Tuple{Value("x")}).ok());
-  ASSERT_TRUE(src.Finish().ok());
-  auto a = src.Next();
-  ASSERT_TRUE(a.ok());
-  EXPECT_TRUE(a->has_value());
-  auto end = src.Next();
-  ASSERT_TRUE(end.ok());
-  EXPECT_FALSE(end->has_value());
-}
-
-TEST(PushSourceTest, PushAfterFinishRejected) {
-  PushSource src(OneCol());
-  ASSERT_TRUE(src.Finish().ok());
-  EXPECT_TRUE(src.Push(Tuple{Value("x")}).IsFailedPrecondition());
-  EXPECT_TRUE(src.Finish().IsFailedPrecondition());
-}
-
 TEST(GeneratorSourceTest, ProducesUntilNullopt) {
   int counter = 0;
   GeneratorSource src(OneCol(), [&]() -> std::optional<Tuple> {
@@ -66,24 +20,26 @@ TEST(GeneratorSourceTest, ProducesUntilNullopt) {
     return Tuple{Value("t" + std::to_string(counter++))};
   });
   ASSERT_TRUE(src.Open().ok());
-  int produced = 0;
+  storage::ColumnBatch batch(&src.output_schema(), 2);
+  std::vector<std::string> produced;
   while (true) {
-    auto next = src.Next();
-    ASSERT_TRUE(next.ok());
-    if (!next->has_value()) break;
-    ++produced;
+    ASSERT_TRUE(src.NextColumnBatch(&batch).ok());
+    if (batch.empty()) break;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      produced.emplace_back(batch.StringAt(0, i));
+    }
   }
-  EXPECT_EQ(produced, 3);
+  EXPECT_EQ(produced, (std::vector<std::string>{"t0", "t1", "t2"}));
   // Stays at EOS even if the generator could produce again.
   counter = 0;
-  auto next = src.Next();
-  ASSERT_TRUE(next.ok());
-  EXPECT_FALSE(next->has_value());
+  ASSERT_TRUE(src.NextColumnBatch(&batch).ok());
+  EXPECT_TRUE(batch.empty());
 }
 
 TEST(GeneratorSourceTest, LifecycleErrors) {
   GeneratorSource src(OneCol(), []() { return std::nullopt; });
-  EXPECT_TRUE(src.Next().status().IsFailedPrecondition());
+  storage::ColumnBatch batch(&src.output_schema());
+  EXPECT_TRUE(src.NextColumnBatch(&batch).IsFailedPrecondition());
   ASSERT_TRUE(src.Open().ok());
   EXPECT_TRUE(src.Open().IsFailedPrecondition());
 }

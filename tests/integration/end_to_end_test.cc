@@ -9,6 +9,7 @@
 #include "adaptive/adaptive_join.h"
 #include "datagen/generator.h"
 #include "exec/scan.h"
+#include "exec/sink.h"
 #include "exec/stream.h"
 
 namespace aqp {
@@ -115,17 +116,12 @@ TEST(EndToEndTest, EarlyTerminationDeliversPartialResult) {
   exec::RelationScan child(&tc.child);
   exec::RelationScan parent(&tc.parent);
   AdaptiveJoin join(&child, &parent, Options(tc));
-  ASSERT_TRUE(join.Open().ok());
-  size_t budget = 100;
-  size_t received = 0;
-  while (received < budget) {
-    auto next = join.Next();
-    ASSERT_TRUE(next.ok());
-    if (!next->has_value()) break;
-    ++received;
-  }
-  EXPECT_EQ(received, budget);
-  ASSERT_TRUE(join.Close().ok());
+  exec::DrainOptions budget;
+  budget.limit = 100;
+  auto received = exec::Drain(
+      &join, [](const storage::Tuple&) { return true; }, budget);
+  ASSERT_TRUE(received.ok()) << received.status().ToString();
+  EXPECT_EQ(*received, budget.limit);
   // The join had not consumed the whole input.
   EXPECT_LT(join.steps(), tc.child.size() + tc.parent.size());
 }

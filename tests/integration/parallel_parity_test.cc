@@ -122,7 +122,7 @@ TEST(ParallelParityTest, DriveModesAgreeAtFourShards) {
   const datagen::TestCase tc = PaperCase();
   const ReferenceRun reference = RunSingleThreaded(tc, BaseOptions(tc));
 
-  // Row protocol via tuple-at-a-time Next().
+  // Column batches of one row each.
   {
     exec::RelationScan child(&tc.child);
     exec::RelationScan parent(&tc.parent);
@@ -132,11 +132,12 @@ TEST(ParallelParityTest, DriveModesAgreeAtFourShards) {
     ParallelAdaptiveJoin join(&child, &parent, options);
     ASSERT_TRUE(join.Open().ok());
     storage::Relation collected(join.output_schema());
+    storage::ColumnBatch batch(&join.output_schema(), 1);
     while (true) {
-      auto next = join.Next();
-      ASSERT_TRUE(next.ok()) << next.status().ToString();
-      if (!next->has_value()) break;
-      collected.AppendUnchecked(std::move(**next));
+      Status status = join.NextColumnBatch(&batch);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      if (batch.empty()) break;
+      collected.AppendColumnBatchUnchecked(batch);
     }
     ASSERT_TRUE(join.Close().ok());
     ExpectSameRows(collected, reference.result);
@@ -182,10 +183,10 @@ TEST(ParallelParityTest, DriveModesAgreeAtFourShards) {
 }
 
 TEST(ParallelParityTest, ColumnarProtocolMatchesRowAdapterEveryShardCount) {
-  // The native columnar drive (NextColumnBatch, cells written straight
-  // from the shard stores' columns) must agree with the row adapter —
-  // and therefore with the single-threaded reference — for every shard
-  // count: byte-identical row sequences and adaptation traces.
+  // The columnar drive (NextColumnBatch, cells written straight from
+  // the shard stores' columns) in 97-row batches must agree with the
+  // single-threaded reference for every shard count: byte-identical
+  // row sequences and adaptation traces.
   const datagen::TestCase tc = PaperCase();
   const ReferenceRun reference = RunSingleThreaded(tc, BaseOptions(tc));
   ASSERT_GT(reference.result.size(), 0u);

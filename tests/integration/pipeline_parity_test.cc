@@ -238,18 +238,19 @@ TEST(PipelineParityTest, AllDriveModesAgreeWhenPipelined) {
   options.num_shards = 4;
   options.pipeline_ingest = true;
 
-  // Row protocol via tuple-at-a-time Next().
+  // Column batches of one row each.
   {
     exec::RelationScan child(&tc.child);
     exec::RelationScan parent(&tc.parent);
     ParallelAdaptiveJoin join(&child, &parent, options);
     ASSERT_TRUE(join.Open().ok());
     storage::Relation collected(join.output_schema());
+    storage::ColumnBatch batch(&join.output_schema(), 1);
     while (true) {
-      auto next = join.Next();
-      ASSERT_TRUE(next.ok()) << next.status().ToString();
-      if (!next->has_value()) break;
-      collected.AppendUnchecked(std::move(**next));
+      Status status = join.NextColumnBatch(&batch);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      if (batch.empty()) break;
+      collected.AppendColumnBatchUnchecked(batch);
     }
     EXPECT_GT(join.ingest_stats().epochs_staged, 0u);
     ASSERT_TRUE(join.Close().ok());

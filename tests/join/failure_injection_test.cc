@@ -39,11 +39,17 @@ class FlakyOperator : public exec::Operator {
     ++opens_;
     return Status::OK();
   }
-  Result<std::optional<Tuple>> Next() override {
-    if (produced_ >= good_) return Status::IOError("stream dropped");
-    ++produced_;
-    return std::optional<Tuple>(
-        Tuple{Value("VALUE " + std::to_string(produced_))});
+  Status NextColumnBatch(storage::ColumnBatch* out) override {
+    out->Reset(&schema_);
+    while (!out->full()) {
+      if (produced_ >= good_) {
+        out->Clear();
+        return Status::IOError("stream dropped");
+      }
+      ++produced_;
+      out->AppendTupleRow(Tuple{Value("VALUE " + std::to_string(produced_))});
+    }
+    return Status::OK();
   }
   Status Close() override {
     ++closes_;
@@ -67,8 +73,8 @@ class UnopenableOperator : public exec::Operator {
  public:
   explicit UnopenableOperator(Schema schema) : schema_(std::move(schema)) {}
   Status Open() override { return Status::IOError("cannot connect"); }
-  Result<std::optional<Tuple>> Next() override {
-    return Status::Internal("Next after failed Open");
+  Status NextColumnBatch(storage::ColumnBatch*) override {
+    return Status::Internal("NextColumnBatch after failed Open");
   }
   Status Close() override { return Status::OK(); }
   const Schema& output_schema() const override { return schema_; }
@@ -78,21 +84,22 @@ class UnopenableOperator : public exec::Operator {
   Schema schema_;
 };
 
+/// Pulls an opened operator to end-of-stream; returns the first error.
+Status DrainOpen(exec::Operator* op) {
+  storage::ColumnBatch batch(&op->output_schema());
+  while (true) {
+    Status status = op->NextColumnBatch(&batch);
+    if (!status.ok() || batch.empty()) return status;
+  }
+}
+
 TEST(FailureInjectionTest, ChildErrorSurfacesThroughJoin) {
   const Relation right = Strings({"A", "B", "C", "D"});
   FlakyOperator left(OneCol(), 2);
   exec::RelationScan right_scan(&right);
   SHJoin join(&left, &right_scan, SymmetricJoinOptions{});
   ASSERT_TRUE(join.Open().ok());
-  Status seen = Status::OK();
-  while (true) {
-    auto next = join.Next();
-    if (!next.ok()) {
-      seen = next.status();
-      break;
-    }
-    if (!next->has_value()) break;
-  }
+  const Status seen = DrainOpen(&join);
   EXPECT_TRUE(seen.IsIOError()) << seen;
 }
 
@@ -141,7 +148,8 @@ TEST(FailureInjectionTest, JoinLifecycleErrors) {
   exec::RelationScan l(&data);
   exec::RelationScan r(&data);
   SHJoin join(&l, &r, SymmetricJoinOptions{});
-  EXPECT_TRUE(join.Next().status().IsFailedPrecondition());
+  storage::ColumnBatch batch(&join.output_schema());
+  EXPECT_TRUE(join.NextColumnBatch(&batch).IsFailedPrecondition());
   EXPECT_TRUE(join.Close().IsFailedPrecondition());
   ASSERT_TRUE(join.Open().ok());
   EXPECT_TRUE(join.Open().IsFailedPrecondition());
@@ -179,15 +187,7 @@ TEST(FailureInjectionTest, ErrorDuringDrainAfterOneSideDone) {
   FlakyOperator right(OneCol(), 3);
   SHJoin join(&left, &right, SymmetricJoinOptions{});
   ASSERT_TRUE(join.Open().ok());
-  Status seen = Status::OK();
-  while (true) {
-    auto next = join.Next();
-    if (!next.ok()) {
-      seen = next.status();
-      break;
-    }
-    if (!next->has_value()) break;
-  }
+  const Status seen = DrainOpen(&join);
   EXPECT_TRUE(seen.IsIOError());
 }
 
@@ -214,15 +214,7 @@ TEST(FailureInjectionTest, ScanFailpointSurfacesWithBreadcrumbAndClears) {
       fail::site::kScanNext,
       fail::Policy::Once(Status::IOError("injected fault")));
   ASSERT_TRUE(join.Open().ok());
-  Status seen = Status::OK();
-  while (true) {
-    auto next = join.Next();
-    if (!next.ok()) {
-      seen = next.status();
-      break;
-    }
-    if (!next->has_value()) break;
-  }
+  const Status seen = DrainOpen(&join);
   ASSERT_TRUE(seen.IsIOError()) << seen;
   EXPECT_NE(seen.message().find("site=scan.next"), std::string::npos)
       << seen;

@@ -129,15 +129,17 @@ TEST(SHJoinTest, QuiescentExactlyWhenNoPendingOutput) {
   SHJoin join(&ls, &rs, SymmetricJoinOptions{});
   ASSERT_TRUE(join.Open().ok());
   EXPECT_TRUE(join.quiescent());
-  // Reading the second K from the right yields 1 match... pull tuples
-  // and observe quiescence toggling: after a Next() that returned a
-  // tuple, the operator may or may not be quiescent, but after EOS it
-  // must be.
+  // The second K from the right matches both left Ks, so one-row
+  // batches leave a match spilled (not quiescent) until the next pull
+  // delivers it; after EOS nothing is pending.
+  storage::ColumnBatch batch(nullptr, 1);
+  bool saw_pending = false;
   while (true) {
-    auto next = join.Next();
-    ASSERT_TRUE(next.ok());
-    if (!next->has_value()) break;
+    ASSERT_TRUE(join.NextColumnBatch(&batch).ok());
+    if (batch.empty()) break;
+    saw_pending = saw_pending || !join.quiescent();
   }
+  EXPECT_TRUE(saw_pending);
   EXPECT_TRUE(join.quiescent());
   ASSERT_TRUE(join.Close().ok());
 }

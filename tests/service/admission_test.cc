@@ -26,14 +26,19 @@ class BrittleSource : public exec::Operator {
     produced_ = 0;
     return Status::OK();
   }
-  Result<std::optional<storage::Tuple>> Next() override {
-    if (produced_ >= good_rows_) {
-      if (fault_.ok()) return std::optional<storage::Tuple>();
-      return fault_;
+  Status NextColumnBatch(storage::ColumnBatch* out) override {
+    out->Reset(&schema_);
+    while (!out->full()) {
+      if (produced_ >= good_rows_) {
+        if (fault_.ok()) break;
+        out->Clear();
+        return fault_;
+      }
+      const int i = produced_++;
+      out->AppendTupleRow(
+          storage::Tuple{storage::Value("KEY " + std::to_string(i % 7))});
     }
-    const int i = produced_++;
-    return std::optional<storage::Tuple>(
-        storage::Tuple{storage::Value("KEY " + std::to_string(i % 7))});
+    return Status::OK();
   }
   Status Close() override { return Status::OK(); }
   const storage::Schema& output_schema() const override { return schema_; }

@@ -392,11 +392,18 @@ class FailingSource : public exec::Operator {
     produced_ = 0;
     return Status::OK();
   }
-  Result<std::optional<storage::Tuple>> Next() override {
-    if (produced_ >= good_) return Status::IOError("stream dropped");
-    const int i = produced_++;
-    return std::optional<storage::Tuple>(
-        storage::Tuple{storage::Value("KEY " + std::to_string(i % 7))});
+  Status NextColumnBatch(storage::ColumnBatch* out) override {
+    out->Reset(&schema_);
+    while (!out->full()) {
+      if (produced_ >= good_) {
+        out->Clear();
+        return Status::IOError("stream dropped");
+      }
+      const int i = produced_++;
+      out->AppendTupleRow(
+          storage::Tuple{storage::Value("KEY " + std::to_string(i % 7))});
+    }
+    return Status::OK();
   }
   Status Close() override { return Status::OK(); }
   const storage::Schema& output_schema() const override { return schema_; }
@@ -416,9 +423,6 @@ class FlappingScan : public exec::Operator {
   Status Open() override {
     calls_ = 0;
     return scan_.Open();
-  }
-  Result<std::optional<storage::Tuple>> Next() override {
-    return scan_.Next();
   }
   Status NextColumnBatch(storage::ColumnBatch* out) override {
     if (++calls_ == 1) return Status::Unavailable("source flapping");
