@@ -1,6 +1,7 @@
 // Micro-benchmarks and ablations beyond the paper's tables: end-to-end
 // operator throughput, the §2.3 space model, and the interleave-policy
-// ablation called out in DESIGN.md §8.
+// ablation (the paper's strict alternation, §2.2, against
+// proportional reading).
 //
 //   $ ./bench_join_micro
 

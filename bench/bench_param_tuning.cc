@@ -130,7 +130,8 @@ int main(int argc, char** argv) {
     }
     RunSweep("theta_pastpert", points, std::cout);
   }
-  // Count- vs ratio-interpretation of theta_curpert (DESIGN.md §4).
+  // Count- vs ratio-interpretation of theta_curpert (the paper's tuned
+  // value 2 is read as a count by default; see AdaptiveOptions).
   {
     std::vector<SweepPoint> points;
     SweepPoint count{"count<=2", base()};

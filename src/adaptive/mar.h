@@ -49,8 +49,10 @@ struct AdaptiveOptions {
   double theta_out = 0.05;
   /// θ_curpert: µ_i holds ("input i currently unperturbed") iff the
   /// approximate matches attributed to input i within the window do
-  /// not exceed this. The paper reports the tuned value 2 as a count
-  /// (see DESIGN.md §4.2); set `curpert_is_ratio` to interpret the
+  /// not exceed this. The paper reports the tuned value 2 without a
+  /// unit; only a count makes sense of it (as a fraction of W it
+  /// would allow two approximate matches per step), so the count
+  /// reading is the default. Set `curpert_is_ratio` to interpret the
   /// predicate as A_{t,W}/W <= theta_curpert_ratio instead.
   uint32_t theta_curpert = 2;
   bool curpert_is_ratio = false;
@@ -68,7 +70,10 @@ struct AdaptiveOptions {
   /// Custom completeness model; null = ParentChildBinomialModel.
   std::shared_ptr<stats::CompletenessModel> model;
   /// Use raw emitted-pair count as the observed result size O_t
-  /// instead of distinct matched child tuples (see DESIGN.md).
+  /// instead of distinct matched child tuples. Off by default: the
+  /// §3.2 model predicts how many child tuples have a match, and a
+  /// child matching several parents approximately would inflate the
+  /// pair count past that prediction.
   bool use_pairs_statistic = false;
 
   /// Extension (off by default — not part of the paper's evaluation):

@@ -81,7 +81,7 @@ std::pair<Status, bool> Evaluate(const char* site) {
 
 std::vector<std::string> KnownSites() {
   return {site::kCsvOpen,      site::kCsvRead,      site::kScanNext,
-          site::kExchangeRoute, site::kExchangeStage, site::kIngestPrefetch,
+          site::kExchangeRoute, site::kExchangeStage,
           site::kExchangeMerge, site::kShardPhaseA,
           site::kShardPhaseB,  site::kPoolTask,     site::kStoreAdd,
           site::kArenaAlloc,   site::kParallelOpen, site::kServiceAdmit,

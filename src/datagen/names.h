@@ -14,8 +14,9 @@ namespace datagen {
 ///
 /// The generator is purely synthetic — a substitute for the real
 /// 8082-municipality table the paper obtained from Markl et al.'s
-/// generator (see DESIGN.md §3). Length statistics are controlled so
-/// that one-character edits land just below θ_sim = 0.85 under q = 3
+/// generator. It reproduces only what the experiments depend on: the
+/// string shape and length. Length statistics are controlled so that
+/// one-character edits land just below θ_sim = 0.85 under q = 3
 /// Jaccard, as in the paper's setup: `min_length` defaults to 36
 /// characters, which guarantees J(s, edit1(s)) >= 0.85.
 class LocationNameGenerator {

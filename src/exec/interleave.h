@@ -15,7 +15,9 @@ namespace exec {
 /// The paper's symmetric joins scan "each of the tables in turn, one
 /// tuple at a time" (§2.2) — strict alternation, the default here. The
 /// proportional policy reads the larger input more often so both are
-/// exhausted at about the same time (an ablation knob, see DESIGN.md).
+/// exhausted at about the same time — an ablation knob outside the
+/// paper, measured by BM_AdaptiveJoin_InterleavePolicy in
+/// bench/bench_join_micro.cc.
 enum class InterleavePolicy {
   /// L, R, L, R, ... then drain the survivor.
   kAlternate,

@@ -85,11 +85,12 @@ Result<uint64_t> RadixExchange::RouteEpoch(
     uint64_t max_steps, const std::vector<JoinShard*>& shards,
     std::vector<RouteEntry>* route) {
   AQP_FAILPOINT(fail::site::kExchangeRoute);
-  Result<uint64_t> routed = RouteLoop(max_steps, shards, route, false);
-  // Serial ingest publishes immediately — including after a mid-epoch
-  // error, so HandleEpochFault's RollbackCounts of the partial epoch
-  // nets both counter sets back to the last completed epoch.
-  Publish();
+  Result<uint64_t> routed = RouteLoop(max_steps, shards, route);
+  if (routed.ok()) {
+    CommitStaged(shards);
+  } else {
+    DiscardStaged(shards);
+  }
   return routed;
 }
 
@@ -97,10 +98,10 @@ Result<uint64_t> RadixExchange::StageEpoch(
     uint64_t max_steps, const std::vector<JoinShard*>& shards,
     std::vector<RouteEntry>* route) {
   // The route site fires here too, so an armed fault hits the same
-  // per-epoch evaluation count whether ingest is pipelined or serial.
+  // per-epoch evaluation count whichever context routes the epoch.
   AQP_FAILPOINT(fail::site::kExchangeRoute);
   AQP_FAILPOINT(fail::site::kExchangeStage);
-  return RouteLoop(max_steps, shards, route, true);
+  return RouteLoop(max_steps, shards, route);
 }
 
 void RadixExchange::CommitStaged(const std::vector<JoinShard*>& shards) {
@@ -119,7 +120,7 @@ void RadixExchange::DiscardStaged(const std::vector<JoinShard*>& shards) {
 
 Result<uint64_t> RadixExchange::RouteLoop(
     uint64_t max_steps, const std::vector<JoinShard*>& shards,
-    std::vector<RouteEntry>* route, bool staged) {
+    std::vector<RouteEntry>* route) {
   uint64_t routed = 0;
   while (routed < max_steps) {
     const auto next_side = scheduler_.NextSide(done_[0], done_[1]);
@@ -160,17 +161,10 @@ Result<uint64_t> RadixExchange::RouteLoop(
     entry.shard = shard;
     entry.side = side;
     entry.ordinal = static_cast<uint32_t>(side_count_[i]);
-    // total_routed_count == routed_count when nothing is staged, so the
-    // serial path is unchanged.
     entry.local_id = static_cast<storage::TupleId>(
         shards[shard]->total_routed_count(side));
-    if (staged) {
-      shards[shard]->StageRow(side, input_batch_[i], row, steps_,
-                              entry.ordinal);
-    } else {
-      shards[shard]->RouteRow(side, input_batch_[i], row, steps_,
-                              entry.ordinal);
-    }
+    shards[shard]->StageRow(side, input_batch_[i], row, steps_,
+                            entry.ordinal);
     route->push_back(entry);
 
     ++side_count_[i];

@@ -53,7 +53,7 @@ struct RouteEntry {
 /// run. The shard of a row is a pure function of its join key (mixed
 /// FNV-1a hash modulo shard count), which is what makes every exact
 /// match intra-shard. Routing *scatters column slices*: each row's
-/// cells are appended to the target shard's per-side pending
+/// cells are appended to the target shard's per-side staged
 /// ColumnBatch, together with the key hash from the batch's hash lane
 /// (computed once per refill, cached by the shard's TupleStore, never
 /// re-hashed) — no Tuple object moves through the exchange.
@@ -70,10 +70,12 @@ class RadixExchange {
   /// children themselves are opened by the caller).
   void Reset();
 
-  /// Routes up to `max_steps` rows into the shards' pending batches,
-  /// appending one RouteEntry per step to `*route` (not cleared).
-  /// Returns the number of steps routed; fewer than `max_steps` only
-  /// at end-of-stream. Counters publish immediately (serial ingest).
+  /// Routes up to `max_steps` rows and publishes them at once: stages
+  /// the epoch, then CommitStaged on success or DiscardStaged on error
+  /// (so a failed call leaves nothing routed). Appends one RouteEntry
+  /// per step to `*route` (not cleared). Returns the number of steps
+  /// routed; fewer than `max_steps` only at end-of-stream. For callers
+  /// with nothing staged in flight.
   Result<uint64_t> RouteEpoch(uint64_t max_steps,
                               const std::vector<JoinShard*>& shards,
                               std::vector<RouteEntry>* route);
@@ -85,16 +87,15 @@ class RadixExchange {
   /// advance only when an epoch commits. The routing loop itself walks
   /// a private cursor, so an ingest task can stage the next epoch
   /// (StageEpoch, run concurrently with phase execution) without the
-  /// governor, Progress(), or the adaptation trace observing rows the
-  /// serial engine would not have routed yet. At the barrier swap the
-  /// coordinator either CommitStaged (cursor becomes published, shard
-  /// staged tiers commit) or DiscardStaged (cursor rewinds to
-  /// published, shard staged tiers drop).
+  /// governor, Progress(), or the adaptation trace observing rows not
+  /// yet due. At the barrier swap the coordinator either CommitStaged
+  /// (cursor becomes published, shard staged tiers commit) or
+  /// DiscardStaged (cursor rewinds to published, shard staged tiers
+  /// drop).
   /// @{
-  /// Same routing loop as RouteEpoch, but scatters into the shards'
-  /// *staged* tier and leaves published counters untouched. Runs on
-  /// the ingest task; never concurrently with RouteEpoch or the
-  /// commit/discard calls.
+  /// Scatters up to `max_steps` rows into the shards' staged tiers and
+  /// leaves published counters untouched. Runs on the ingest task;
+  /// never concurrently with RouteEpoch or the commit/discard calls.
   Result<uint64_t> StageEpoch(uint64_t max_steps,
                               const std::vector<JoinShard*>& shards,
                               std::vector<RouteEntry>* route);
@@ -113,11 +114,10 @@ class RadixExchange {
   /// Global steps routed so far (published).
   uint64_t steps() const { return pub_steps_; }
 
-  /// Rolls the step/side counters back past an aborted epoch's
-  /// partially routed rows (the coordinator discards the shards'
-  /// matching pending state). The scheduler position is NOT rewound —
-  /// the exchange is unusable afterwards; callers must stop routing
-  /// (the parallel join goes into a sticky error state).
+  /// Rolls the step/side counters back past a committed epoch that
+  /// was aborted before its merge. The scheduler position is NOT
+  /// rewound — the exchange is unusable afterwards; callers must stop
+  /// routing (the parallel join goes into a sticky error state).
   void RollbackCounts(uint64_t steps, uint64_t left_rows,
                       uint64_t right_rows) {
     steps_ -= steps;
@@ -160,10 +160,11 @@ class RadixExchange {
   Status Refill(exec::Side side);
   /// One refill attempt.
   Status RefillOnce(exec::Side side);
-  /// The shared routing loop; `staged` selects the shard tier.
+  /// The routing loop behind RouteEpoch and StageEpoch: advances the
+  /// cursor and scatters into the shards' staged tiers.
   Result<uint64_t> RouteLoop(uint64_t max_steps,
                              const std::vector<JoinShard*>& shards,
-                             std::vector<RouteEntry>* route, bool staged);
+                             std::vector<RouteEntry>* route);
   /// Cursor -> published.
   void Publish() {
     pub_steps_ = steps_;
@@ -185,7 +186,7 @@ class RadixExchange {
   exec::InterleaveScheduler scheduler_;
   storage::ColumnBatch input_batch_[2];
   size_t input_pos_[2] = {0, 0};
-  /// Routing cursor: advanced by the loop (serial route or staging).
+  /// Routing cursor: advanced by the routing loop.
   bool done_[2] = {false, false};
   uint64_t steps_ = 0;
   uint64_t side_count_[2] = {0, 0};

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
 #include "common/failpoint.h"
 #include "common/macros.h"
 #include "exec/csv_io.h"
-#include "exec/prefetch.h"
 
 namespace aqp {
 namespace exec {
@@ -22,18 +20,6 @@ using adaptive::Decision;
 using adaptive::LeftMode;
 using adaptive::ProcessorState;
 using adaptive::RightMode;
-
-bool DefaultPipelineIngest() {
-  static const bool kDefault = [] {
-    const char* env = std::getenv("AQP_PIPELINE_INGEST");
-    if (env == nullptr) return true;
-    const std::string value(env);
-    return !(value == "0" || value == "off" || value == "OFF" ||
-             value == "false" || value == "FALSE" || value == "no" ||
-             value == "NO");
-  }();
-  return kDefault;
-}
 
 namespace {
 
@@ -146,16 +132,13 @@ Status ParallelAdaptiveJoin::Open() {
     // Serving mode: phase task groups go to the injected pool, which
     // interleaves them fairly with other queries' groups.
     active_pool_ = options_.shared_pool;
-  } else if (n > 1 || options_.pipeline_ingest) {
+  } else {
     // The coordinator participates in every phase group, so n - 1
     // workers give exactly n execution lanes for n per-shard tasks.
-    // Pipelined ingest needs at least one worker even single-sharded,
-    // so the ingest task has a lane to overlap on.
+    // Ingest needs at least one worker even single-sharded, so the
+    // ingest task has a lane to overlap on.
     pool_ = std::make_unique<ThreadPool>(std::max<size_t>(1, n - 1));
     active_pool_ = pool_.get();
-  } else {
-    pool_ = nullptr;
-    active_pool_ = nullptr;
   }
 
   merge_cursor_.assign(n, 0);
@@ -179,6 +162,7 @@ Status ParallelAdaptiveJoin::Open() {
   pump_error_ = Status::OK();
   last_assessment_step_ = 0;
   script_position_ = 0;
+  route_.clear();
   staged_route_.clear();
   staged_budget_ = 0;
   ingest_status_ = Status::OK();
@@ -420,8 +404,8 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
   }
   if (finalize_requested_) {
     // Hard deadline at the swap point: the staged epoch (in flight or
-    // ready) is exactly the input the serial engine would not have
-    // routed yet — discard it, ingest errors included.
+    // ready) is input that was never due — discard it, ingest errors
+    // included.
     AbandonStagedIngest();
     finalized_early_ = finalized_early_ ||
                        !exchange_->input_exhausted(exec::Side::kLeft) ||
@@ -458,25 +442,25 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
   if (ingest_inflight_) {
     // Swap point: the epoch's route was staged by the ingest task
     // during the previous epoch. Wait for it, then commit the staged
-    // tier — counters publish, shard staged rows become the pending
-    // epoch — at exactly the point the serial path would have routed,
-    // so every observer (governor, Progress, trace) sees identical
-    // state either way.
+    // tier — counters publish, shard staged rows become the epoch's
+    // input — only now, after this control point, so every observer
+    // (governor, Progress, trace) sees exactly the committed epochs.
+    // route_ is empty here, so a fault rolls nothing back.
     Status ingest = WaitIngest();
     if (!ingest.ok()) {
-      return HandleIngestFault(std::move(ingest), stream_ended);
+      return HandleEpochFault(std::move(ingest), /*shard=*/-1, stream_ended);
     }
     const uint64_t budget = std::max<uint64_t>(1, StepsToNextControlPoint());
     if (staged_budget_ != budget) {
       // The budget prediction is exact by construction; a mismatch
       // means the staged epoch is not the epoch the control loop just
       // shaped, and committing it would silently fork the trace.
-      return HandleIngestFault(
+      return HandleEpochFault(
           Status::Internal(
               "pipelined ingest staged a " +
               std::to_string(staged_budget_) + "-step epoch but the "
               "control point requires " + std::to_string(budget)),
-          stream_ended);
+          /*shard=*/-1, stream_ended);
     }
     route_.clear();
     route_.swap(staged_route_);
@@ -484,22 +468,27 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
     routed = route_.size();
     ++ingest_stats_.epochs_staged;
   } else {
+    // Nothing in flight (the first epoch, or the empty probe after the
+    // inputs ran dry): route on the coordinator, through the same
+    // staged tier.
     const uint64_t budget = std::max<uint64_t>(1, StepsToNextControlPoint());
     route_.clear();
     const auto route_start = std::chrono::steady_clock::now();
-    auto serial_routed = exchange_->RouteEpoch(budget, shard_ptrs_, &route_);
+    auto coordinator_routed =
+        exchange_->RouteEpoch(budget, shard_ptrs_, &route_);
     ingest_stats_.serial_route_ns += ElapsedNs(route_start);
     ++ingest_stats_.epochs_routed_serially;
-    if (!serial_routed.ok()) {
-      // Mid-epoch routing failure: rows of the aborted epoch are
-      // already scattered into the shards' pending batches, and the
-      // exchange's scheduler position cannot be rewound. The epoch is
-      // abandoned either way; on_fault decides between the sticky
-      // error and a degraded partial-result finalization.
-      return HandleEpochFault(serial_routed.status(), /*shard=*/-1,
+    if (!coordinator_routed.ok()) {
+      // Mid-epoch routing failure: RouteEpoch already discarded the
+      // staged rows and nothing was published — the same state a
+      // staging fault leaves. The exchange's scheduler position cannot
+      // be rewound, so on_fault decides between the sticky error and a
+      // degraded partial-result finalization.
+      route_.clear();
+      return HandleEpochFault(coordinator_routed.status(), /*shard=*/-1,
                               stream_ended);
     }
-    routed = *serial_routed;
+    routed = *coordinator_routed;
   }
   if (routed == 0) {
     *stream_ended = true;
@@ -508,9 +497,9 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
     return Status::OK();
   }
   for (JoinShard* shard : shard_ptrs_) shard->BeginEpoch();
-  // With the pending tier now swapped into the epoch tier, the staged
-  // tier is free: start routing the next epoch while this one's
-  // phases execute.
+  // With the staged tier now swapped into the epoch tier, it is free
+  // again: start routing the next epoch while this one's phases
+  // execute.
   MaybeSubmitIngest();
 
   // Phase A: per-shard step loops over their partitions.
@@ -585,14 +574,11 @@ Status ParallelAdaptiveJoin::HandleEpochFault(Status error, int32_t shard,
   // so the cursor counters rewind to the published ones before the
   // rollback below adjusts both past the faulted epoch.
   AbandonStagedIngest();
-  // Abandon the epoch: discard rows still pending in the shards (a
-  // routing fault scattered them without BeginEpoch) and roll the
-  // exchange's counters back to the last completed epoch, so progress,
-  // completeness, and ordinal bookkeeping all describe exactly the
-  // epochs whose output was merged. The scheduler position cannot be
-  // rewound, so no epoch may ever be routed again — either terminal
-  // path below guarantees that.
-  for (JoinShard* s : shard_ptrs_) s->DiscardPending();
+  // Abandon the epoch: roll the exchange's counters back past its
+  // committed route, so progress, completeness, and ordinal
+  // bookkeeping all describe exactly the epochs whose output was
+  // merged. The scheduler position cannot be rewound, so no epoch may
+  // ever be routed again — either terminal path below guarantees that.
   uint64_t aborted_rows[2] = {0, 0};
   for (const RouteEntry& entry : route_) {
     ++aborted_rows[static_cast<size_t>(entry.side)];
@@ -664,14 +650,13 @@ uint64_t ParallelAdaptiveJoin::PredictNextEpochBudget() const {
 }
 
 void ParallelAdaptiveJoin::MaybeSubmitIngest() {
-  if (!options_.pipeline_ingest || active_pool_ == nullptr) return;
   if (ingest_inflight_) return;
   if (finalize_requested_ || stream_done_) return;
   if (exchange_->input_exhausted(exec::Side::kLeft) &&
       exchange_->input_exhausted(exec::Side::kRight)) {
     // The epoch just committed drained both inputs; there is nothing
-    // left to stage (the next pump's serial RouteEpoch routes zero
-    // steps and ends the stream).
+    // left to stage (the next pump's coordinator RouteEpoch routes
+    // zero steps and ends the stream).
     return;
   }
   staged_route_.clear();
@@ -715,8 +700,8 @@ Status ParallelAdaptiveJoin::WaitIngest() {
 void ParallelAdaptiveJoin::AbandonStagedIngest() {
   if (ingest_inflight_) {
     // The staging error, if any, is deliberately swallowed: a terminal
-    // path is discarding the staged epoch, and the serial engine would
-    // never have routed (or faulted on) that input at all.
+    // path is discarding the staged epoch, whose input was never due
+    // (so it never faulted as far as any observer can tell).
     (void)ingest_handle_.Wait();
     ingest_inflight_ = false;
     ingest_handle_ = TaskGroupHandle();
@@ -761,16 +746,6 @@ uint64_t ParallelAdaptiveJoin::IngestSideMemoryUsage() const {
                                         : 0;
   for (const auto& shard : shards_) bytes += shard->StagedMemoryUsage();
   bytes += staged_route_.capacity() * sizeof(RouteEntry);
-  // Prefetching children buffer source batches on their own producer
-  // threads; their deques are part of this query's footprint (the
-  // consumer-side serving batches are owned by whichever context pulls
-  // the exchange — the same one calling this).
-  if (auto* prefetch = dynamic_cast<exec::PrefetchSource*>(left_)) {
-    bytes += prefetch->ApproximateMemoryUsage();
-  }
-  if (auto* prefetch = dynamic_cast<exec::PrefetchSource*>(right_)) {
-    bytes += prefetch->ApproximateMemoryUsage();
-  }
   return bytes;
 }
 
@@ -792,71 +767,18 @@ uint64_t ParallelAdaptiveJoin::ApproximateMemoryUsage() const {
   return total + CoordinatorMemoryUsage() + IngestSideMemoryUsage();
 }
 
-Status ParallelAdaptiveJoin::HandleIngestFault(Status error,
-                                               bool* stream_ended) {
-  // The staged epoch was never committed: drop it (cursor counters
-  // rewind to the published ones) — no pending rows to discard, no
-  // rollback, because nothing this epoch touched is observable.
-  exchange_->DiscardStaged(shard_ptrs_);
-  staged_route_.clear();
-  route_.clear();
-  Status annotated =
-      error.WithContext("epoch=" + std::to_string(epoch_));
-  if (options_.on_fault == FaultPolicy::kFinalizePartial &&
-      RecoverableFaultCode(error)) {
-    // Same degradation as HandleEpochFault: the fault becomes a
-    // hard-deadline-style early finalization with a strict-prefix
-    // result; step/epoch describe the committed prefix.
-    FaultReport report;
-    report.site = ExtractFaultSite(error);
-    report.epoch = epoch_;
-    report.step = exchange_->steps();
-    report.shard = -1;
-    report.status = std::move(annotated);
-    fault_ = std::move(report);
-    finalized_early_ = true;
-    stream_done_ = true;
-    *stream_ended = true;
-    UpdateMemoryAccounting();
-    return Status::OK();
-  }
-  pump_error_ = std::move(annotated);
-  return pump_error_;
-}
-
 Status ParallelAdaptiveJoin::RunTasks(std::vector<std::function<void()>> tasks,
                                       int32_t* failed_task) {
-  if (failed_task != nullptr) *failed_task = -1;
-  if (active_pool_ != nullptr) {
-    // One task group per phase; Wait()-participation keeps the
-    // coordinator an execution lane, shared pool or not. A throwing
-    // task is contained by the pool as the group's sticky error.
-    TaskGroupHandle handle = active_pool_->Submit(std::move(tasks));
-    Status status = handle.Wait();
-    if (!status.ok() && failed_task != nullptr) {
-      *failed_task = static_cast<int32_t>(handle.error_task());
-    }
-    return status;
+  // One task group per phase; Wait()-participation keeps the
+  // coordinator an execution lane, shared pool or not. A throwing task
+  // is contained by the pool as the group's sticky error.
+  TaskGroupHandle handle = active_pool_->Submit(std::move(tasks));
+  Status status = handle.Wait();
+  if (failed_task != nullptr) {
+    *failed_task =
+        status.ok() ? -1 : static_cast<int32_t>(handle.error_task());
   }
-  // Inline (single shard, no pool): contain exactly like a worker.
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    Status status = Status::OK();
-    try {
-      AQP_FAILPOINT_THROW(fail::site::kPoolTask);
-      tasks[i]();
-    } catch (const fail::InjectedFault& fault) {
-      status = fault.status();
-    } catch (const std::exception& e) {
-      status = Status::Internal(std::string("task threw: ") + e.what());
-    } catch (...) {
-      status = Status::Internal("task threw a non-std::exception object");
-    }
-    if (!status.ok()) {
-      if (failed_task != nullptr) *failed_task = static_cast<int32_t>(i);
-      return status;
-    }
-  }
-  return Status::OK();
+  return status;
 }
 
 Status ParallelAdaptiveJoin::MergeEpoch() {

@@ -110,11 +110,6 @@ struct FaultReport {
   Status status;
 };
 
-/// Process-wide default of ParallelJoinOptions::pipeline_ingest: true,
-/// unless the AQP_PIPELINE_INGEST environment variable is set to
-/// 0/off/false/no (the CI serial-fallback ctest flavor). Read once.
-bool DefaultPipelineIngest();
-
 /// \brief Ingest-overlap counters: how much source parse + routing
 /// cost the pipelined ingest moved off the epoch critical path.
 ///
@@ -124,8 +119,8 @@ bool DefaultPipelineIngest();
 struct IngestStats {
   /// Epochs whose route was staged ahead by the ingest task.
   uint64_t epochs_staged = 0;
-  /// Epochs routed serially on the critical path (the first epoch,
-  /// and every epoch when pipeline_ingest is off).
+  /// Epochs routed on the coordinator, on the critical path: the
+  /// first epoch and the empty end-of-stream probe.
   uint64_t epochs_routed_serially = 0;
   /// Coordinator wall time blocked at swap points waiting for (or
   /// helping finish) an in-flight ingest task. On a saturated pool
@@ -135,7 +130,7 @@ struct IngestStats {
   /// Staging wall time (source refills + routing) spent on the ingest
   /// task, i.e. attributed to overlap rather than the critical path.
   int64_t overlap_route_ns = 0;
-  /// Serial routing wall time on the critical path.
+  /// Routing wall time spent on the coordinator, on the critical path.
   int64_t serial_route_ns = 0;
 };
 
@@ -153,8 +148,9 @@ struct ParallelJoinOptions {
   uint64_t unbounded_epoch_steps = 4096;
   /// Shared worker pool (borrowed, e.g. a LinkageService's; must
   /// outlive the operator). Null = the operator creates its own
-  /// (num_shards - 1)-worker pool at Open. Pool choice never changes
-  /// results or traces — epochs are barrier-synchronized either way.
+  /// max(1, num_shards - 1)-worker pool at Open. Pool choice never
+  /// changes results or traces — epochs are barrier-synchronized
+  /// either way.
   ThreadPool* shared_pool = nullptr;
   /// Called by the coordinator at every epoch control point (all
   /// shards quiescent), *before* the MAR control loop runs. This is
@@ -169,14 +165,6 @@ struct ParallelJoinOptions {
   /// Bounded retry of transient (kUnavailable) source refills during
   /// ingest; absorbed retries surface via source_retries().
   SourceRetryOptions source_retry;
-  /// Overlap ingest with execution: while epoch e's phases run, an
-  /// ingest task group pulls source batches and routes epoch e+1 into
-  /// a staged buffer tier, committed at the next epoch barrier.
-  /// Results and adaptation traces are byte-identical either way
-  /// (tests/integration/pipeline_parity_test.cc); the toggle exists to
-  /// keep the refactor bisectable and to let CI drive the retained
-  /// serial path. Default on (see DefaultPipelineIngest).
-  bool pipeline_ingest = DefaultPipelineIngest();
   /// Per-query budget node of the hierarchical accounting tree
   /// (borrowed; must outlive the join). When set, the join creates one
   /// child node per shard plus a coordinator node under it at Open and
@@ -328,10 +316,10 @@ class ParallelAdaptiveJoin : public exec::Operator,
   const ParallelJoinOptions& options() const { return options_; }
 
   /// Engine memory footprint right now: shard committed+staged tiers,
-  /// exchange refill batches, prefetching children, and coordinator
-  /// buffers. Call only when quiescent (between drive calls with no
-  /// ingest task in flight, or after the stream ended) — the
-  /// per-control-point refresh uses the race-free split internally.
+  /// exchange refill batches, and coordinator buffers. Call only when
+  /// quiescent (between drive calls with no ingest task in flight, or
+  /// after the stream ended) — the per-control-point refresh uses the
+  /// race-free split internally.
   uint64_t ApproximateMemoryUsage() const;
   /// Footprint as of the last control-point refresh (0 before any).
   uint64_t memory_bytes() const { return memory_bytes_; }
@@ -351,20 +339,20 @@ class ParallelAdaptiveJoin : public exec::Operator,
     uint32_t stored_ordinal = 0;
   };
 
-  /// Runs one epoch (control point, route-or-swap, phases, merge).
-  /// Sets `*stream_ended` when no step could be routed. With
-  /// pipeline_ingest on, the epoch's route was usually staged by an
-  /// ingest task during the previous epoch; the swap point waits for
-  /// that task, commits the staged tier, and submits staging of the
-  /// *next* epoch before the phases run.
+  /// Runs one epoch (control point, swap, phases, merge). Sets
+  /// `*stream_ended` when no step could be routed. The epoch's route
+  /// was staged by an ingest task during the previous epoch; the swap
+  /// point waits for that task, commits the staged tier, and submits
+  /// staging of the *next* epoch before the phases run. With nothing
+  /// in flight (the first epoch, the empty end-of-stream probe) the
+  /// coordinator routes the epoch itself through the same staged tier.
   Status PumpEpoch(bool* stream_ended);
 
   /// \name Pipelined ingest (all coordinator-side).
   /// @{
   /// Submits a one-task ingest group that stages the next epoch
   /// (predicted budget) into the exchange/shard staged tiers. No-op
-  /// when pipelining is off, no pool exists, the stream is ending, or
-  /// both inputs are already exhausted.
+  /// when the stream is ending or both inputs are already exhausted.
   void MaybeSubmitIngest();
   /// Waits for the in-flight ingest task (stall time accounted) and
   /// returns its outcome: the task-group error if it threw, else the
@@ -377,14 +365,9 @@ class ParallelAdaptiveJoin : public exec::Operator,
   uint64_t PredictNextEpochBudget() const;
   /// Drains any in-flight ingest task and discards the staged tier
   /// (terminal paths: finalize, cancel, faults, Close, destruction).
-  /// A staging error is swallowed — the serial engine would never
-  /// have routed that epoch.
+  /// A staging error is swallowed — that epoch was never due, so it
+  /// never faulted as far as any observer can tell.
   void AbandonStagedIngest();
-  /// Ingest-task fault at the swap point: the staged (never
-  /// committed) epoch is discarded, then the fault degrades or goes
-  /// sticky exactly like HandleEpochFault — same FaultReport shape,
-  /// no rollback needed because nothing was published.
-  Status HandleIngestFault(Status error, bool* stream_ended);
   /// @}
 
   /// Refills the output buffer by pumping epochs until output exists
@@ -402,10 +385,10 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// is attached.
   Status RefreshMemoryAccounting();
   /// Sum of the tiers owned by the ingest/staging context: exchange
-  /// refill batches, shard staged tiers, the staged route, and
-  /// prefetching children. Called by the ingest task after staging
-  /// (published via ingest_side_bytes_), or by the coordinator when no
-  /// task is in flight.
+  /// refill batches, shard staged tiers, and the staged route. Called
+  /// by the ingest task after staging (published via
+  /// ingest_side_bytes_), or by the coordinator when no task is in
+  /// flight.
   uint64_t IngestSideMemoryUsage() const;
   /// Coordinator-owned buffers (route, merge scratch, output buffer,
   /// matched flags) — always safe from the coordinator.
@@ -431,13 +414,14 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// records costs and the trace entry.
   Status ApplyTransition(adaptive::ProcessorState next,
                          const adaptive::Assessment& assessment, int phi);
-  /// Abandons the epoch whose route is in `route_` (pending rows
-  /// discarded, exchange counters rolled back to the last completed
-  /// epoch), then either degrades — on_fault == kFinalizePartial and
-  /// `error` is recoverable: record a FaultReport, end the stream as a
-  /// finalized partial result, return OK with `*stream_ended` set — or
-  /// makes `error` the sticky pump error. `shard` attributes phase
-  /// faults (-1 otherwise).
+  /// Abandons the current epoch: drops the staged tier and rolls the
+  /// exchange counters back past the committed route in `route_`
+  /// (empty when the fault hit before a commit — a routing or staging
+  /// fault — since nothing was published then). Then either degrades —
+  /// on_fault == kFinalizePartial and `error` is recoverable: record a
+  /// FaultReport, end the stream as a finalized partial result, return
+  /// OK with `*stream_ended` set — or makes `error` the sticky pump
+  /// error. `shard` attributes phase faults (-1 otherwise).
   Status HandleEpochFault(Status error, int32_t shard, bool* stream_ended);
   /// Serial coordinator merge of one routed epoch: global observation
   /// stream, matched-flag replay, monitor feed, output append. Errors
@@ -446,12 +430,11 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// Aggregates the global JoinProgress snapshot the completeness
   /// model consumes (shared by RunControlLoop and Completeness).
   stats::JoinProgress Progress() const;
-  /// Runs one task batch on the pool (coordinator participates), or
-  /// inline when single-sharded; either way a throwing task is
-  /// contained and returned as the group's first error. When
-  /// `failed_task` is non-null it receives the failing task's index
-  /// (-1 if none) — phase callers pass one task per shard, so the
-  /// index names the faulting shard.
+  /// Runs one task batch on the pool (coordinator participates); a
+  /// throwing task is contained and returned as the group's first
+  /// error. When `failed_task` is non-null it receives the failing
+  /// task's index (-1 if none) — phase callers pass one task per
+  /// shard, so the index names the faulting shard.
   Status RunTasks(std::vector<std::function<void()>> tasks,
                   int32_t* failed_task = nullptr);
 
@@ -467,8 +450,8 @@ class ParallelAdaptiveJoin : public exec::Operator,
   std::unique_ptr<RadixExchange> exchange_;
   /// Owned pool when no shared_pool was injected.
   std::unique_ptr<ThreadPool> pool_;
-  /// The pool phase task groups actually run on: options_.shared_pool,
-  /// else pool_.get(), else null (single shard runs inline).
+  /// The pool task groups run on while open: options_.shared_pool,
+  /// else pool_.get().
   ThreadPool* active_pool_ = nullptr;
 
   /// Global MAR state (the coordinator is the only writer).

@@ -25,29 +25,10 @@ JoinShard::JoinShard(uint32_t index, const join::JoinSpec& spec,
 
 void JoinShard::BindSchemas(const storage::Schema* left,
                             const storage::Schema* right) {
-  pending_rows_[0].Reset(left);
-  pending_rows_[1].Reset(right);
   epoch_rows_[0].Reset(left);
   epoch_rows_[1].Reset(right);
   staged_rows_[0].Reset(left);
   staged_rows_[1].Reset(right);
-}
-
-void JoinShard::RouteRow(exec::Side side, const storage::ColumnBatch& src,
-                         size_t src_row, uint64_t seq,
-                         uint32_t side_ordinal) {
-  const size_t s = static_cast<size_t>(side);
-  RoutedRow meta;
-  meta.side = side;
-  meta.local_id = static_cast<storage::TupleId>(seq_[s].size());
-  meta.row = static_cast<uint32_t>(pending_rows_[s].size());
-  meta.seq = seq;
-  seq_[s].push_back(seq);
-  ordinal_[s].push_back(side_ordinal);
-  // Column scatter: the row's slices (and its key-lane hash) land in
-  // the shard's pending batch; no Tuple object is ever constructed.
-  pending_rows_[s].AppendRowFrom(src, src_row);
-  pending_meta_.push_back(meta);
 }
 
 void JoinShard::StageRow(exec::Side side, const storage::ColumnBatch& src,
@@ -57,33 +38,31 @@ void JoinShard::StageRow(exec::Side side, const storage::ColumnBatch& src,
   RoutedRow meta;
   meta.side = side;
   // The id this row will hold once the staged tier commits behind
-  // everything already routed.
+  // everything already committed.
   meta.local_id =
       static_cast<storage::TupleId>(seq_[s].size() + staged_seq_[s].size());
   meta.row = static_cast<uint32_t>(staged_rows_[s].size());
   meta.seq = seq;
   staged_seq_[s].push_back(seq);
   staged_ordinal_[s].push_back(side_ordinal);
+  // Column scatter: the row's slices (and its key-lane hash) land in
+  // the shard's staged batch; no Tuple object is ever constructed.
   staged_rows_[s].AppendRowFrom(src, src_row);
   staged_meta_.push_back(meta);
 }
 
 void JoinShard::CommitStaged() {
-  // The previous epoch must have begun (pending tier empty), so the
-  // staged batches can swap straight in with zero copies.
-  assert(pending_meta_.empty());
   for (size_t s = 0; s < 2; ++s) {
     seq_[s].insert(seq_[s].end(), staged_seq_[s].begin(),
                    staged_seq_[s].end());
     ordinal_[s].insert(ordinal_[s].end(), staged_ordinal_[s].begin(),
                        staged_ordinal_[s].end());
-    staged_seq_[s].clear();
-    staged_ordinal_[s].clear();
-    std::swap(pending_rows_[s], staged_rows_[s]);
-    staged_rows_[s].Clear();
+    // Zero-copy swap; the merged epoch's batches become the next
+    // staging buffers, keeping their arenas.
+    std::swap(epoch_rows_[s], staged_rows_[s]);
   }
-  std::swap(pending_meta_, staged_meta_);
-  staged_meta_.clear();
+  std::swap(epoch_meta_, staged_meta_);
+  DiscardStaged();
 }
 
 void JoinShard::DiscardStaged() {
@@ -95,28 +74,7 @@ void JoinShard::DiscardStaged() {
   staged_meta_.clear();
 }
 
-void JoinShard::DiscardPending() {
-  size_t dropped[2] = {0, 0};
-  for (const RoutedRow& routed : pending_meta_) {
-    ++dropped[static_cast<size_t>(routed.side)];
-  }
-  for (size_t s = 0; s < 2; ++s) {
-    // Routed ids are assigned densely at RouteRow, so the pending rows
-    // of a side are exactly the trailing entries of its maps.
-    seq_[s].resize(seq_[s].size() - dropped[s]);
-    ordinal_[s].resize(ordinal_[s].size() - dropped[s]);
-    pending_rows_[s].Clear();
-  }
-  pending_meta_.clear();
-}
-
 void JoinShard::BeginEpoch() {
-  for (size_t s = 0; s < 2; ++s) {
-    std::swap(epoch_rows_[s], pending_rows_[s]);
-    pending_rows_[s].Clear();
-  }
-  epoch_meta_.clear();
-  std::swap(epoch_meta_, pending_meta_);
   step_outputs_.clear();
   matches_.clear();
   cross_step_outputs_.clear();
@@ -183,12 +141,10 @@ void JoinShard::RunCrossProbePhase(const std::vector<JoinShard*>& shards) {
 uint64_t JoinShard::CommittedMemoryUsage() const {
   uint64_t bytes = core_.ApproximateMemoryUsage();
   for (size_t s = 0; s < 2; ++s) {
-    bytes += pending_rows_[s].ApproximateMemoryUsage();
     bytes += epoch_rows_[s].ApproximateMemoryUsage();
     bytes += seq_[s].capacity() * sizeof(uint64_t);
     bytes += ordinal_[s].capacity() * sizeof(uint32_t);
   }
-  bytes += pending_meta_.capacity() * sizeof(RoutedRow);
   bytes += epoch_meta_.capacity() * sizeof(RoutedRow);
   bytes += step_outputs_.capacity() * sizeof(StepOutputs);
   bytes += matches_.capacity() * sizeof(join::JoinMatch);

@@ -1,7 +1,6 @@
 #ifndef AQP_EXEC_PARALLEL_SHARD_H_
 #define AQP_EXEC_PARALLEL_SHARD_H_
 
-#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -62,7 +61,7 @@ struct CrossMatch {
 /// single-threaded join would have indexed before it.
 ///
 /// Tuple transport is columnar end to end: the exchange scatters
-/// column slices into the shard's per-side pending ColumnBatch (no
+/// column slices into the shard's per-side staged ColumnBatch (no
 /// Tuple object exists between child scan and shard store), and phase
 /// A ingests `(key view, hash-lane hash, payload slice)` rows.
 ///
@@ -78,64 +77,49 @@ class JoinShard {
             const join::ApproxProbeOptions& approx_options,
             adaptive::ProcessorState initial_state);
 
-  /// \name Coordinator-side routing (between phase barriers).
-  /// @{
   /// Stamps the per-side input batches with the children's schemas
   /// (called once per Open, before any routing; the schemas must
   /// outlive the shard).
   void BindSchemas(const storage::Schema* left,
                    const storage::Schema* right);
 
-  /// Accepts row `src_row` of `src` for the *next* epoch: scatters the
-  /// row's column slices (and its key-lane hash) into the shard's
-  /// per-side pending batch and records its seq/ordinal under the
-  /// shard-local id it will occupy.
-  void RouteRow(exec::Side side, const storage::ColumnBatch& src,
-                size_t src_row, uint64_t seq, uint32_t side_ordinal);
-
-  /// Swaps the routed rows in as the current epoch's input and clears
-  /// the per-epoch output buffers.
-  void BeginEpoch();
-
-  /// Drops every routed-but-unprocessed row (a mid-epoch routing
-  /// failure abandons the epoch): clears the pending batches and pops
-  /// the seq/ordinal records those rows were assigned, so the shard's
-  /// routed counts return to the last completed epoch's state.
-  void DiscardPending();
-  /// @}
-
-  /// \name Route-ahead staging (ingest task, overlapped with phases).
+  /// \name Staged routing.
   ///
-  /// While an epoch's phases run, the pipelined ingest task routes the
-  /// *next* epoch into a third, fully separate buffer tier: StageRow
-  /// touches only `staged_*` state, never `seq_`/`ordinal_` (read
-  /// lock-free by phase-B cross-probes and the coordinator merge) nor
-  /// the pending/epoch batches. At the epoch-barrier swap the
-  /// coordinator calls CommitStaged — staged seq/ordinal append to the
-  /// committed maps and the staged batches become the pending epoch —
-  /// or DiscardStaged on a fault/finalize, which simply clears the
-  /// staged tier and leaves committed state untouched.
+  /// Every routed row lands in the staged tier first: StageRow touches
+  /// only `staged_*` state, never `seq_`/`ordinal_` (read lock-free by
+  /// phase-B cross-probes and the coordinator merge) nor the epoch
+  /// batches, so the ingest task can stage the next epoch while this
+  /// epoch's phases run. At the epoch barrier the coordinator calls
+  /// CommitStaged — staged seq/ordinal append to the committed maps and
+  /// the staged batches become the epoch's input — or DiscardStaged on
+  /// a fault/finalize, which clears the staged tier and leaves
+  /// committed state untouched.
   /// @{
-  /// Stages row `src_row` of `src` for the epoch after next. Same
-  /// scatter as RouteRow, into the staged tier. Only the ingest task
-  /// calls this, and never concurrently with Commit/DiscardStaged.
+  /// Stages row `src_row` of `src`: scatters the row's column slices
+  /// (and its key-lane hash) into the staged batch of `side` and
+  /// records its seq/ordinal under the shard-local id it will occupy
+  /// once committed. Never runs concurrently with Commit/DiscardStaged.
   void StageRow(exec::Side side, const storage::ColumnBatch& src,
                 size_t src_row, uint64_t seq, uint32_t side_ordinal);
 
-  /// Routed + staged tuples of `side` (the local id the next *staged*
-  /// row would receive). Used by the exchange while staging.
+  /// Committed + staged tuples of `side` (the local id the next staged
+  /// row would receive). Used by the exchange while routing.
   size_t total_routed_count(exec::Side side) const {
     const size_t s = static_cast<size_t>(side);
     return seq_[s].size() + staged_seq_[s].size();
   }
 
-  /// Epoch-barrier swap, staged -> pending. Requires the pending tier
-  /// to be empty (the previous epoch already began).
+  /// Epoch-barrier swap, staged -> epoch: the staged rows become the
+  /// input of the next RunBuildPhase. The previous epoch's rows are
+  /// dropped, so call it only after that epoch was merged.
   void CommitStaged();
 
-  /// Drops the staged tier (ingest fault / finalize / cancel). The
-  /// committed maps and the pending/epoch tiers are untouched.
+  /// Drops the staged tier (routing fault / finalize / cancel). The
+  /// committed maps and the epoch tier are untouched.
   void DiscardStaged();
+
+  /// Clears the per-epoch output buffers before the phases run.
+  void BeginEpoch();
   /// @}
 
   /// \name Phase runners (worker threads).
@@ -213,7 +197,7 @@ class JoinShard {
   /// the ingest task writes (only that task, or the coordinator after
   /// the task-group wait, may read it).
   /// @{
-  /// Core stores/indexes + pending/epoch tiers + routing maps + phase
+  /// Core stores/indexes + epoch tier + routing maps + phase
   /// output buffers + the phase-B probe scratch (its candidate table
   /// grows to the largest other-shard index probed).
   uint64_t CommittedMemoryUsage() const;
@@ -231,17 +215,15 @@ class JoinShard {
   join::ApproxProbeOptions approx_options_;
   join::HybridJoinCore core_;
 
-  /// Routed-but-not-yet-processed rows (next epoch) and the epoch
-  /// currently being processed: per-side column batches plus the
-  /// routing bookkeeping, in routing (= global step) order.
-  storage::ColumnBatch pending_rows_[2];
+  /// The epoch currently being processed: per-side column batches plus
+  /// the routing bookkeeping, in routing (= global step) order.
   storage::ColumnBatch epoch_rows_[2];
-  std::vector<RoutedRow> pending_meta_;
   std::vector<RoutedRow> epoch_meta_;
 
-  /// Route-ahead tier: rows staged by the ingest task while phases run,
-  /// committed into pending_* (and seq_/ordinal_) only at the barrier
-  /// swap. Written by the ingest task, swapped/cleared by the
+  /// Staged tier: rows routed for the next epoch, committed into the
+  /// epoch tier (and seq_/ordinal_) only at the barrier swap. Written
+  /// by whichever context routes (the ingest task while phases run, or
+  /// the coordinator when nothing is in flight), swapped/cleared by the
   /// coordinator after the task-group wait — never both at once.
   storage::ColumnBatch staged_rows_[2];
   std::vector<RoutedRow> staged_meta_;
@@ -249,7 +231,7 @@ class JoinShard {
   std::vector<uint32_t> staged_ordinal_[2];
 
   /// Shard-local id -> global seq / per-side ordinal, per side.
-  /// Appended at routing time; read cross-shard during phase B (frozen
+  /// Appended at commit time; read cross-shard during phase B (frozen
   /// then) and by the coordinator merge.
   std::vector<uint64_t> seq_[2];
   std::vector<uint32_t> ordinal_[2];

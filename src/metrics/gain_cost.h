@@ -31,7 +31,8 @@ struct GainCost {
 
   /// (c_abs - c) / (C - c): the gap-normalized variant (0 = as cheap
   /// as all-exact, 1 = as expensive as all-approximate); reported
-  /// alongside for interpretability (see DESIGN.md).
+  /// alongside for interpretability, since RelativeCost() exceeds 1
+  /// even for a run cheaper than all-approximate once c_abs > C - c.
   double RelativeCostGap() const;
 
   /// e = g_rel / c_rel, the efficiency index under each column of

@@ -54,9 +54,9 @@ struct RunStats {
   uint64_t quarantined_rows = 0;
   uint64_t source_retries = 0;
 
-  /// Pipelined-ingest overlap counters (all zero for serial-ingest
+  /// Pipelined-ingest overlap counters (all zero for single-threaded
   /// runs): epochs whose routing was staged concurrently with the
-  /// previous epoch's phases vs routed serially on the critical path;
+  /// previous epoch's phases vs routed on the coordinator;
   /// how long the coordinator stalled at the swap point waiting for
   /// staging to finish; and the routing time hidden behind phase
   /// execution vs spent on the critical path.
@@ -82,7 +82,7 @@ void AddIngestStats(const exec::parallel::IngestStats& ingest,
                     RunStats* stats);
 
 /// Folds a parallel join's aggregated memory accounting (every shard's
-/// committed tiers + exchange/staging/prefetch + coordinator state)
+/// committed tiers + exchange/staging + coordinator state)
 /// into `stats`. Call after the join finished; before this existed,
 /// parallel runs reported memory_bytes == 0.
 void AddMemoryStats(const exec::parallel::ParallelAdaptiveJoin& join,

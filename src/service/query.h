@@ -145,17 +145,16 @@ struct QueryStats {
   /// unavailable (kUnavailable) inputs before they recovered.
   uint64_t source_retries = 0;
   /// Pipelined-ingest overlap counters: epochs staged ahead vs routed
-  /// serially, swap-point stall time, and routing time hidden behind
-  /// phase execution vs spent on the critical path. All zero when
-  /// `join.pipeline_ingest` is off.
+  /// on the coordinator, swap-point stall time, and routing time
+  /// hidden behind phase execution vs spent on the critical path.
   exec::parallel::IngestStats ingest;
   /// Set when a recoverable fault degraded the query to a partial
   /// result (join.on_fault == kFinalizePartial): which site fired,
   /// in which epoch, on which shard, with the original status.
   std::optional<exec::parallel::FaultReport> fault;
   /// Engine memory footprint at the end of the final attempt
-  /// (shard stores/indexes, exchange and staged tiers, prefetch
-  /// buffers, coordinator state) and its high-water across the run —
+  /// (shard stores/indexes, exchange and staged tiers, coordinator
+  /// state) and its high-water across the run —
   /// aggregated from the parallel engine, which previously reported no
   /// memory at all through RunStats.
   uint64_t memory_bytes = 0;

@@ -163,11 +163,11 @@ TEST_F(FailpointTest, ScopedFailpointDisarmsOnExit) {
 
 TEST_F(FailpointTest, KnownSitesEnumeratesEveryCanonicalSite) {
   const std::vector<std::string> sites = fail::KnownSites();
-  EXPECT_EQ(sites.size(), 17u);
+  EXPECT_EQ(sites.size(), 16u);
   for (const char* expected :
        {fail::site::kCsvOpen, fail::site::kCsvRead, fail::site::kScanNext,
         fail::site::kExchangeRoute, fail::site::kExchangeStage,
-        fail::site::kIngestPrefetch, fail::site::kExchangeMerge,
+        fail::site::kExchangeMerge,
         fail::site::kShardPhaseA, fail::site::kShardPhaseB,
         fail::site::kPoolTask, fail::site::kStoreAdd,
         fail::site::kArenaAlloc, fail::site::kParallelOpen,

@@ -1,10 +1,10 @@
 // Engine-side memory accounting: the ApproximateMemoryUsage() figures
 // of the holders the budget tree charges (exchange input batches,
-// shard committed/staged tiers, prefetch chunk deque), the parallel
-// join's aggregation of them into memory_bytes()/peak_memory_bytes()
-// (the fix for parallel-runs-report-no-memory), the budget-tree wiring
-// at epoch control points, and byte-identical results with accounting
-// on vs off.
+// shard committed/staged tiers), the parallel join's aggregation of
+// them into memory_bytes()/peak_memory_bytes() (the fix for
+// parallel-runs-report-no-memory), the budget-tree wiring at epoch
+// control points, and byte-identical results with accounting on vs
+// off.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "exec/parallel/exchange.h"
 #include "exec/parallel/parallel_join.h"
 #include "exec/parallel/shard.h"
-#include "exec/prefetch.h"
 #include "exec/scan.h"
 #include "exec/stream.h"
 #include "metrics/run_stats.h"
@@ -95,20 +94,6 @@ TEST(MemoryAccountingTest, ExchangeAndShardsReportRoutedBytes) {
 
   ASSERT_TRUE(child.Close().ok());
   ASSERT_TRUE(parent.Close().ok());
-}
-
-TEST(MemoryAccountingTest, PrefetchSourceReportsChunkDeque) {
-  const datagen::TestCase tc = SmallCase();
-  exec::RelationScan scan(&tc.child);
-  exec::PrefetchSource prefetch(&scan);
-  ASSERT_TRUE(prefetch.Open().ok());
-  // Give the producer a beat to fill the deque, then consume one row so
-  // the consumer-side serving batch exists too.
-  storage::ColumnBatch row(&prefetch.output_schema(), 1);
-  ASSERT_TRUE(prefetch.NextColumnBatch(&row).ok());
-  ASSERT_EQ(row.size(), 1u);
-  EXPECT_GT(prefetch.ApproximateMemoryUsage(), 0u);
-  ASSERT_TRUE(prefetch.Close().ok());
 }
 
 TEST(MemoryAccountingTest, ParallelJoinAggregatesShardMemory) {
@@ -246,14 +231,14 @@ TEST(MemoryAccountingTest, PipelinedIngestAccountsStagedTiers) {
   // With the ingest task staging ahead, the coordinator's charge folds
   // in the published ingest-side figure instead of touching buffers the
   // task owns (the TSan-safe committed/staged split). Accounting must
-  // stay wired and the result identical to the serial-ingest run.
+  // stay wired and the result identical to the run without a budget.
   const datagen::TestCase tc = SmallCase();
 
-  exec::RelationScan child_serial(&tc.child);
-  exec::RelationScan parent_serial(&tc.parent);
-  ParallelAdaptiveJoin serial(&child_serial, &parent_serial, Options(tc));
-  auto rows_serial = exec::CollectAll(&serial);
-  ASSERT_TRUE(rows_serial.ok());
+  exec::RelationScan child_plain(&tc.child);
+  exec::RelationScan parent_plain(&tc.parent);
+  ParallelAdaptiveJoin plain(&child_plain, &parent_plain, Options(tc));
+  auto rows_plain = exec::CollectAll(&plain);
+  ASSERT_TRUE(rows_plain.ok());
 
   mem::BudgetNode root("global");
   uint64_t max_view_bytes = 0;
@@ -262,7 +247,6 @@ TEST(MemoryAccountingTest, PipelinedIngestAccountsStagedTiers) {
     exec::RelationScan child(&tc.child);
     exec::RelationScan parent(&tc.parent);
     ParallelJoinOptions options = Options(tc);
-    options.pipeline_ingest = true;
     options.memory_budget = &query;
     options.governor = [&](const EpochView& view) {
       max_view_bytes = std::max(max_view_bytes, view.memory_bytes);
@@ -271,9 +255,9 @@ TEST(MemoryAccountingTest, PipelinedIngestAccountsStagedTiers) {
     ParallelAdaptiveJoin join(&child, &parent, options);
     auto rows = exec::CollectAll(&join);
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-    ASSERT_EQ(rows->size(), rows_serial->size());
+    ASSERT_EQ(rows->size(), rows_plain->size());
     for (size_t i = 0; i < rows->size(); ++i) {
-      ASSERT_EQ(rows->row(i), rows_serial->row(i)) << "row " << i;
+      ASSERT_EQ(rows->row(i), rows_plain->row(i)) << "row " << i;
     }
     EXPECT_GT(max_view_bytes, 0u);
   }

@@ -482,11 +482,12 @@ TEST(ParallelJoinLifecycleTest, FailedRightOpenClosesTheLeftChild) {
   EXPECT_TRUE(join.Close().IsFailedPrecondition());
 }
 
-TEST(ParallelJoinLifecycleTest, MidStreamRouteErrorIsStickyAndDiscardsPending) {
+TEST(ParallelJoinLifecycleTest,
+     MidStreamRouteErrorIsStickyAndDiscardsUncommittedRows) {
   // A child error inside RouteEpoch abandons the epoch: rows already
-  // scattered into the shards' pending batches must be discarded (not
-  // double-ingested by a retried pump), and the operator must
-  // hard-fail every subsequent call with the original error.
+  // scattered into the shards' staged batches must be discarded (not
+  // committed, nor double-ingested by a retried pump), and the operator
+  // must hard-fail every subsequent call with the original error.
   FlakyChild left(10);
   FlakyChild right(500);  // plenty; only the left side errors
   ParallelJoinOptions options;
@@ -505,7 +506,7 @@ TEST(ParallelJoinLifecycleTest, MidStreamRouteErrorIsStickyAndDiscardsPending) {
   Status first = join.NextMatchRefs(1024, &refs);
   ASSERT_TRUE(first.IsIOError()) << first;
 
-  // Pending routed state of the aborted epoch was discarded: every row
+  // Staged routed state of the aborted epoch was discarded: every row
   // still accounted for in a shard belongs to a *completed* epoch, and
   // no epoch completed before the failure.
   size_t routed = 0;
@@ -531,7 +532,7 @@ TEST(ParallelJoinLifecycleTest, MidStreamRouteErrorIsStickyAndDiscardsPending) {
 TEST(ParallelJoinLifecycleTest, ErrorAfterCompletedEpochsKeepsThem) {
   // Same failure, but with small epochs so earlier epochs complete:
   // their rows stay ingested and their output stays deliverable; only
-  // the aborted epoch's pending rows are discarded.
+  // the aborted epoch's uncommitted rows are discarded.
   FlakyChild left(10);
   FlakyChild right(500);
   ParallelJoinOptions options;

@@ -1,12 +1,11 @@
 // Pipelined ingest moves *when* routing work happens — overlapped with
 // the previous epoch's phases instead of serialized before its own —
-// and must change nothing else. These tests pin the contract: with
-// ParallelJoinOptions::pipeline_ingest on, the output row sequence and
-// the adaptation trace are byte-identical to both the serial-ingest
-// parallel engine and the single-threaded AdaptiveJoin, for every
-// shard count, child batch size, control policy, and drive mode — and
-// the deadline governor, cancellation, and recoverable ingest faults
-// observe the exact same control points and leave the exact same
+// and must change nothing else. These tests pin the contract: the
+// output row sequence and the adaptation trace are byte-identical to
+// the single-threaded AdaptiveJoin, for every shard count, child batch
+// size, control policy, and drive mode — and the deadline governor,
+// cancellation, and recoverable ingest faults observe the exact
+// control points the adaptive policy defines and leave strict-prefix
 // partial results.
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include "common/failpoint.h"
 #include "datagen/generator.h"
 #include "exec/parallel/parallel_join.h"
-#include "exec/prefetch.h"
 #include "exec/scan.h"
 
 namespace aqp {
@@ -114,7 +112,7 @@ struct ParallelRun {
   adaptive::AdaptationTrace trace;
   uint64_t steps = 0;
   uint64_t staged = 0;
-  uint64_t serial = 0;
+  uint64_t coordinator_routed = 0;
   Status status;
 };
 
@@ -133,7 +131,7 @@ ParallelRun RunParallel(const datagen::TestCase& tc,
   run.trace = join.trace();
   run.steps = join.steps();
   run.staged = join.ingest_stats().epochs_staged;
-  run.serial = join.ingest_stats().epochs_routed_serially;
+  run.coordinator_routed = join.ingest_stats().epochs_routed_serially;
   return run;
 }
 
@@ -151,25 +149,16 @@ TEST(PipelineParityTest, EveryShardAndBatchSizeMatchesSerialAndReference) {
       options.base.join.batch_size = batch;
       options.num_shards = shards;
 
-      options.pipeline_ingest = true;
       const ParallelRun pipelined = RunParallel(tc, options);
       ASSERT_TRUE(pipelined.status.ok()) << pipelined.status.ToString();
-      // The pipeline must actually engage (first epoch is always
-      // serial; everything after it stages ahead).
+      // The pipeline must actually engage (the first epoch is routed on
+      // the coordinator; everything after it stages ahead).
       EXPECT_GT(pipelined.staged, 0u);
-      EXPECT_EQ(pipelined.serial, 1u);
-
-      options.pipeline_ingest = false;
-      const ParallelRun serial = RunParallel(tc, options);
-      ASSERT_TRUE(serial.status.ok()) << serial.status.ToString();
-      EXPECT_EQ(serial.staged, 0u);
+      EXPECT_EQ(pipelined.coordinator_routed, 1u);
 
       EXPECT_EQ(pipelined.steps, reference.steps);
-      EXPECT_EQ(serial.steps, reference.steps);
       ExpectSameRows(pipelined.result, reference.result);
-      ExpectSameRows(serial.result, reference.result);
       ExpectSameTrace(pipelined.trace, reference.trace);
-      ExpectSameTrace(serial.trace, reference.trace);
     }
   }
 }
@@ -195,7 +184,6 @@ TEST(PipelineParityTest, PinnedAndScriptedPoliciesAgreeWhenPipelined) {
       options.base = base;
       options.num_shards = shards;
       options.unbounded_epoch_steps = 173;
-      options.pipeline_ingest = true;
       const ParallelRun run = RunParallel(tc, options);
       ASSERT_TRUE(run.status.ok()) << run.status.ToString();
       EXPECT_GT(run.staged, 0u);
@@ -220,7 +208,6 @@ TEST(PipelineParityTest, PinnedAndScriptedPoliciesAgreeWhenPipelined) {
     ParallelJoinOptions options;
     options.base = base;
     options.num_shards = shards;
-    options.pipeline_ingest = true;
     const ParallelRun run = RunParallel(tc, options);
     ASSERT_TRUE(run.status.ok()) << run.status.ToString();
     EXPECT_GT(run.staged, 0u);
@@ -236,7 +223,6 @@ TEST(PipelineParityTest, AllDriveModesAgreeWhenPipelined) {
   ParallelJoinOptions options;
   options.base = BaseOptions(tc);
   options.num_shards = 4;
-  options.pipeline_ingest = true;
 
   // Column batches of one row each.
   {
@@ -293,80 +279,58 @@ TEST(PipelineParityTest, AllDriveModesAgreeWhenPipelined) {
 TEST(PipelineParityTest, HardDeadlineMidStageLeavesIdenticalPrefix) {
   // A kFinalize directive lands at a swap point where the next epoch
   // is already staged; the staged (uncommitted) epoch must be drained
-  // and discarded, leaving exactly the rows the serial engine leaves.
+  // and discarded, leaving exactly the rows of the committed epochs.
   const datagen::TestCase tc = PaperCase();
   const ReferenceRun full = RunSingleThreaded(tc, BaseOptions(tc));
   ASSERT_GT(full.steps, 500u);
 
-  auto governor = [](const EpochView& view) {
+  exec::RelationScan child(&tc.child);
+  exec::RelationScan parent(&tc.parent);
+  ParallelJoinOptions options;
+  options.base = BaseOptions(tc);
+  options.num_shards = 4;
+  options.governor = [](const EpochView& view) {
     return view.steps >= 400 ? EpochDirective::kFinalize
                              : EpochDirective::kProceed;
   };
-  storage::Relation pipelined_rows;
-  uint64_t pipelined_steps = 0;
-  for (bool pipelined : {true, false}) {
-    SCOPED_TRACE(testing::Message() << "pipeline_ingest=" << pipelined);
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    ParallelJoinOptions options;
-    options.base = BaseOptions(tc);
-    options.num_shards = 4;
-    options.governor = governor;
-    options.pipeline_ingest = pipelined;
-    ParallelAdaptiveJoin join(&child, &parent, options);
-    auto result = exec::CollectAll(&join);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_TRUE(join.finalized_early());
-    EXPECT_GE(join.steps(), 400u);
-    EXPECT_LT(join.steps(), full.steps);
-    ExpectStrictPrefixRows(*result, full.result);
-    if (pipelined) {
-      pipelined_rows = std::move(*result);
-      pipelined_steps = join.steps();
-    } else {
-      // Both modes cut at the same control point with the same rows.
-      EXPECT_EQ(join.steps(), pipelined_steps);
-      ExpectSameRows(*result, pipelined_rows);
-    }
-  }
+  ParallelAdaptiveJoin join(&child, &parent, options);
+  auto result = exec::CollectAll(&join);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(join.finalized_early());
+  // Epochs end at δ_adapt = 50 control points, so the first one the
+  // governor sees at or past step 400 is step 400 itself.
+  EXPECT_EQ(join.steps(), 400u);
+  EXPECT_GT(join.ingest_stats().epochs_staged, 0u);
+  ExpectStrictPrefixRows(*result, full.result);
 }
 
 TEST(PipelineParityTest, CancellationMidStageDiscardsStagedEpochCleanly) {
   const datagen::TestCase tc = PaperCase();
-  uint64_t pipelined_steps = 0;
-  for (bool pipelined : {true, false}) {
-    SCOPED_TRACE(testing::Message() << "pipeline_ingest=" << pipelined);
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    ParallelJoinOptions options;
-    options.base = BaseOptions(tc);
-    options.num_shards = 4;
-    options.pipeline_ingest = pipelined;
-    options.governor = [](const EpochView& view) {
-      return view.steps >= 300 ? EpochDirective::kCancel
-                               : EpochDirective::kProceed;
-    };
-    ParallelAdaptiveJoin join(&child, &parent, options);
-    ASSERT_TRUE(join.Open().ok());
-    storage::ColumnBatch batch(&join.output_schema(), 64);
-    Status status;
-    while (status.ok()) {
-      status = join.NextColumnBatch(&batch);
-      if (status.ok()) ASSERT_FALSE(batch.empty()) << "EOS before cancel";
-    }
-    EXPECT_TRUE(status.IsCancelled()) << status.ToString();
-    // Cancellation fires at a published control point, so both modes
-    // observe it at the same global step.
-    if (pipelined) {
-      pipelined_steps = join.steps();
-    } else {
-      EXPECT_EQ(join.steps(), pipelined_steps);
-    }
-    // The error is sticky, and Close still succeeds with the in-flight
-    // staged epoch abandoned.
-    EXPECT_TRUE(join.NextColumnBatch(&batch).IsCancelled());
-    EXPECT_TRUE(join.Close().ok());
+  exec::RelationScan child(&tc.child);
+  exec::RelationScan parent(&tc.parent);
+  ParallelJoinOptions options;
+  options.base = BaseOptions(tc);
+  options.num_shards = 4;
+  options.governor = [](const EpochView& view) {
+    return view.steps >= 300 ? EpochDirective::kCancel
+                             : EpochDirective::kProceed;
+  };
+  ParallelAdaptiveJoin join(&child, &parent, options);
+  ASSERT_TRUE(join.Open().ok());
+  storage::ColumnBatch batch(&join.output_schema(), 64);
+  Status status;
+  while (status.ok()) {
+    status = join.NextColumnBatch(&batch);
+    if (status.ok()) ASSERT_FALSE(batch.empty()) << "EOS before cancel";
   }
+  EXPECT_TRUE(status.IsCancelled()) << status.ToString();
+  // Cancellation fires at a published control point: δ_adapt = 50
+  // puts the first one at or past step 300 at exactly step 300.
+  EXPECT_EQ(join.steps(), 300u);
+  // The error is sticky, and Close still succeeds with the in-flight
+  // staged epoch abandoned.
+  EXPECT_TRUE(join.NextColumnBatch(&batch).IsCancelled());
+  EXPECT_TRUE(join.Close().ok());
 }
 
 class PipelineFaultTest : public ::testing::Test {
@@ -382,7 +346,7 @@ class PipelineFaultTest : public ::testing::Test {
 
 TEST_F(PipelineFaultTest, StageFaultDegradesToStrictPrefixWithReport) {
   // An ingest fault on the staging task (site exchange.stage, only
-  // evaluated on the pipelined path) must discard the staged epoch
+  // evaluated by StageEpoch) must discard the staged epoch
   // without corrupting the active one: under kFinalizePartial the run
   // degrades to a strict prefix of the clean result plus a FaultReport
   // naming the site, with the active epoch's output intact.
@@ -395,7 +359,6 @@ TEST_F(PipelineFaultTest, StageFaultDegradesToStrictPrefixWithReport) {
   ParallelJoinOptions options;
   options.base = BaseOptions(tc);
   options.num_shards = 4;
-  options.pipeline_ingest = true;
   options.on_fault = FaultPolicy::kFinalizePartial;
   ParallelAdaptiveJoin join(&child, &parent, options);
   fail::ScopedFailpoint guard(
@@ -421,7 +384,6 @@ TEST_F(PipelineFaultTest, StageFaultIsStickyUnderFailPolicy) {
   ParallelJoinOptions options;
   options.base = BaseOptions(tc);
   options.num_shards = 2;
-  options.pipeline_ingest = true;
   options.on_fault = FaultPolicy::kFail;
   ParallelAdaptiveJoin join(&child, &parent, options);
   fail::ScopedFailpoint guard(
@@ -434,33 +396,6 @@ TEST_F(PipelineFaultTest, StageFaultIsStickyUnderFailPolicy) {
             std::string::npos)
       << result.status().ToString();
   EXPECT_NE(result.status().ToString().find("epoch="), std::string::npos);
-}
-
-TEST_F(PipelineFaultTest, PrefetchFaultSurfacesThroughWrappedSource) {
-  // The single-threaded path's overlap (PrefetchSource) has its own
-  // site; a transient fault there must surface like a child error and
-  // be retryable by the exchange's source-retry loop.
-  const datagen::TestCase tc = PaperCase();
-  const ReferenceRun reference = RunSingleThreaded(tc, BaseOptions(tc));
-
-  exec::RelationScan child_scan(&tc.child);
-  exec::RelationScan parent_scan(&tc.parent);
-  exec::PrefetchSource child(&child_scan);
-  exec::PrefetchSource parent(&parent_scan);
-  ParallelJoinOptions options;
-  options.base = BaseOptions(tc);
-  options.num_shards = 2;
-  options.pipeline_ingest = true;
-  options.source_retry.max_retries = 2;
-  ParallelAdaptiveJoin join(&child, &parent, options);
-  fail::ScopedFailpoint guard(
-      fail::site::kIngestPrefetch,
-      fail::Policy::OnNthHit(2, Status::Unavailable("transient blip")));
-  auto result = exec::CollectAll(&join);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectSameRows(*result, reference.result);
-  ExpectSameTrace(join.trace(), reference.trace);
-  EXPECT_GE(join.source_retries(), 1u);
 }
 
 }  // namespace

@@ -27,7 +27,6 @@
 #include "common/memory_budget.h"
 #include "datagen/generator.h"
 #include "exec/parallel/parallel_join.h"
-#include "exec/prefetch.h"
 #include "exec/scan.h"
 #include "service/linkage_service.h"
 
@@ -65,11 +64,6 @@ ParallelJoinOptions MakeOptions(const datagen::TestCase& tc, size_t flavor) {
   options.base.adaptive.delta_adapt = 50;
   options.base.adaptive.window = 50;
   options.num_shards = 1 + flavor % 3;
-  // Even flavors force the pipelined ingest path on regardless of the
-  // AQP_PIPELINE_INGEST environment override, so the exchange.stage
-  // site is exercised in every CI flavor; odd flavors keep the
-  // process default (serial in the pipeline-off ctest flavor).
-  if (flavor % 2 == 0) options.pipeline_ingest = true;
   switch (flavor % 4) {
     case 0:  // full adaptive
       break;
@@ -167,17 +161,6 @@ TEST(ChaosStressTest, SeededFaultMatrixKeepsTheServiceSane) {
       for (size_t i = 0; i < kQueries; ++i) {
         scans.push_back(std::make_unique<exec::RelationScan>(&tc.child));
         scans.push_back(std::make_unique<exec::RelationScan>(&tc.parent));
-        // A quarter of the burst reads through PrefetchSource wrappers,
-        // putting the ingest.prefetch site (and the producer-thread
-        // fault containment behind it) into the blast radius.
-        if (i % 4 == 2) {
-          auto child_wrap = std::make_unique<exec::PrefetchSource>(
-              scans[scans.size() - 2].get());
-          auto parent_wrap = std::make_unique<exec::PrefetchSource>(
-              scans[scans.size() - 1].get());
-          scans.push_back(std::move(child_wrap));
-          scans.push_back(std::move(parent_wrap));
-        }
         QueryOptions qo;
         qo.join = MakeOptions(tc, i);
         // Half the burst opts into graceful degradation; a third gets
