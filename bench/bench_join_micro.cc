@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "adaptive/adaptive_join.h"
 #include "bench_support.h"
 #include "datagen/generator.h"
@@ -268,6 +270,8 @@ BENCHMARK(BM_IndexSpaceModel)->Iterations(1);
 // the Google Benchmark shared library, not this code).
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("aqp_build_type", aqp::bench::BuildTypeName());
+  benchmark::AddCustomContext("aqp_host_cpus",
+                              std::to_string(aqp::bench::HostCpuCount()));
   // Tuple-transport layout of the measured pipeline: "columnar" since
   // the ColumnBatch protocol replaced row-of-variant batches end to
   // end (PR 4); earlier recordings were "row".

@@ -4,10 +4,7 @@
 #include <array>
 #include <cstdint>
 
-#include "adaptive/cost_model.h"
-#include "adaptive/mar.h"
-#include "adaptive/state.h"
-#include "adaptive/trace.h"
+#include "adaptive/controller.h"
 #include "join/symmetric_join.h"
 
 namespace aqp {
@@ -21,13 +18,11 @@ struct AdaptiveJoinOptions {
   AdaptiveOptions adaptive;
   /// Weights used by the run's cost accountant.
   StateWeights weights = StateWeights::Paper();
-  /// Record the full assessment timeline (cheap; on by default).
-  bool record_trace = true;
 };
 
 /// \brief The paper's hybrid join operator: a pipelined symmetric hash
 /// join whose per-input matching mode (exact / approximate) is driven
-/// at runtime by the Monitor-Assess-Respond loop.
+/// at runtime by the Monitor-Assess-Respond loop (adaptive::Controller).
 ///
 /// Execution starts optimistically in `lex/rex`. Every δ_adapt steps —
 /// always at a quiescent state — the monitor's observables are
@@ -36,6 +31,7 @@ struct AdaptiveJoinOptions {
 /// switches perturbed inputs to approximate matching (ϕ1–ϕ3); a window
 /// of consistently exact matches switches back (ϕ0). Switches carry
 /// their hash-structure catch-up cost, which the operator accounts for.
+/// It is the single-threaded reference ParallelAdaptiveJoin must match.
 ///
 /// \code
 ///   AdaptiveJoinOptions options;
@@ -58,13 +54,13 @@ class AdaptiveJoin : public join::SymmetricJoin {
   /// \name Run introspection (valid during and after execution).
   /// @{
   /// Current processor state.
-  ProcessorState state() const { return state_; }
+  ProcessorState state() const { return controller_.state(); }
   /// Step and transition counts priced by the configured weights.
-  const CostAccountant& cost() const { return cost_; }
+  const CostAccountant& cost() const { return controller_.cost(); }
   /// The MAR monitor (windows, step count).
-  const Monitor& monitor() const { return monitor_; }
+  const Monitor& monitor() const { return controller_.monitor(); }
   /// Assessment/transition timeline.
-  const AdaptationTrace& trace() const { return trace_; }
+  const AdaptationTrace& trace() const { return controller_.trace(); }
   /// Measured wall time spent in steps of `s`, in nanoseconds.
   int64_t state_time_ns(ProcessorState s) const {
     return state_time_ns_[StateIndex(s)];
@@ -72,42 +68,27 @@ class AdaptiveJoin : public join::SymmetricJoin {
   /// Measured wall time of catch-up work for transitions *into* `s`,
   /// in nanoseconds (the raw material for the §4.3 v_i weights).
   int64_t transition_time_ns(ProcessorState s) const {
-    return transition_time_ns_[StateIndex(s)];
+    return controller_.transition_time_ns(s);
   }
   const AdaptiveJoinOptions& adaptive_options() const { return options_; }
   /// @}
 
  protected:
+  /// Runs the controller's control point on this core.
   Status OnQuiescentPoint() override;
-  /// Feeds the monitor and the cost accountant with a whole step
-  /// batch's aggregated observables.
+  /// Feeds the controller with a whole step batch's observables.
   void OnBatchCompleted(const join::StepBatchStats& batch) override;
-  /// Clamps step batches so control-loop activations land at the same
-  /// step counts as under tuple-at-a-time execution: the next δ_adapt
-  /// boundary (adaptive), the next scripted at_step (scripted), or
-  /// never (pinned).
+  /// Clamps step batches so control points land at the same step
+  /// counts as under tuple-at-a-time execution.
   uint64_t StepsUntilControlPoint() const override;
 
  private:
-  /// Runs one control-loop activation (assess + respond).
-  void RunControlLoop();
-
-  /// Enters `next`, catching up the needed hash structures; records
-  /// costs and the trace entry.
-  void ApplyTransition(ProcessorState next, const Assessment& assessment,
-                       int phi);
+  /// The core's join progress, as the completeness model reads it.
+  stats::JoinProgress Progress() const;
 
   AdaptiveJoinOptions options_;
-  Monitor monitor_;
-  Assessor assessor_;
-  Responder responder_;
-  CostAccountant cost_;
-  AdaptationTrace trace_;
-  ProcessorState state_;
-  uint64_t last_assessment_step_ = 0;
-  size_t script_position_ = 0;
+  Controller controller_;
   std::array<int64_t, kNumProcessorStates> state_time_ns_{0, 0, 0, 0};
-  std::array<int64_t, kNumProcessorStates> transition_time_ns_{0, 0, 0, 0};
 };
 
 }  // namespace adaptive

@@ -43,31 +43,9 @@ Status AdaptiveOptions::Validate() const {
 }
 
 Monitor::Monitor(const AdaptiveOptions& options)
-    : options_(options),
-      approx_window_{stats::SlidingWindowCounter(options.window),
+    : approx_window_{stats::SlidingWindowCounter(options.window),
                      stats::SlidingWindowCounter(options.window)},
       approx_active_(options.window) {}
-
-void Monitor::AdvanceOneStep(const uint32_t attributed[2],
-                             bool approx_active) {
-  approx_window_[0].Advance(attributed[0]);
-  approx_window_[1].Advance(attributed[1]);
-  approx_active_.Advance(approx_active ? 1u : 0u);
-  ++steps_;
-}
-
-void Monitor::OnStep(exec::Side read_side,
-                     const std::vector<join::JoinMatch>& matches,
-                     const join::HybridJoinCore& core, ProcessorState state) {
-  // §3.3 attribution lives in the core (it owns the matched-exactly
-  // flags); see HybridJoinCore::AttributeApproxMatches.
-  uint32_t attributed[2] = {0, 0};
-  core.AttributeApproxMatches(read_side, matches, attributed);
-  const bool approx_active =
-      LeftMode(state) == join::ProbeMode::kApproximate ||
-      RightMode(state) == join::ProbeMode::kApproximate;
-  AdvanceOneStep(attributed, approx_active);
-}
 
 void Monitor::OnBatch(const std::vector<join::StepObservables>& steps,
                       ProcessorState state) {
@@ -77,20 +55,11 @@ void Monitor::OnBatch(const std::vector<join::StepObservables>& steps,
       LeftMode(state) == join::ProbeMode::kApproximate ||
       RightMode(state) == join::ProbeMode::kApproximate;
   for (const join::StepObservables& step : steps) {
-    AdvanceOneStep(step.approx_attributed, approx_active);
+    approx_window_[0].Advance(step.approx_attributed[0]);
+    approx_window_[1].Advance(step.approx_attributed[1]);
+    approx_active_.Advance(approx_active ? 1u : 0u);
+    ++steps_;
   }
-}
-
-stats::JoinProgress Monitor::Progress(const join::HybridJoinCore& core,
-                                      bool parent_exhausted) const {
-  stats::JoinProgress progress;
-  progress.parents_scanned = core.store(parent_side()).size();
-  progress.children_scanned = core.store(child_side()).size();
-  progress.children_matched = options_.use_pairs_statistic
-                                  ? core.pairs_emitted()
-                                  : core.distinct_matched(child_side());
-  progress.parent_exhausted = parent_exhausted;
-  return progress;
 }
 
 Assessor::Assessor(const AdaptiveOptions& options)
@@ -99,12 +68,6 @@ Assessor::Assessor(const AdaptiveOptions& options)
     model_ = std::make_shared<stats::ParentChildBinomialModel>(
         options_.parent_table_size);
   }
-}
-
-Assessment Assessor::Assess(const Monitor& monitor,
-                            const join::HybridJoinCore& core,
-                            bool parent_exhausted) {
-  return Assess(monitor, monitor.Progress(core, parent_exhausted));
 }
 
 Assessment Assessor::Assess(const Monitor& monitor,

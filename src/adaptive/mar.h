@@ -7,7 +7,6 @@
 
 #include "adaptive/state.h"
 #include "common/status.h"
-#include "join/hybrid_core.h"
 #include "join/join_types.h"
 #include "stats/completeness_model.h"
 #include "stats/sliding_window.h"
@@ -109,16 +108,9 @@ class Monitor {
  public:
   explicit Monitor(const AdaptiveOptions& options);
 
-  /// Ingests one completed step (tuple-at-a-time callers and tests);
-  /// attribution is computed against the core's current flags.
-  void OnStep(exec::Side read_side,
-              const std::vector<join::JoinMatch>& matches,
-              const join::HybridJoinCore& core, ProcessorState state);
-
   /// Ingests a whole step batch whose per-step observables were
-  /// captured at step time by the batched engine. Equivalent to one
-  /// OnStep per entry — the windows advance step-wise, so µ semantics
-  /// do not change with batching.
+  /// captured at step time (join::AttributeApproxMatch). The windows
+  /// advance step-wise, so µ semantics do not change with batching.
   void OnBatch(const std::vector<join::StepObservables>& steps,
                ProcessorState state);
 
@@ -133,20 +125,7 @@ class Monitor {
   /// Steps in the window during which an approximate operator ran.
   uint64_t WindowApproxActiveSteps() const { return approx_active_.Sum(); }
 
-  /// Join progress snapshot for the completeness model.
-  stats::JoinProgress Progress(const join::HybridJoinCore& core,
-                               bool parent_exhausted) const;
-
-  exec::Side parent_side() const { return options_.parent_side; }
-  exec::Side child_side() const {
-    return exec::OtherSide(options_.parent_side);
-  }
-
  private:
-  /// Advances all windows by one step with the given attribution.
-  void AdvanceOneStep(const uint32_t attributed[2], bool approx_active);
-
-  AdaptiveOptions options_;
   stats::SlidingWindowCounter approx_window_[2];
   stats::SlidingWindowCounter approx_active_;
   uint64_t steps_ = 0;
@@ -204,15 +183,8 @@ class Assessor {
   /// Builds the completeness model from the options if none is given.
   explicit Assessor(const AdaptiveOptions& options);
 
-  /// Computes predicates at the current progress point and updates the
-  /// past-perturbation history.
-  Assessment Assess(const Monitor& monitor,
-                    const join::HybridJoinCore& core, bool parent_exhausted);
-
-  /// Same, with the join progress supplied directly instead of read
-  /// off a single engine core — the entry point of the parallel
-  /// coordinator, which aggregates progress across shard cores before
-  /// assessing once globally.
+  /// Computes predicates at `progress` (each engine aggregates its own
+  /// join progress) and updates the past-perturbation history.
   Assessment Assess(const Monitor& monitor,
                     const stats::JoinProgress& progress);
 
@@ -220,7 +192,6 @@ class Assessor {
   /// extension): subsequent σ tests treat them as matched, so only a
   /// shortfall growing *beyond* the concession is significant again.
   void ConcedeDeficit(uint64_t deficit) { conceded_deficit_ = deficit; }
-  uint64_t conceded_deficit() const { return conceded_deficit_; }
 
   const stats::CompletenessModel& model() const { return *model_; }
 
@@ -255,9 +226,6 @@ class Responder {
   /// Stateless ϕ evaluation plus, when enabled, the stateful futility
   /// counter (reset by any transition or by fresh window evidence).
   Decision Decide(ProcessorState current, const Assessment& a);
-
-  /// Consecutive stuck assessments seen so far (for tests).
-  uint32_t futility_streak() const { return futility_streak_; }
 
  private:
   AdaptiveOptions options_;

@@ -4,7 +4,7 @@
 #include <array>
 #include <cstddef>
 
-#include "join/hybrid_core.h"
+#include "join/join_types.h"
 
 namespace aqp {
 namespace adaptive {

@@ -49,7 +49,10 @@ class Operator {
   virtual ~Operator() = default;
 
   /// Prepares the operator; must be called exactly once before
-  /// NextColumnBatch().
+  /// NextColumnBatch(). Join operators are single-use: an Open() after
+  /// a successful Open() returns FailedPrecondition, even after
+  /// Close() — build a fresh operator to run a join again. An Open()
+  /// that failed may be retried.
   virtual Status Open() = 0;
 
   /// Refills `out` (cleared and schema-stamped first) with up to

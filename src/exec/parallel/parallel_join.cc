@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <thread>
 #include <utility>
 
@@ -14,9 +13,6 @@ namespace aqp {
 namespace exec {
 namespace parallel {
 
-using adaptive::AdaptivePolicy;
-using adaptive::Assessment;
-using adaptive::Decision;
 using adaptive::LeftMode;
 using adaptive::ProcessorState;
 using adaptive::RightMode;
@@ -67,15 +63,11 @@ ParallelAdaptiveJoin::ParallelAdaptiveJoin(exec::Operator* left,
     : left_(left),
       right_(right),
       options_(std::move(options)),
-      cost_(options_.base.weights),
-      state_(options_.base.adaptive.initial_state) {
+      controller_(options_.base.adaptive, options_.base.weights) {
   options_.num_shards = ResolveShardCount(options_.num_shards);
   if (options_.unbounded_epoch_steps == 0) {
     options_.unbounded_epoch_steps = 4096;
   }
-  monitor_ = std::make_unique<adaptive::Monitor>(options_.base.adaptive);
-  assessor_ = std::make_unique<adaptive::Assessor>(options_.base.adaptive);
-  responder_ = std::make_unique<adaptive::Responder>(options_.base.adaptive);
 }
 
 ParallelAdaptiveJoin::~ParallelAdaptiveJoin() {
@@ -87,7 +79,10 @@ ParallelAdaptiveJoin::~ParallelAdaptiveJoin() {
 }
 
 Status ParallelAdaptiveJoin::Open() {
-  if (open_) return Status::FailedPrecondition(name() + " already open");
+  if (opened_) {
+    return Status::FailedPrecondition(name() +
+                                      " is single-use: already opened");
+  }
   AQP_RETURN_IF_ERROR(options_.base.adaptive.Validate());
   const join::SymmetricJoinOptions& join_options = options_.base.join;
   AQP_RETURN_IF_ERROR(join_options.spec.ValidateAgainstSchemas(
@@ -105,12 +100,10 @@ Status ParallelAdaptiveJoin::Open() {
   left_width_ = left_->output_schema().num_fields();
 
   const size_t n = options_.num_shards;
-  shards_.clear();
-  shard_ptrs_.clear();
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<JoinShard>(
         static_cast<uint32_t>(i), join_options.spec, join_options.approx,
-        state_));
+        controller_.state()));
     shards_.back()->BindSchemas(&left_->output_schema(),
                                 &right_->output_schema());
     // Per-shard share of the size hints (slack for hash skew).
@@ -143,34 +136,6 @@ Status ParallelAdaptiveJoin::Open() {
 
   merge_cursor_.assign(n, 0);
   cross_cursor_.assign(n, 0);
-  for (size_t s = 0; s < 2; ++s) {
-    matched_exactly_[s].clear();
-    matched_any_[s].clear();
-    matched_any_count_[s] = 0;
-  }
-  pairs_emitted_ = 0;
-  exact_pairs_ = 0;
-  approximate_pairs_ = 0;
-  out_buffer_.clear();
-  out_pos_ = 0;
-  stream_done_ = false;
-  exact_only_ = false;
-  finalize_requested_ = false;
-  finalized_early_ = false;
-  epoch_ = 0;
-  fault_.reset();
-  pump_error_ = Status::OK();
-  last_assessment_step_ = 0;
-  script_position_ = 0;
-  route_.clear();
-  staged_route_.clear();
-  staged_budget_ = 0;
-  ingest_status_ = Status::OK();
-  ingest_handle_ = TaskGroupHandle();
-  ingest_inflight_ = false;
-  ingest_stats_ = IngestStats();
-  shard_nodes_.clear();
-  coord_node_.reset();
   if (options_.memory_budget != nullptr) {
     for (size_t i = 0; i < n; ++i) {
       shard_nodes_.push_back(std::make_unique<mem::BudgetNode>(
@@ -179,11 +144,9 @@ Status ParallelAdaptiveJoin::Open() {
     coord_node_ = std::make_unique<mem::BudgetNode>("coordinator",
                                                     options_.memory_budget);
   }
-  memory_bytes_ = 0;
-  peak_memory_bytes_ = 0;
-  ingest_side_bytes_.store(0, std::memory_order_relaxed);
   left_guard.Dismiss();
   right_guard.Dismiss();
+  opened_ = true;
   open_ = true;
   return Status::OK();
 }
@@ -202,53 +165,12 @@ Status ParallelAdaptiveJoin::Close() {
   return Status::OK();
 }
 
-uint64_t ParallelAdaptiveJoin::StepsToNextControlPoint() const {
-  const adaptive::AdaptiveOptions& adaptive = options_.base.adaptive;
-  const uint64_t steps = exchange_->steps();
-  switch (adaptive.policy) {
-    case AdaptivePolicy::kPinned:
-      return options_.unbounded_epoch_steps;
-    case AdaptivePolicy::kScripted: {
-      if (script_position_ >= adaptive.script.size()) {
-        return options_.unbounded_epoch_steps;
-      }
-      const uint64_t at = adaptive.script[script_position_].at_step;
-      return at > steps ? at - steps : 1;
-    }
-    case AdaptivePolicy::kAdaptive: {
-      const uint64_t boundary = last_assessment_step_ + adaptive.delta_adapt;
-      return boundary > steps ? boundary - steps : 1;
-    }
+uint64_t ParallelAdaptiveJoin::EpochBudget(
+    uint64_t steps_to_control_point) const {
+  if (steps_to_control_point == adaptive::Controller::kNoControlPoint) {
+    return options_.unbounded_epoch_steps;
   }
-  return options_.unbounded_epoch_steps;
-}
-
-Status ParallelAdaptiveJoin::ControlPoint() {
-  const adaptive::AdaptiveOptions& adaptive = options_.base.adaptive;
-  const uint64_t steps = exchange_->steps();
-  switch (adaptive.policy) {
-    case AdaptivePolicy::kPinned:
-      return Status::OK();
-    case AdaptivePolicy::kScripted: {
-      while (script_position_ < adaptive.script.size() &&
-             adaptive.script[script_position_].at_step <= steps) {
-        const ProcessorState next = adaptive.script[script_position_].state;
-        ++script_position_;
-        if (next != state_) {
-          Assessment empty;
-          empty.step = steps;
-          AQP_RETURN_IF_ERROR(ApplyTransition(next, empty, -1));
-        }
-      }
-      return Status::OK();
-    }
-    case AdaptivePolicy::kAdaptive:
-      if (steps > 0 && steps - last_assessment_step_ >= adaptive.delta_adapt) {
-        return RunControlLoop();
-      }
-      return Status::OK();
-  }
-  return Status::OK();
+  return std::max<uint64_t>(1, steps_to_control_point);
 }
 
 stats::JoinProgress ParallelAdaptiveJoin::Progress() const {
@@ -271,7 +193,7 @@ CompletenessStats ParallelAdaptiveJoin::Completeness() const {
   CompletenessStats out;
   if (exchange_ == nullptr) return out;
   const stats::JoinProgress progress = Progress();
-  out.expected_matches = assessor_->model().ExpectedMatches(progress);
+  out.expected_matches = controller_.model().ExpectedMatches(progress);
   out.observed_matches = progress.children_matched;
   out.ratio = out.expected_matches > 0.0
                   ? std::min(1.0, static_cast<double>(out.observed_matches) /
@@ -287,46 +209,8 @@ CompletenessStats ParallelAdaptiveJoin::Completeness() const {
   return out;
 }
 
-Status ParallelAdaptiveJoin::RunControlLoop() {
-  last_assessment_step_ = exchange_->steps();
-  const stats::JoinProgress progress = Progress();
-  const Assessment assessment = assessor_->Assess(*monitor_, progress);
-  Decision decision = responder_->Decide(state_, assessment);
-  if (exact_only_ && decision.next != ProcessorState::kLexRex) {
-    // Past the soft deadline the responder may not choose approximate
-    // states; the PumpEpoch clamp already forced lex/rex, so this can
-    // only turn a would-be switch into a stay.
-    decision.next = ProcessorState::kLexRex;
-    decision.phi = Decision::kDeadlineClamp;
-  }
-  if (decision.phi == Decision::kFutilityRevert) {
-    const double deficit =
-        assessment.expected_matches -
-        static_cast<double>(assessment.observed_matches);
-    assessor_->ConcedeDeficit(
-        static_cast<uint64_t>(std::max(0.0, std::ceil(deficit))));
-  }
-  if (decision.next != state_) {
-    return ApplyTransition(decision.next, assessment, decision.phi);
-  } else if (options_.base.record_trace) {
-    adaptive::AssessmentRecord record;
-    record.assessment = assessment;
-    record.state_before = state_;
-    record.state_after = state_;
-    record.phi = decision.phi;
-    trace_.Record(std::move(record));
-  }
-  return Status::OK();
-}
-
-Status ParallelAdaptiveJoin::ApplyTransition(ProcessorState next,
-                                             const Assessment& assessment,
-                                             int phi) {
-  adaptive::AssessmentRecord record;
-  record.assessment = assessment;
-  record.state_before = state_;
-  record.state_after = next;
-  record.phi = phi;
+Result<std::pair<uint64_t, uint64_t>> ParallelAdaptiveJoin::ApplyTransition(
+    ProcessorState next) {
   // Broadcast: every shard enters the new state at the epoch barrier,
   // catching up its own lagging structures in parallel. The summed
   // per-shard catch-up counts equal the single-threaded engine's,
@@ -348,16 +232,12 @@ Status ParallelAdaptiveJoin::ApplyTransition(ProcessorState next,
     return Status::Internal("state-transition broadcast failed: " +
                             broadcast.ToString());
   }
+  std::pair<uint64_t, uint64_t> total{0, 0};
   for (const auto& [left, right] : catchups) {
-    record.catchup_left += left;
-    record.catchup_right += right;
+    total.first += left;
+    total.second += right;
   }
-  state_ = next;
-  cost_.AddTransition(next);
-  if (options_.base.record_trace) {
-    trace_.Record(std::move(record));
-  }
-  return Status::OK();
+  return total;
 }
 
 Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
@@ -382,13 +262,13 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
     EpochView view;
     view.steps = exchange_->steps();
     view.pairs_emitted = pairs_emitted_;
-    view.state = state_;
+    view.state = controller_.state();
     view.memory_bytes = memory_bytes_;
     switch (options_.governor(view)) {
       case EpochDirective::kProceed:
         break;
       case EpochDirective::kForceExactOnly:
-        exact_only_ = true;
+        controller_.ForceExactOnly();
         break;
       case EpochDirective::kFinalize:
         finalize_requested_ = true;
@@ -415,7 +295,10 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
     UpdateMemoryAccounting();
     return Status::OK();
   }
-  Status control = ControlPoint();
+  // The MAR control point, soft-deadline clamp included.
+  Status control = controller_.ControlPoint(
+      exchange_->steps(), Progress(),
+      [this](ProcessorState next) { return ApplyTransition(next); });
   if (!control.ok()) {
     // A failed catch-up broadcast leaves shard probe states mixed —
     // never degradable (see ApplyTransition).
@@ -423,20 +306,6 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
     pump_error_ =
         control.WithContext("epoch=" + std::to_string(epoch_));
     return pump_error_;
-  }
-  if (exact_only_ && state_ != ProcessorState::kLexRex) {
-    // Soft-deadline clamp: enter the cheapest exact state before any
-    // step of this epoch runs (RunControlLoop keeps it pinned there).
-    Assessment forced;
-    forced.step = exchange_->steps();
-    Status clamped = ApplyTransition(ProcessorState::kLexRex, forced,
-                                     Decision::kDeadlineClamp);
-    if (!clamped.ok()) {
-      AbandonStagedIngest();
-      pump_error_ =
-          clamped.WithContext("epoch=" + std::to_string(epoch_));
-      return pump_error_;
-    }
   }
   uint64_t routed = 0;
   if (ingest_inflight_) {
@@ -450,7 +319,8 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
     if (!ingest.ok()) {
       return HandleEpochFault(std::move(ingest), /*shard=*/-1, stream_ended);
     }
-    const uint64_t budget = std::max<uint64_t>(1, StepsToNextControlPoint());
+    const uint64_t budget =
+        EpochBudget(controller_.StepsUntilControlPoint(exchange_->steps()));
     if (staged_budget_ != budget) {
       // The budget prediction is exact by construction; a mismatch
       // means the staged epoch is not the epoch the control loop just
@@ -471,7 +341,8 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
     // Nothing in flight (the first epoch, or the empty probe after the
     // inputs ran dry): route on the coordinator, through the same
     // staged tier.
-    const uint64_t budget = std::max<uint64_t>(1, StepsToNextControlPoint());
+    const uint64_t budget =
+        EpochBudget(controller_.StepsUntilControlPoint(exchange_->steps()));
     route_.clear();
     const auto route_start = std::chrono::steady_clock::now();
     auto coordinator_routed =
@@ -521,9 +392,9 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
   // Phase B: cross-shard approximate probes (only when some input
   // probes approximately; exact matches are intra-shard by radix
   // construction).
-  const bool any_approx =
-      LeftMode(state_) == join::ProbeMode::kApproximate ||
-      RightMode(state_) == join::ProbeMode::kApproximate;
+  const ProcessorState state = controller_.state();
+  const bool any_approx = LeftMode(state) == join::ProbeMode::kApproximate ||
+                          RightMode(state) == join::ProbeMode::kApproximate;
   if (any_approx && shards_.size() > 1) {
     tasks.clear();
     for (JoinShard* shard : shard_ptrs_) {
@@ -612,43 +483,6 @@ Status ParallelAdaptiveJoin::HandleEpochFault(Status error, int32_t shard,
   return pump_error_;
 }
 
-uint64_t ParallelAdaptiveJoin::PredictNextEpochBudget() const {
-  // Evaluated right after epoch e committed (published steps == steps
-  // through e). The next pump runs ControlPoint() on exactly these
-  // counters before computing its budget; simulate the control-point
-  // update on local copies so the staged epoch's length matches what
-  // that pump will demand. Nothing between here and there moves
-  // script_position_ / last_assessment_step_ — both change only at
-  // control points.
-  const adaptive::AdaptiveOptions& adaptive = options_.base.adaptive;
-  const uint64_t steps = exchange_->steps();
-  switch (adaptive.policy) {
-    case AdaptivePolicy::kPinned:
-      return options_.unbounded_epoch_steps;
-    case AdaptivePolicy::kScripted: {
-      size_t position = script_position_;
-      while (position < adaptive.script.size() &&
-             adaptive.script[position].at_step <= steps) {
-        ++position;
-      }
-      if (position >= adaptive.script.size()) {
-        return options_.unbounded_epoch_steps;
-      }
-      const uint64_t at = adaptive.script[position].at_step;
-      return std::max<uint64_t>(1, at > steps ? at - steps : 1);
-    }
-    case AdaptivePolicy::kAdaptive: {
-      uint64_t last = last_assessment_step_;
-      if (steps > 0 && steps - last >= adaptive.delta_adapt) {
-        last = steps;
-      }
-      const uint64_t boundary = last + adaptive.delta_adapt;
-      return std::max<uint64_t>(1, boundary > steps ? boundary - steps : 1);
-    }
-  }
-  return options_.unbounded_epoch_steps;
-}
-
 void ParallelAdaptiveJoin::MaybeSubmitIngest() {
   if (ingest_inflight_) return;
   if (finalize_requested_ || stream_done_) return;
@@ -660,7 +494,11 @@ void ParallelAdaptiveJoin::MaybeSubmitIngest() {
     return;
   }
   staged_route_.clear();
-  staged_budget_ = PredictNextEpochBudget();
+  // The next pump's budget, one epoch early: what the controller will
+  // schedule once the control point at the committed step count has
+  // run. The swap point re-derives it and Internal-errors on mismatch.
+  staged_budget_ =
+      EpochBudget(controller_.StepsAfterControlPoint(exchange_->steps()));
   ingest_status_ = Status::OK();
   std::vector<std::function<void()>> tasks;
   tasks.push_back([this] {
@@ -914,20 +752,16 @@ Status ParallelAdaptiveJoin::MergeEpoch() {
     join::StepObservables obs;
     for (const MergedMatch& merged : merge_scratch_) {
       if (merged.ref.kind != join::MatchKind::kApproximate) continue;
-      if (matched_exactly_[stored_idx][merged.stored_ordinal]) {
-        ++obs.approx_attributed[read_idx];
-      } else if (matched_exactly_[read_idx][merged.probe_ordinal]) {
-        ++obs.approx_attributed[stored_idx];
-      } else {
-        ++obs.approx_attributed[read_idx];
-        ++obs.approx_attributed[stored_idx];
-      }
+      join::AttributeApproxMatch(
+          read_side,
+          [&] { return matched_exactly_[stored_idx][merged.stored_ordinal]; },
+          [&] { return matched_exactly_[read_idx][merged.probe_ordinal]; },
+          &obs);
     }
     epoch_observables_.push_back(obs);
   }
 
-  cost_.AddSteps(state_, route_.size());
-  monitor_->OnBatch(epoch_observables_, state_);
+  controller_.OnSteps(epoch_observables_);
   return Status::OK();
 }
 

@@ -11,10 +11,7 @@
 #include <atomic>
 
 #include "adaptive/adaptive_join.h"
-#include "adaptive/cost_model.h"
-#include "adaptive/mar.h"
-#include "adaptive/state.h"
-#include "adaptive/trace.h"
+#include "adaptive/controller.h"
 #include "common/memory_budget.h"
 #include "exec/operator.h"
 #include "exec/parallel/exchange.h"
@@ -187,8 +184,8 @@ struct ParallelMatchRef {
   join::MatchKind kind = join::MatchKind::kExact;
 };
 
-/// \brief Partition-parallel symmetric join with a globally
-/// coordinated MAR loop.
+/// \brief Partition-parallel symmetric join driven by one global
+/// adaptive::Controller.
 ///
 /// A radix exchange replays the single-threaded input schedule and
 /// routes each tuple by join-key hash to one of N shards, each owning
@@ -203,11 +200,11 @@ struct ParallelMatchRef {
 ///   stream)  →  next control point
 ///
 /// Adaptation stays *global*: the coordinator merges every shard's
-/// per-step matches back into global step order, replays the §3.3
-/// attribution against coordinator-owned matched-exactly flags, feeds
-/// one global Monitor, and runs Assess/Respond once per epoch. A
-/// chosen transition is broadcast to all shards, each catching up its
-/// own lagging structures, before any shard executes a step of the
+/// per-step matches back into global step order, applies the §3.3
+/// attribution to coordinator-owned matched-exactly flags, and runs
+/// the same Controller as AdaptiveJoin on global progress. Its
+/// catch-up broadcasts a transition to all shards, each catching up
+/// its own lagging structures, before any shard executes a step of the
 /// next epoch — the paper's safe-state-transfer guarantee, since every
 /// shard is quiescent at the barrier.
 ///
@@ -268,7 +265,7 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// @{
   /// Forces the processor into lex/rex at the next epoch boundary and
   /// pins it there (soft-deadline semantics; sticky).
-  void ForceExactOnly() { exact_only_ = true; }
+  void ForceExactOnly() { controller_.ForceExactOnly(); }
   /// Stops consuming input at the next epoch boundary: buffered output
   /// is still delivered, then the stream ends (hard-deadline
   /// semantics; sticky).
@@ -298,10 +295,12 @@ class ParallelAdaptiveJoin : public exec::Operator,
 
   /// \name Run introspection (valid during and after execution).
   /// @{
-  adaptive::ProcessorState state() const { return state_; }
-  const adaptive::CostAccountant& cost() const { return cost_; }
-  const adaptive::Monitor& monitor() const { return *monitor_; }
-  const adaptive::AdaptationTrace& trace() const { return trace_; }
+  adaptive::ProcessorState state() const { return controller_.state(); }
+  const adaptive::CostAccountant& cost() const { return controller_.cost(); }
+  const adaptive::Monitor& monitor() const { return controller_.monitor(); }
+  const adaptive::AdaptationTrace& trace() const {
+    return controller_.trace();
+  }
   uint64_t steps() const { return exchange_ ? exchange_->steps() : 0; }
   uint64_t pairs_emitted() const { return pairs_emitted_; }
   uint64_t exact_pairs() const { return exact_pairs_; }
@@ -358,11 +357,6 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// returns its outcome: the task-group error if it threw, else the
   /// StageEpoch status.
   Status WaitIngest();
-  /// What the next pump's StepsToNextControlPoint() will return —
-  /// evaluated one epoch early by simulating the control-point updates
-  /// on (published) committed counters. Exact, not a heuristic: the
-  /// swap point re-derives the truth and Internal-errors on mismatch.
-  uint64_t PredictNextEpochBudget() const;
   /// Drains any in-flight ingest task and discards the staged tier
   /// (terminal paths: finalize, cancel, faults, Close, destruction).
   /// A staging error is swallowed — that epoch was never due, so it
@@ -402,18 +396,13 @@ class ParallelAdaptiveJoin : public exec::Operator,
   void UpdateMemoryAccounting();
   /// @}
 
-  /// Mirrors AdaptiveJoin::OnQuiescentPoint. An error (failed
-  /// catch-up broadcast) leaves shard states inconsistent and is never
-  /// degradable.
-  Status ControlPoint();
-  /// Mirrors AdaptiveJoin::RunControlLoop on the global aggregates.
-  Status RunControlLoop();
-  /// Steps until the next control point bounds the epoch.
-  uint64_t StepsToNextControlPoint() const;
-  /// Broadcasts `next` to all shards (parallel per-shard catch-up) and
-  /// records costs and the trace entry.
-  Status ApplyTransition(adaptive::ProcessorState next,
-                         const adaptive::Assessment& assessment, int phi);
+  /// Epoch length for a controller schedule value (steps to the next
+  /// control point, or unbounded_epoch_steps when none is scheduled).
+  uint64_t EpochBudget(uint64_t steps_to_control_point) const;
+  /// The controller's catch-up: broadcasts `next` to all shards. A
+  /// failed broadcast leaves shard states mixed; never degradable.
+  Result<std::pair<uint64_t, uint64_t>> ApplyTransition(
+      adaptive::ProcessorState next);
   /// Abandons the current epoch: drops the staged tier and rolls the
   /// exchange counters back past the committed route in `route_`
   /// (empty when the fault hit before a commit — a routing or staging
@@ -428,7 +417,7 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// only on broken phase invariants (misordered shard outputs).
   Status MergeEpoch();
   /// Aggregates the global JoinProgress snapshot the completeness
-  /// model consumes (shared by RunControlLoop and Completeness).
+  /// model consumes (shared by the control point and Completeness).
   stats::JoinProgress Progress() const;
   /// Runs one task batch on the pool (coordinator participates); a
   /// throwing task is contained and returned as the group's first
@@ -454,15 +443,8 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// else pool_.get().
   ThreadPool* active_pool_ = nullptr;
 
-  /// Global MAR state (the coordinator is the only writer).
-  std::unique_ptr<adaptive::Monitor> monitor_;
-  std::unique_ptr<adaptive::Assessor> assessor_;
-  std::unique_ptr<adaptive::Responder> responder_;
-  adaptive::CostAccountant cost_;
-  adaptive::AdaptationTrace trace_;
-  adaptive::ProcessorState state_;
-  uint64_t last_assessment_step_ = 0;
-  size_t script_position_ = 0;
+  /// The global MAR loop (the coordinator is the only caller).
+  adaptive::Controller controller_;
 
   /// Coordinator-owned global matched flags, indexed by per-side
   /// ordinal: shard-core flags only see intra-shard matches, so the
@@ -513,9 +495,10 @@ class ParallelAdaptiveJoin : public exec::Operator,
   uint64_t buffer_generation_ = 0;
 
   bool open_ = false;
+  /// Set by the first successful Open(): the operator is single-use.
+  bool opened_ = false;
   bool stream_done_ = false;
-  /// Deadline state (see ForceExactOnly / FinalizeEarly).
-  bool exact_only_ = false;
+  /// Hard-deadline state (see FinalizeEarly).
   bool finalize_requested_ = false;
   bool finalized_early_ = false;
   /// Epochs merged to completion (FaultReport::epoch).

@@ -19,8 +19,7 @@ JoinShard::JoinShard(uint32_t index, const join::JoinSpec& spec,
       approx_options_(approx_options),
       core_(spec, approx_options) {
   // Empty stores: entering the initial state catches up nothing.
-  core_.SetProbeMode(exec::Side::kLeft, LeftMode(initial_state));
-  core_.SetProbeMode(exec::Side::kRight, RightMode(initial_state));
+  ApplyState(initial_state);
 }
 
 void JoinShard::BindSchemas(const storage::Schema* left,
@@ -167,11 +166,7 @@ uint64_t JoinShard::StagedMemoryUsage() const {
 
 std::pair<uint64_t, uint64_t> JoinShard::ApplyState(
     adaptive::ProcessorState state) {
-  const uint64_t left =
-      core_.SetProbeMode(exec::Side::kLeft, LeftMode(state));
-  const uint64_t right =
-      core_.SetProbeMode(exec::Side::kRight, RightMode(state));
-  return {left, right};
+  return core_.SetProbeModes(LeftMode(state), RightMode(state));
 }
 
 }  // namespace parallel

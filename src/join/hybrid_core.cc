@@ -5,10 +5,6 @@
 namespace aqp {
 namespace join {
 
-const char* ProbeModeName(ProbeMode mode) {
-  return mode == ProbeMode::kExact ? "exact" : "approximate";
-}
-
 HybridJoinCore::HybridJoinCore(const JoinSpec& spec,
                                ApproxProbeOptions approx_options)
     : spec_(spec),
@@ -99,23 +95,18 @@ size_t HybridJoinCore::ProcessAddedTuple(Side side, storage::TupleId id,
   return appended;
 }
 
-void HybridJoinCore::AttributeApproxMatches(
-    Side read_side, const std::vector<JoinMatch>& matches,
-    uint32_t out[2]) const {
-  out[0] = 0;
-  out[1] = 0;
-  const Side stored_side = exec::OtherSide(read_side);
+StepObservables HybridJoinCore::AttributeApproxMatches(
+    Side read_side, const std::vector<JoinMatch>& matches) const {
+  StepObservables obs;
+  const storage::TupleStore& stored = stores_[Idx(OtherSide(read_side))];
+  const storage::TupleStore& read = stores_[Idx(read_side)];
   for (const JoinMatch& m : matches) {
     if (m.kind != MatchKind::kApproximate) continue;
-    if (stores_[Idx(stored_side)].MatchedExactly(m.stored_id)) {
-      ++out[Idx(read_side)];
-    } else if (stores_[Idx(read_side)].MatchedExactly(m.probe_id)) {
-      ++out[Idx(stored_side)];
-    } else {
-      ++out[Idx(read_side)];
-      ++out[Idx(stored_side)];
-    }
+    AttributeApproxMatch(
+        read_side, [&] { return stored.MatchedExactly(m.stored_id); },
+        [&] { return read.MatchedExactly(m.probe_id); }, &obs);
   }
+  return obs;
 }
 
 size_t HybridJoinCore::SetProbeMode(Side side, ProbeMode mode) {

@@ -2,6 +2,7 @@
 #define AQP_JOIN_HYBRID_CORE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "join/exact_index.h"
@@ -12,31 +13,6 @@
 
 namespace aqp {
 namespace join {
-
-/// \brief How tuples read from one input are matched against the other.
-///
-/// The state names of the paper's four-state machine (§3.4) are the
-/// per-side probe modes: in `lap/rex`, tuples read from the left probe
-/// the right via the q-gram index (approximate) while tuples read from
-/// the right probe the left via the exact hash table.
-enum class ProbeMode { kExact, kApproximate };
-
-/// "exact" / "approximate".
-const char* ProbeModeName(ProbeMode mode);
-
-/// \brief Per-step observables captured at step time by the batched
-/// execution path.
-///
-/// The matched-exactly flags of both stores evolve as later steps
-/// process, so the §3.3 variant attribution cannot be recomputed after
-/// a whole batch has gone through the core — the engine snapshots it
-/// right after each step and hands the monitor complete batches.
-struct StepObservables {
-  /// Approximate matches attributed to each input (indexed by Side).
-  /// The attribution already folded in which side the step read from,
-  /// so the record carries only what the monitor consumes.
-  uint32_t approx_attributed[2] = {0, 0};
-};
 
 /// \brief The switchable symmetric join engine shared by SHJoin,
 /// SSHJoin, and the adaptive operator.
@@ -92,14 +68,10 @@ class HybridJoinCore {
     return out;
   }
 
-  /// §3.3 variant attribution for one step's matches, evaluated
-  /// against the *current* matched-exactly flags: if the stored tuple
-  /// of an approximate pair has matched exactly before, the reading
-  /// input is blamed; if the probing tuple has, the stored input is;
-  /// with no evidence either way, both are. `out` is indexed by Side.
-  void AttributeApproxMatches(Side read_side,
-                              const std::vector<JoinMatch>& matches,
-                              uint32_t out[2]) const;
+  /// §3.3 variant attribution (AttributeApproxMatch) of one step's
+  /// matches, evaluated against the *current* matched-exactly flags.
+  StepObservables AttributeApproxMatches(
+      Side read_side, const std::vector<JoinMatch>& matches) const;
 
   /// Current probe mode of tuples read from `side`.
   ProbeMode probe_mode(Side side) const { return mode_[Idx(side)]; }
@@ -108,6 +80,14 @@ class HybridJoinCore {
   /// opposite side's newly live index; returns the number of tuples
   /// inserted during catch-up (0 when the mode is unchanged).
   size_t SetProbeMode(Side side, ProbeMode mode);
+
+  /// SetProbeMode on the left, then on the right: enters a processor
+  /// state. Returns the {left, right} catch-up counts (§2.3 switch cost).
+  std::pair<uint64_t, uint64_t> SetProbeModes(ProbeMode left,
+                                              ProbeMode right) {
+    const uint64_t left_caught_up = SetProbeMode(Side::kLeft, left);
+    return {left_caught_up, SetProbeMode(Side::kRight, right)};
+  }
 
   /// Reserves store and q-gram-index capacity for the expected input
   /// cardinalities (0 = unknown); the operator wrappers pass their

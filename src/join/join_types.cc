@@ -44,6 +44,10 @@ const char* MatchKindName(MatchKind kind) {
   return kind == MatchKind::kExact ? "exact" : "approximate";
 }
 
+const char* ProbeModeName(ProbeMode mode) {
+  return mode == ProbeMode::kExact ? "exact" : "approximate";
+}
+
 storage::Schema JoinOutputSchema(const storage::Schema& left,
                                  const storage::Schema& right,
                                  bool with_similarity) {

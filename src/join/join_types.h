@@ -85,6 +85,54 @@ struct JoinMatch {
   }
 };
 
+/// \brief How tuples read from one input are matched against the other.
+///
+/// The state names of the paper's four-state machine (§3.4) are the
+/// per-side probe modes: in `lap/rex`, tuples read from the left probe
+/// the right via the q-gram index (approximate) while tuples read from
+/// the right probe the left via the exact hash table.
+enum class ProbeMode { kExact, kApproximate };
+
+/// "exact" / "approximate".
+const char* ProbeModeName(ProbeMode mode);
+
+/// \brief Per-step observables captured at step time.
+///
+/// The matched-exactly flags of both inputs evolve as later steps
+/// process, so the §3.3 variant attribution cannot be recomputed after
+/// a whole batch of steps has run — each engine snapshots it right
+/// after each step and hands the monitor complete batches.
+struct StepObservables {
+  /// Approximate matches attributed to each input (indexed by Side).
+  /// The attribution already folded in which side the step read from,
+  /// so the record carries only what the monitor consumes.
+  uint32_t approx_attributed[2] = {0, 0};
+};
+
+/// §3.3 variant attribution of one approximate match, judged by the
+/// matched-exactly flags of its two tuples at the end of the step: if
+/// the stored tuple has matched exactly, the reading input is blamed;
+/// else if the probing tuple has, the stored input is; with no
+/// evidence either way, both are. Adds the blame to `obs`. The flags
+/// are read through the two predicates, in that order and only as far
+/// as the rule needs. Every engine attributes through this function.
+template <typename StoredMatchedExactly, typename ProbeMatchedExactly>
+void AttributeApproxMatch(Side read_side,
+                          StoredMatchedExactly stored_matched_exactly,
+                          ProbeMatchedExactly probe_matched_exactly,
+                          StepObservables* obs) {
+  const size_t read = static_cast<size_t>(read_side);
+  const size_t stored = static_cast<size_t>(exec::OtherSide(read_side));
+  if (stored_matched_exactly()) {
+    ++obs->approx_attributed[read];
+  } else if (probe_matched_exactly()) {
+    ++obs->approx_attributed[stored];
+  } else {
+    ++obs->approx_attributed[read];
+    ++obs->approx_attributed[stored];
+  }
+}
+
 /// Output schema of a join: left fields then right fields (right-side
 /// duplicates suffixed "_r"), optionally followed by a "sim" double
 /// column carrying the match similarity.

@@ -21,12 +21,13 @@ SymmetricJoin::SymmetricJoin(exec::Operator* left, exec::Operator* right,
                  options_.right_size_hint),
       output_schema_() {
   if (options_.batch_size == 0) options_.batch_size = 1;
-  core_.SetProbeMode(exec::Side::kLeft, initial_left_mode);
-  core_.SetProbeMode(exec::Side::kRight, initial_right_mode);
+  core_.SetProbeModes(initial_left_mode, initial_right_mode);
 }
 
 Status SymmetricJoin::Open() {
-  if (open_) return Status::FailedPrecondition(name_ + " already open");
+  if (opened_) {
+    return Status::FailedPrecondition(name_ + " is single-use: already opened");
+  }
   AQP_RETURN_IF_ERROR(options_.spec.ValidateAgainstSchemas(
       left_->output_schema(), right_->output_schema()));
   AQP_RETURN_IF_ERROR(left_->Open());
@@ -39,14 +40,11 @@ Status SymmetricJoin::Open() {
   left_width_ = left_->output_schema().num_fields();
   left_guard.Dismiss();
   right_guard.Dismiss();
+  opened_ = true;
   open_ = true;
-  left_done_ = false;
-  right_done_ = false;
   core_.ReserveStores(options_.left_size_hint, options_.right_size_hint);
-  pending_.clear();
   for (size_t i = 0; i < 2; ++i) {
     input_batch_[i].Reset(nullptr, options_.batch_size);
-    input_pos_[i] = 0;
   }
   return Status::OK();
 }
@@ -124,11 +122,10 @@ Result<bool> SymmetricJoin::StepOnce(MatchBatch* out) {
   core_.ProcessRowInto(side, input_batch_[static_cast<size_t>(side)], row,
                        &match_scratch_);
   ++steps_;
-  StepObservables obs;
   // §3.3 attribution snapshots the matched-exactly flags now; by the
   // end of the batch later steps will have mutated them.
-  core_.AttributeApproxMatches(side, match_scratch_, obs.approx_attributed);
-  batch_stats_.steps.push_back(obs);
+  batch_stats_.steps.push_back(
+      core_.AttributeApproxMatches(side, match_scratch_));
   for (const JoinMatch& m : match_scratch_) {
     if (!out->full()) {
       out->Append(m);

@@ -221,6 +221,8 @@ class SymmetricJoin : public exec::Operator, public exec::UnmaterializedCounter 
   bool left_done_ = false;
   bool right_done_ = false;
   bool open_ = false;
+  /// Set by the first successful Open(): the operator is single-use.
+  bool opened_ = false;
 };
 
 }  // namespace join

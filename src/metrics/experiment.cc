@@ -20,7 +20,6 @@ adaptive::AdaptiveJoinOptions MakeJoinOptions(
   jo.adaptive.parent_side = exec::Side::kRight;
   jo.adaptive.parent_table_size = tc.parent.size();
   jo.weights = options.weights;
-  jo.record_trace = options.record_trace;
   return jo;
 }
 

@@ -29,9 +29,6 @@ struct ExperimentOptions {
 
   /// Weights pricing the step/transition counts (paper defaults).
   adaptive::StateWeights weights = adaptive::StateWeights::Paper();
-
-  /// Also run the adaptive policy with trace recording (cheap).
-  bool record_trace = true;
 };
 
 /// \brief Results of running one test case under the adaptive policy

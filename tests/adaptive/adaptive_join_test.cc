@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "datagen/generator.h"
 #include "exec/scan.h"
 #include "join/shjoin.h"
@@ -205,15 +210,95 @@ TEST(AdaptiveJoinTest, TraceRecordsAssessments) {
   }
 }
 
-TEST(AdaptiveJoinTest, DisablingTraceKeepsItEmpty) {
+/// Records the join progress the controller assesses at.
+class RecordingModel : public stats::CompletenessModel {
+ public:
+  double ExpectedMatches(const stats::JoinProgress& progress) const override {
+    last = progress;
+    ++calls;
+    return 0.0;
+  }
+  std::optional<double> ShortfallPValue(
+      const stats::JoinProgress& /*progress*/) const override {
+    return std::nullopt;
+  }
+  std::string name() const override { return "recording"; }
+
+  mutable stats::JoinProgress last;
+  mutable int calls = 0;
+};
+
+storage::Relation Keys(const std::vector<std::string>& keys) {
+  storage::Relation r(
+      storage::Schema({{"key", storage::ValueType::kString}}));
+  for (const std::string& key : keys) {
+    EXPECT_TRUE(r.Append(storage::Tuple{storage::Value(key)}).ok());
+  }
+  return r;
+}
+
+/// Runs a one-column AdaptiveJoin (parent = right) with one control
+/// point at step 3 and returns the progress it assessed.
+stats::JoinProgress ProgressAtStepThree(const storage::Relation& child,
+                                        const storage::Relation& parent,
+                                        bool use_pairs_statistic) {
+  auto model = std::make_shared<RecordingModel>();
+  AdaptiveJoinOptions o;
+  o.adaptive.parent_side = exec::Side::kRight;
+  o.adaptive.parent_table_size = 100;
+  o.adaptive.delta_adapt = 3;
+  o.adaptive.use_pairs_statistic = use_pairs_statistic;
+  o.adaptive.model = model;
+  exec::RelationScan child_scan(&child);
+  exec::RelationScan parent_scan(&parent);
+  AdaptiveJoin join(&child_scan, &parent_scan, o);
+  RunAndCount(&join);
+  EXPECT_EQ(join.steps(), 3u);
+  EXPECT_EQ(model->calls, 1);
+  return model->last;
+}
+
+TEST(AdaptiveJoinTest, ProgressReportsStoreSizesAndMatches) {
+  // Alternating reads: child "K", parent "K" (a pair), child
+  // "UNMATCHED"; the control point at step 3 precedes the parent's
+  // end-of-stream.
+  const storage::Relation child = Keys({"K", "UNMATCHED"});
+  const storage::Relation parent = Keys({"K"});
+  const stats::JoinProgress progress =
+      ProgressAtStepThree(child, parent, /*use_pairs_statistic=*/false);
+  EXPECT_EQ(progress.parents_scanned, 1u);
+  EXPECT_EQ(progress.children_scanned, 2u);
+  EXPECT_EQ(progress.children_matched, 1u);
+  EXPECT_FALSE(progress.parent_exhausted);
+}
+
+TEST(AdaptiveJoinTest, PairsStatisticOption) {
+  const storage::Relation child = Keys({"K"});
+  const storage::Relation parent = Keys({"K", "K"});  // 2 pairs total
+  const stats::JoinProgress progress =
+      ProgressAtStepThree(child, parent, /*use_pairs_statistic=*/true);
+  EXPECT_EQ(progress.children_matched, 2u);
+}
+
+TEST(AdaptiveJoinTest, IsSingleUse) {
+  // A second run would restart on the stale core and controller,
+  // returning every row again plus the pairs the stale stores produce,
+  // so reopening is refused and the first run's state stays intact.
   const TestCase tc = SmallCase(0.2);
-  AdaptiveJoinOptions o = JoinOptions(tc);
-  o.record_trace = false;
   exec::RelationScan child(&tc.child);
   exec::RelationScan parent(&tc.parent);
-  AdaptiveJoin join(&child, &parent, o);
-  RunAndCount(&join);
-  EXPECT_EQ(join.trace().size(), 0u);
+  AdaptiveJoin join(&child, &parent, JoinOptions(tc));
+  const size_t rows = RunAndCount(&join);
+  ASSERT_GT(rows, 0u);
+  const size_t records = join.trace().size();
+  const uint64_t steps = join.monitor().steps();
+
+  auto again = exec::CountAll(&join);
+  ASSERT_FALSE(again.ok());
+  EXPECT_TRUE(again.status().IsFailedPrecondition()) << again.status();
+  EXPECT_EQ(join.trace().size(), records);
+  EXPECT_EQ(join.monitor().steps(), steps);
+  EXPECT_EQ(join.steps(), steps);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "adaptive/mar.h"
+#include "join/hybrid_core.h"
 
 namespace aqp {
 namespace adaptive {
@@ -35,6 +36,24 @@ JoinMatch Approx(Side probe_side) {
   return m;
 }
 
+/// Feeds one step: its matches attributed against the core's current
+/// matched-exactly flags, then handed to the monitor as a batch.
+void OnStep(Monitor* monitor, Side read_side,
+            const std::vector<JoinMatch>& matches,
+            const HybridJoinCore& core, ProcessorState state) {
+  monitor->OnBatch({core.AttributeApproxMatches(read_side, matches)}, state);
+}
+
+/// The core's join progress with the parent on the right (as
+/// AdaptiveJoin computes it for Options()).
+stats::JoinProgress Progress(const HybridJoinCore& core) {
+  stats::JoinProgress progress;
+  progress.parents_scanned = core.store(Side::kRight).size();
+  progress.children_scanned = core.store(Side::kLeft).size();
+  progress.children_matched = core.distinct_matched(Side::kLeft);
+  return progress;
+}
+
 /// Feeds `matched` matching child/parent pairs and `unmatched` orphan
 /// children through a core, returning it for assessment.
 void FeedPairs(HybridJoinCore* core, int matched, int unmatched) {
@@ -56,9 +75,9 @@ TEST(AssessorTest, HealthyRunNoSigma) {
   HybridJoinCore core((JoinSpec()));
   FeedPairs(&core, 30, 0);
   for (uint64_t i = 0; i < 60; ++i) {
-    monitor.OnStep(Side::kLeft, {}, core, ProcessorState::kLexRex);
+    OnStep(&monitor, Side::kLeft, {}, core, ProcessorState::kLexRex);
   }
-  const Assessment a = assessor.Assess(monitor, core, false);
+  const Assessment a = assessor.Assess(monitor, Progress(core));
   EXPECT_TRUE(a.model_assessed);
   EXPECT_FALSE(a.sigma);
   EXPECT_GT(a.p_value, 0.05);
@@ -76,7 +95,7 @@ TEST(AssessorTest, ShortfallRaisesSigma) {
     core.ProcessTuple(Side::kRight,
                       Tuple{Value("PARENTPAD" + std::to_string(i))});
   }
-  const Assessment a = assessor.Assess(monitor, core, false);
+  const Assessment a = assessor.Assess(monitor, Progress(core));
   EXPECT_TRUE(a.model_assessed);
   EXPECT_TRUE(a.sigma);
   EXPECT_LT(a.p_value, 1e-6);
@@ -91,9 +110,9 @@ TEST(AssessorTest, MuUninformativeWithoutApproxActivity) {
   HybridJoinCore core((JoinSpec()));
   FeedPairs(&core, 5, 0);
   for (int i = 0; i < 20; ++i) {
-    monitor.OnStep(Side::kLeft, {}, core, ProcessorState::kLexRex);
+    OnStep(&monitor, Side::kLeft, {}, core, ProcessorState::kLexRex);
   }
-  const Assessment a = assessor.Assess(monitor, core, false);
+  const Assessment a = assessor.Assess(monitor, Progress(core));
   EXPECT_FALSE(a.mu_informative[0]);
   EXPECT_FALSE(a.mu_informative[1]);
   EXPECT_TRUE(a.mu[0]);
@@ -109,10 +128,10 @@ TEST(AssessorTest, MuFalseWhenWindowBusy) {
   core.ProcessTuple(Side::kRight, Tuple{Value("Ay")});
   // 3 approximate matches blamed on both sides (> theta_curpert).
   for (int i = 0; i < 3; ++i) {
-    monitor.OnStep(Side::kRight, {Approx(Side::kRight)}, core,
-                   ProcessorState::kLapRap);
+    OnStep(&monitor, Side::kRight, {Approx(Side::kRight)}, core,
+           ProcessorState::kLapRap);
   }
-  const Assessment a = assessor.Assess(monitor, core, false);
+  const Assessment a = assessor.Assess(monitor, Progress(core));
   EXPECT_TRUE(a.mu_informative[0]);
   EXPECT_FALSE(a.mu[0]);
   EXPECT_FALSE(a.mu[1]);
@@ -127,10 +146,10 @@ TEST(AssessorTest, MuCountBoundaryIsInclusive) {
   core.ProcessTuple(Side::kLeft, Tuple{Value("Ax")});
   core.ProcessTuple(Side::kRight, Tuple{Value("Ay")});
   for (int i = 0; i < 2; ++i) {
-    monitor.OnStep(Side::kRight, {Approx(Side::kRight)}, core,
-                   ProcessorState::kLapRap);
+    OnStep(&monitor, Side::kRight, {Approx(Side::kRight)}, core,
+           ProcessorState::kLapRap);
   }
-  const Assessment a = assessor.Assess(monitor, core, false);
+  const Assessment a = assessor.Assess(monitor, Progress(core));
   EXPECT_TRUE(a.mu[0]);  // exactly theta_curpert is still unperturbed
 }
 
@@ -144,10 +163,10 @@ TEST(AssessorTest, RatioInterpretation) {
   core.ProcessTuple(Side::kLeft, Tuple{Value("Ax")});
   core.ProcessTuple(Side::kRight, Tuple{Value("Ay")});
   for (int i = 0; i < 3; ++i) {
-    monitor.OnStep(Side::kRight, {Approx(Side::kRight)}, core,
-                   ProcessorState::kLapRap);
+    OnStep(&monitor, Side::kRight, {Approx(Side::kRight)}, core,
+           ProcessorState::kLapRap);
   }
-  const Assessment a = assessor.Assess(monitor, core, false);
+  const Assessment a = assessor.Assess(monitor, Progress(core));
   EXPECT_FALSE(a.mu[0]);  // 3/10 > 0.25
 }
 
@@ -161,10 +180,10 @@ TEST(AssessorTest, PastPerturbationAccumulatesAcrossAssessments) {
   // Five assessments, each with a perturbed left window.
   for (int round = 0; round < 5; ++round) {
     for (int i = 0; i < 3; ++i) {
-      monitor.OnStep(Side::kRight, {Approx(Side::kRight)}, core,
-                     ProcessorState::kLapRap);
+      OnStep(&monitor, Side::kRight, {Approx(Side::kRight)}, core,
+             ProcessorState::kLapRap);
     }
-    const Assessment a = assessor.Assess(monitor, core, false);
+    const Assessment a = assessor.Assess(monitor, Progress(core));
     EXPECT_EQ(a.past_perturbed[0], static_cast<uint64_t>(round + 1));
     if (round + 1 <= 3) {
       EXPECT_TRUE(a.pi[0]);
@@ -181,7 +200,7 @@ TEST(AssessorTest, CustomModelInjection) {
   Monitor monitor(o);
   HybridJoinCore core((JoinSpec()));
   FeedPairs(&core, 2, 20);  // 2/22 matched against a rate-1.0 model
-  const Assessment a = assessor.Assess(monitor, core, false);
+  const Assessment a = assessor.Assess(monitor, Progress(core));
   EXPECT_TRUE(a.model_assessed);
   EXPECT_TRUE(a.sigma);
   EXPECT_EQ(assessor.model().name(), "fixed_rate");

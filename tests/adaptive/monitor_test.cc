@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "adaptive/mar.h"
+#include "join/hybrid_core.h"
 
 namespace aqp {
 namespace adaptive {
@@ -23,6 +24,14 @@ AdaptiveOptions SmallWindow() {
   return o;
 }
 
+/// Feeds one step: its matches attributed against the core's current
+/// matched-exactly flags, then handed to the monitor as a batch.
+void OnStep(Monitor* monitor, Side read_side,
+            const std::vector<JoinMatch>& matches,
+            const HybridJoinCore& core, ProcessorState state) {
+  monitor->OnBatch({core.AttributeApproxMatches(read_side, matches)}, state);
+}
+
 JoinMatch Approx(Side probe_side, storage::TupleId probe,
                  storage::TupleId stored) {
   JoinMatch m;
@@ -38,8 +47,8 @@ TEST(MonitorTest, CountsSteps) {
   AdaptiveOptions o = SmallWindow();
   Monitor monitor(o);
   HybridJoinCore core((JoinSpec()));
-  monitor.OnStep(Side::kLeft, {}, core, ProcessorState::kLexRex);
-  monitor.OnStep(Side::kRight, {}, core, ProcessorState::kLexRex);
+  OnStep(&monitor, Side::kLeft, {}, core, ProcessorState::kLexRex);
+  OnStep(&monitor, Side::kRight, {}, core, ProcessorState::kLexRex);
   EXPECT_EQ(monitor.steps(), 2u);
 }
 
@@ -51,8 +60,8 @@ TEST(MonitorTest, BlamesReaderWhenStoredTupleWasExactlyMatched) {
   core.ProcessTuple(Side::kLeft, Tuple{Value("K")});
   core.ProcessTuple(Side::kRight, Tuple{Value("K")});  // sets exact flags
   // A right-read tuple approx-matches stored left tuple 0: blame right.
-  monitor.OnStep(Side::kRight, {Approx(Side::kRight, 5, 0)}, core,
-                 ProcessorState::kLapRap);
+  OnStep(&monitor, Side::kRight, {Approx(Side::kRight, 5, 0)}, core,
+         ProcessorState::kLapRap);
   EXPECT_EQ(monitor.WindowApproxMatches(Side::kRight), 1u);
   EXPECT_EQ(monitor.WindowApproxMatches(Side::kLeft), 0u);
 }
@@ -65,8 +74,8 @@ TEST(MonitorTest, BlamesStoredSideWhenProbeWasExactlyMatched) {
   core.ProcessTuple(Side::kRight, Tuple{Value("CLEAN")});
   core.ProcessTuple(Side::kLeft, Tuple{Value("CLEAN")});  // right 0 flagged
   // Right tuple 0 (exactly matched) approx-matches stored left 0.
-  monitor.OnStep(Side::kRight, {Approx(Side::kRight, 0, 0)}, core,
-                 ProcessorState::kLapRap);
+  OnStep(&monitor, Side::kRight, {Approx(Side::kRight, 0, 0)}, core,
+         ProcessorState::kLapRap);
   EXPECT_EQ(monitor.WindowApproxMatches(Side::kLeft), 1u);
   EXPECT_EQ(monitor.WindowApproxMatches(Side::kRight), 0u);
 }
@@ -77,8 +86,8 @@ TEST(MonitorTest, BlamesBothWithoutEvidence) {
   HybridJoinCore core((JoinSpec()));
   core.ProcessTuple(Side::kLeft, Tuple{Value("Ax")});
   core.ProcessTuple(Side::kRight, Tuple{Value("Ay")});
-  monitor.OnStep(Side::kRight, {Approx(Side::kRight, 0, 0)}, core,
-                 ProcessorState::kLapRap);
+  OnStep(&monitor, Side::kRight, {Approx(Side::kRight, 0, 0)}, core,
+         ProcessorState::kLapRap);
   EXPECT_EQ(monitor.WindowApproxMatches(Side::kLeft), 1u);
   EXPECT_EQ(monitor.WindowApproxMatches(Side::kRight), 1u);
 }
@@ -89,11 +98,11 @@ TEST(MonitorTest, WindowRetiresOldSteps) {
   HybridJoinCore core((JoinSpec()));
   core.ProcessTuple(Side::kLeft, Tuple{Value("Ax")});
   core.ProcessTuple(Side::kRight, Tuple{Value("Ay")});
-  monitor.OnStep(Side::kRight, {Approx(Side::kRight, 0, 0)}, core,
-                 ProcessorState::kLapRap);
+  OnStep(&monitor, Side::kRight, {Approx(Side::kRight, 0, 0)}, core,
+         ProcessorState::kLapRap);
   EXPECT_EQ(monitor.WindowApproxMatches(Side::kRight), 1u);
   for (int i = 0; i < 4; ++i) {
-    monitor.OnStep(Side::kLeft, {}, core, ProcessorState::kLapRap);
+    OnStep(&monitor, Side::kLeft, {}, core, ProcessorState::kLapRap);
   }
   EXPECT_EQ(monitor.WindowApproxMatches(Side::kRight), 0u);
 }
@@ -106,7 +115,7 @@ TEST(MonitorTest, ExactMatchesNotCounted) {
   JoinMatch exact;
   exact.probe_side = Side::kRight;
   exact.kind = MatchKind::kExact;
-  monitor.OnStep(Side::kRight, {exact}, core, ProcessorState::kLexRex);
+  OnStep(&monitor, Side::kRight, {exact}, core, ProcessorState::kLexRex);
   EXPECT_EQ(monitor.WindowApproxMatches(Side::kLeft), 0u);
   EXPECT_EQ(monitor.WindowApproxMatches(Side::kRight), 0u);
 }
@@ -115,37 +124,11 @@ TEST(MonitorTest, ApproxActiveTracksState) {
   AdaptiveOptions o = SmallWindow();
   Monitor monitor(o);
   HybridJoinCore core((JoinSpec()));
-  monitor.OnStep(Side::kLeft, {}, core, ProcessorState::kLexRex);
+  OnStep(&monitor, Side::kLeft, {}, core, ProcessorState::kLexRex);
   EXPECT_EQ(monitor.WindowApproxActiveSteps(), 0u);
-  monitor.OnStep(Side::kLeft, {}, core, ProcessorState::kLapRex);
-  monitor.OnStep(Side::kLeft, {}, core, ProcessorState::kLapRap);
+  OnStep(&monitor, Side::kLeft, {}, core, ProcessorState::kLapRex);
+  OnStep(&monitor, Side::kLeft, {}, core, ProcessorState::kLapRap);
   EXPECT_EQ(monitor.WindowApproxActiveSteps(), 2u);
-}
-
-TEST(MonitorTest, ProgressReportsStoreSizesAndMatches) {
-  AdaptiveOptions o = SmallWindow();  // parent = right
-  Monitor monitor(o);
-  HybridJoinCore core((JoinSpec()));
-  core.ProcessTuple(Side::kLeft, Tuple{Value("K")});   // child
-  core.ProcessTuple(Side::kRight, Tuple{Value("K")});  // parent; pair found
-  core.ProcessTuple(Side::kLeft, Tuple{Value("UNMATCHED")});
-  const stats::JoinProgress progress = monitor.Progress(core, false);
-  EXPECT_EQ(progress.parents_scanned, 1u);
-  EXPECT_EQ(progress.children_scanned, 2u);
-  EXPECT_EQ(progress.children_matched, 1u);
-  EXPECT_FALSE(progress.parent_exhausted);
-}
-
-TEST(MonitorTest, PairsStatisticOption) {
-  AdaptiveOptions o = SmallWindow();
-  o.use_pairs_statistic = true;
-  Monitor monitor(o);
-  HybridJoinCore core((JoinSpec()));
-  core.ProcessTuple(Side::kLeft, Tuple{Value("K")});
-  core.ProcessTuple(Side::kRight, Tuple{Value("K")});
-  core.ProcessTuple(Side::kRight, Tuple{Value("K")});  // 2 pairs total
-  const stats::JoinProgress progress = monitor.Progress(core, false);
-  EXPECT_EQ(progress.children_matched, 2u);
 }
 
 }  // namespace

@@ -568,6 +568,36 @@ TEST(ParallelJoinLifecycleTest, ErrorAfterCompletedEpochsKeepsThem) {
   ASSERT_TRUE(join.Close().ok());
 }
 
+TEST(ParallelJoinLifecycleTest, IsSingleUse) {
+  // A second run would rebuild the shards from the stale processor
+  // state and append to the first run's trace, so reopening is refused
+  // and the first run's state stays intact.
+  const datagen::TestCase tc = SmallCase();
+  exec::RelationScan child(&tc.child);
+  exec::RelationScan parent(&tc.parent);
+  ParallelJoinOptions options;
+  options.base.join.spec = Spec();
+  options.base.adaptive.parent_side = exec::Side::kRight;
+  options.base.adaptive.parent_table_size = tc.parent.size();
+  options.base.adaptive.delta_adapt = 50;
+  options.base.adaptive.window = 50;
+  options.num_shards = 2;
+  ParallelAdaptiveJoin join(&child, &parent, options);
+  auto first = exec::CountAll(&join);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_GT(*first, 0u);
+  const size_t records = join.trace().size();
+  const uint64_t steps = join.monitor().steps();
+  ASSERT_GT(records, 0u);
+
+  auto again = exec::CountAll(&join);
+  ASSERT_FALSE(again.ok());
+  EXPECT_TRUE(again.status().IsFailedPrecondition()) << again.status();
+  EXPECT_EQ(join.trace().size(), records);
+  EXPECT_EQ(join.monitor().steps(), steps);
+  EXPECT_TRUE(join.Close().IsFailedPrecondition());
+}
+
 TEST(ThreadPoolContainmentTest, ThrowingTaskBecomesGroupErrorOthersStillRun) {
   ThreadPool pool(2);
   std::atomic<int> ran{0};

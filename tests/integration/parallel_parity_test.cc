@@ -3,7 +3,7 @@
 // output row *sequences* (not just multisets — the deterministic shard
 // merge order reproduces the single-threaded probes' ascending-
 // stored-id order) and byte-identical adaptation traces, for every
-// shard count, batch size, drive mode, and control policy.
+// shard count, batch size, drive mode, control policy, and §4 case.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,7 @@ using exec::parallel::ParallelMatchRef;
 
 constexpr size_t kShardCounts[] = {1, 2, 4, 8};
 
-datagen::TestCase PaperCase() {
+datagen::TestCaseOptions PaperCaseOptions() {
   datagen::TestCaseOptions options;
   options.pattern = datagen::PerturbationPattern::kFewHighIntensityRegions;
   options.perturb_parent = false;
@@ -33,7 +33,11 @@ datagen::TestCase PaperCase() {
   options.atlas.size = 400;
   options.accidents.size = 800;
   options.seed = 20090326;
-  auto tc = datagen::GenerateTestCase(options);
+  return options;
+}
+
+datagen::TestCase PaperCase() {
+  auto tc = datagen::GenerateTestCase(PaperCaseOptions());
   EXPECT_TRUE(tc.ok());
   return std::move(*tc);
 }
@@ -92,29 +96,37 @@ void ExpectSameRows(const storage::Relation& actual,
 }
 
 TEST(ParallelParityTest, EveryShardCountMatchesSingleThreadedAdaptive) {
-  const datagen::TestCase tc = PaperCase();
-  const ReferenceRun reference = RunSingleThreaded(tc, BaseOptions(tc));
-  ASSERT_GT(reference.result.size(), 0u);
-  ASSERT_GT(reference.trace.size(), 0u);
-  // The scenario must actually adapt, or the parity claim is vacuous.
-  ASSERT_GT(reference.transitions, 0u);
+  // All eight §4 cases: four perturbation patterns, child-only and both
+  // inputs perturbed.
+  for (const datagen::TestCaseOptions& case_options :
+       datagen::PaperTestMatrix(PaperCaseOptions())) {
+    auto tc = datagen::GenerateTestCase(case_options);
+    ASSERT_TRUE(tc.ok()) << tc.status().ToString();
+    const ReferenceRun reference = RunSingleThreaded(*tc, BaseOptions(*tc));
+    ASSERT_GT(reference.result.size(), 0u);
+    ASSERT_GT(reference.trace.size(), 0u);
+    // Every case must actually adapt, or the parity claim is vacuous.
+    ASSERT_GT(reference.transitions, 0u) << case_options.Label();
 
-  for (size_t shards : kShardCounts) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    ParallelJoinOptions options;
-    options.base = BaseOptions(tc);
-    options.num_shards = shards;
-    ParallelAdaptiveJoin join(&child, &parent, options);
-    auto result = exec::CollectAll(&join);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    for (size_t shards : kShardCounts) {
+      exec::RelationScan child(&tc->child);
+      exec::RelationScan parent(&tc->parent);
+      ParallelJoinOptions options;
+      options.base = BaseOptions(*tc);
+      options.num_shards = shards;
+      ParallelAdaptiveJoin join(&child, &parent, options);
+      auto result = exec::CollectAll(&join);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-    SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    EXPECT_EQ(join.steps(), reference.steps);
-    EXPECT_EQ(join.pairs_emitted(), reference.pairs);
-    EXPECT_EQ(join.monitor().steps(), reference.steps);
-    ExpectSameRows(*result, reference.result);
-    ExpectSameTrace(join.trace(), reference.trace);
+      SCOPED_TRACE(testing::Message() << case_options.Label()
+                                      << " shards=" << shards);
+      EXPECT_EQ(join.steps(), reference.steps);
+      EXPECT_EQ(join.pairs_emitted(), reference.pairs);
+      EXPECT_EQ(join.monitor().steps(), reference.steps);
+      EXPECT_EQ(join.cost().total_transitions(), reference.transitions);
+      ExpectSameRows(*result, reference.result);
+      ExpectSameTrace(join.trace(), reference.trace);
+    }
   }
 }
 

@@ -101,6 +101,44 @@ TEST(MatchKindTest, Names) {
   EXPECT_STREQ(MatchKindName(MatchKind::kApproximate), "approximate");
 }
 
+// §3.3 attribution, one case per branch. Reading from the right, the
+// stored tuple is a left one.
+bool Yes() { return true; }
+bool No() { return false; }
+
+TEST(AttributeApproxMatchTest, StoredTupleMatchedExactlyBlamesTheReader) {
+  StepObservables obs;
+  bool probe_flag_read = false;
+  AttributeApproxMatch(
+      Side::kRight, Yes,
+      [&] {
+        probe_flag_read = true;
+        return true;
+      },
+      &obs);
+  EXPECT_EQ(obs.approx_attributed[0], 0u);
+  EXPECT_EQ(obs.approx_attributed[1], 1u);
+  // The rule stops at the stored tuple's flag.
+  EXPECT_FALSE(probe_flag_read);
+}
+
+TEST(AttributeApproxMatchTest, ProbeTupleMatchedExactlyBlamesTheStoredSide) {
+  StepObservables obs;
+  AttributeApproxMatch(Side::kRight, No, Yes, &obs);
+  EXPECT_EQ(obs.approx_attributed[0], 1u);
+  EXPECT_EQ(obs.approx_attributed[1], 0u);
+}
+
+TEST(AttributeApproxMatchTest, NoEvidenceBlamesBothAndAccumulates) {
+  StepObservables obs;
+  AttributeApproxMatch(Side::kLeft, No, No, &obs);
+  EXPECT_EQ(obs.approx_attributed[0], 1u);
+  EXPECT_EQ(obs.approx_attributed[1], 1u);
+  AttributeApproxMatch(Side::kLeft, Yes, No, &obs);
+  EXPECT_EQ(obs.approx_attributed[0], 2u);
+  EXPECT_EQ(obs.approx_attributed[1], 1u);
+}
+
 }  // namespace
 }  // namespace join
 }  // namespace aqp
