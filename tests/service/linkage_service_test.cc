@@ -583,6 +583,129 @@ TEST(LinkageServiceTest, DestructorCancelsOutstandingQueries) {
   SUCCEED();
 }
 
+// The served mix in miniature: all eight §4 cases, each submitted
+// three times at once (no deadline, a hard step deadline at half its
+// steps, a soft one at a quarter) as 1-shard adaptive queries sharing
+// one pool worker, at most three running. Every served result must be
+// byte-identical to the same query run alone, and every hard-deadline
+// query must stop at the first control point at or past its deadline.
+TEST(LinkageServiceTest, ServedDeadlineMixMatchesSoloRunsAcrossPaperCases) {
+  datagen::TestCaseOptions base;
+  base.atlas.size = 150;
+  base.accidents.size = 300;
+  base.variant_rate = 0.10;
+  base.seed = 20090327;
+  std::vector<datagen::TestCase> cases;
+  for (const datagen::TestCaseOptions& options :
+       datagen::PaperTestMatrix(base)) {
+    auto generated = datagen::GenerateTestCase(options);
+    ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+    cases.push_back(std::move(*generated));
+  }
+  ASSERT_EQ(cases.size(), 8u);
+
+  constexpr uint64_t kDelta = 100;
+  enum class Deadline { kNone, kHard, kSoft };
+  struct Query {
+    size_t case_index = 0;
+    Deadline deadline = Deadline::kNone;
+    QueryOptions options;
+  };
+  std::vector<Query> queries;
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const datagen::TestCase& tc = cases[c];
+    const uint64_t steps = tc.child.size() + tc.parent.size();
+    for (Deadline deadline : {Deadline::kNone, Deadline::kHard,
+                              Deadline::kSoft}) {
+      Query q;
+      q.case_index = c;
+      q.deadline = deadline;
+      q.options.join = BaseJoinOptions(tc);
+      q.options.join.base.join.spec.qgram.q = 3;
+      q.options.join.base.join.left_size_hint = tc.child.size();
+      q.options.join.base.join.right_size_hint = tc.parent.size();
+      q.options.join.base.adaptive.delta_adapt = kDelta;
+      q.options.join.base.adaptive.window = kDelta;
+      q.options.join.base.adaptive.theta_out = 0.05;
+      q.options.join.num_shards = 1;
+      if (deadline == Deadline::kHard) {
+        q.options.deadline.hard_deadline_steps = steps / 2;
+      } else if (deadline == Deadline::kSoft) {
+        q.options.deadline.soft_deadline_steps = steps / 4;
+      }
+      queries.push_back(std::move(q));
+    }
+  }
+
+  const auto serve = [](LinkageService* service,
+                        std::vector<std::unique_ptr<exec::RelationScan>>*
+                            scans,
+                        const datagen::TestCase& tc,
+                        const QueryOptions& options) {
+    scans->push_back(std::make_unique<exec::RelationScan>(&tc.child));
+    scans->push_back(std::make_unique<exec::RelationScan>(&tc.parent));
+    return service->Submit((*scans)[scans->size() - 2].get(),
+                           (*scans)[scans->size() - 1].get(), options);
+  };
+  ServiceOptions so;
+  so.worker_threads = 1;
+  so.admission.max_concurrent_queries = 3;
+  so.admission.max_total_shards = 3;
+
+  // Solo references: one query at a time through its own service.
+  std::vector<storage::Relation> solo;
+  std::vector<QueryStats> solo_stats;
+  for (const Query& q : queries) {
+    LinkageService service(so);
+    std::vector<std::unique_ptr<exec::RelationScan>> scans;
+    auto id = serve(&service, &scans, cases[q.case_index], q.options);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    auto stats = service.Wait(*id);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_EQ(stats->state, QueryState::kDone) << stats->status.ToString();
+    auto result = service.TakeResult(*id);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    solo.push_back(std::move(*result));
+    solo_stats.push_back(*stats);
+  }
+
+  // The served mix: everything submitted together.
+  LinkageService service(so);
+  std::vector<std::unique_ptr<exec::RelationScan>> scans;
+  std::vector<QueryId> ids;
+  for (const Query& q : queries) {
+    auto id = serve(&service, &scans, cases[q.case_index], q.options);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Query& q = queries[i];
+    const datagen::TestCase& tc = cases[q.case_index];
+    SCOPED_TRACE(testing::Message()
+                 << tc.options.Label() << " deadline "
+                 << static_cast<int>(q.deadline));
+    auto stats = service.Wait(ids[i]);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_EQ(stats->state, QueryState::kDone) << stats->status.ToString();
+    auto result = service.TakeResult(ids[i]);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectSameRows(*result, solo[i]);
+    EXPECT_EQ(stats->steps, solo_stats[i].steps);
+    EXPECT_EQ(stats->finalized_early, solo_stats[i].finalized_early);
+    EXPECT_EQ(stats->forced_exact, solo_stats[i].forced_exact);
+    if (q.deadline == Deadline::kHard) {
+      const uint64_t deadline = q.options.deadline.hard_deadline_steps;
+      EXPECT_TRUE(stats->finalized_early);
+      EXPECT_EQ(stats->steps, (deadline + kDelta - 1) / kDelta * kDelta);
+    } else {
+      EXPECT_FALSE(stats->finalized_early);
+      EXPECT_EQ(stats->steps, tc.child.size() + tc.parent.size());
+      EXPECT_EQ(stats->forced_exact, q.deadline == Deadline::kSoft);
+    }
+  }
+  EXPECT_LE(service.peak_running_queries(), 3u);
+}
+
 }  // namespace
 }  // namespace service
 }  // namespace aqp
