@@ -23,31 +23,17 @@ bool Controller::AssessmentDue(uint64_t steps) const {
          steps - last_assessment_step_ >= options_.delta_adapt;
 }
 
-uint64_t Controller::Schedule(uint64_t steps, size_t script_position,
-                              uint64_t last_assessment_step) const {
+uint64_t Controller::StepsUntilControlPoint(uint64_t steps) const {
   uint64_t next = 0;
   if (options_.policy == AdaptivePolicy::kAdaptive) {
-    next = last_assessment_step + options_.delta_adapt;
+    next = last_assessment_step_ + options_.delta_adapt;
   } else if (options_.policy == AdaptivePolicy::kScripted &&
-             script_position < options_.script.size()) {
-    next = options_.script[script_position].at_step;
+             script_position_ < options_.script.size()) {
+    next = options_.script[script_position_].at_step;
   } else {
     return kNoControlPoint;
   }
   return next > steps ? next - steps : 1;
-}
-
-uint64_t Controller::StepsAfterControlPoint(uint64_t steps) const {
-  // ControlPoint(steps) moves exactly these two cursors.
-  size_t position = script_position_;
-  if (options_.policy == AdaptivePolicy::kScripted) {
-    while (position < options_.script.size() &&
-           options_.script[position].at_step <= steps) {
-      ++position;
-    }
-  }
-  const uint64_t last = AssessmentDue(steps) ? steps : last_assessment_step_;
-  return Schedule(steps, position, last);
 }
 
 Status Controller::ControlPoint(uint64_t steps,

@@ -25,9 +25,10 @@ namespace adaptive {
 /// processor state and control-point schedule. An engine supplies only
 /// its join progress and its index catch-up on a transition, and calls
 /// it at quiescent points: OnSteps() after a run of steps,
-/// ControlPoint() between runs, StepsUntilControlPoint() to size the
-/// next run (so control points land at the same step counts whatever
-/// the batch or epoch length).
+/// ControlPoint() between runs, StepsUntilControlPoint() to find the
+/// next control point (so control points land at the same step counts
+/// whatever the batch or epoch length: the single-threaded join sizes
+/// its batches by it, the parallel merge stops there inside an epoch).
 class Controller {
  public:
   /// StepsUntilControlPoint() when no control point is scheduled.
@@ -45,12 +46,7 @@ class Controller {
   /// Steps the engine may run from `steps` before the next control
   /// point (>= 1), or kNoControlPoint: pinned policy, or a scripted one
   /// past its last entry.
-  uint64_t StepsUntilControlPoint(uint64_t steps) const {
-    return Schedule(steps, script_position_, last_assessment_step_);
-  }
-  /// StepsUntilControlPoint(steps) as it will read once
-  /// ControlPoint(steps) has run.
-  uint64_t StepsAfterControlPoint(uint64_t steps) const;
+  uint64_t StepsUntilControlPoint(uint64_t steps) const;
 
   /// Charges a run of steps, executed in the current state, to the
   /// monitor and the cost accountant.
@@ -83,8 +79,6 @@ class Controller {
  private:
   /// True iff the adaptive policy assesses at `steps`.
   bool AssessmentDue(uint64_t steps) const;
-  uint64_t Schedule(uint64_t steps, size_t script_position,
-                    uint64_t last_assessment_step) const;
   Status AssessAndRespond(uint64_t steps, const stats::JoinProgress& progress,
                           const CatchUpFn& catch_up);
   /// Enters `next` through `catch_up` (a stay when it is the current

@@ -35,6 +35,7 @@ void RadixExchange::Reset() {
     input_batch_[i].Reset(nullptr, batch_size_);
     input_pos_[i] = 0;
     done_[i] = false;
+    done_step_[i] = 0;
     side_count_[i] = 0;
   }
   steps_ = 0;
@@ -42,6 +43,7 @@ void RadixExchange::Reset() {
   for (size_t i = 0; i < 2; ++i) {
     pub_side_count_[i] = 0;
     pub_done_[i] = false;
+    pub_done_step_[i] = 0;
   }
   pub_steps_ = 0;
 }
@@ -114,6 +116,7 @@ void RadixExchange::DiscardStaged(const std::vector<JoinShard*>& shards) {
   for (size_t i = 0; i < 2; ++i) {
     side_count_[i] = pub_side_count_[i];
     done_[i] = pub_done_[i];
+    done_step_[i] = pub_done_step_[i];
   }
   for (JoinShard* shard : shards) shard->DiscardStaged();
 }
@@ -134,6 +137,7 @@ Result<uint64_t> RadixExchange::RouteLoop(
         // single-threaded engine (the buffer drains exactly when that
         // engine would have read the tuple after the last).
         done_[i] = true;
+        done_step_[i] = steps_;
         continue;
       }
     }

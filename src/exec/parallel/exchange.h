@@ -114,10 +114,12 @@ class RadixExchange {
   /// Global steps routed so far (published).
   uint64_t steps() const { return pub_steps_; }
 
-  /// Rolls the step/side counters back past a committed epoch that
-  /// was aborted before its merge. The scheduler position is NOT
-  /// rewound — the exchange is unusable afterwards; callers must stop
-  /// routing (the parallel join goes into a sticky error state).
+  /// Rolls the step/side counters back past the last `steps` committed
+  /// steps (an epoch, or the suffix of one, that was aborted or cut
+  /// before its merge), including any end-of-stream discovered at or
+  /// after the new step count. The scheduler position is NOT rewound —
+  /// the exchange is unusable afterwards; callers must stop routing
+  /// (the parallel join ends the stream or enters a sticky error).
   void RollbackCounts(uint64_t steps, uint64_t left_rows,
                       uint64_t right_rows) {
     steps_ -= steps;
@@ -126,6 +128,11 @@ class RadixExchange {
     pub_steps_ -= steps;
     pub_side_count_[0] -= left_rows;
     pub_side_count_[1] -= right_rows;
+    for (size_t i = 0; i < 2; ++i) {
+      if (pub_done_[i] && pub_done_step_[i] >= pub_steps_) {
+        pub_done_[i] = done_[i] = false;
+      }
+    }
   }
 
   /// Tuples routed so far from `side` (published).
@@ -138,6 +145,14 @@ class RadixExchange {
   /// published — EOS found while staging becomes visible at commit).
   bool input_exhausted(exec::Side side) const {
     return pub_done_[static_cast<size_t>(side)];
+  }
+
+  /// True iff `side`'s end-of-stream was discovered before global step
+  /// `step` was routed: what a run whose epochs all end at `step` would
+  /// report as input_exhausted() there (published state only).
+  bool exhausted_before(exec::Side side, uint64_t step) const {
+    const size_t i = static_cast<size_t>(side);
+    return pub_done_[i] && pub_done_step_[i] < step;
   }
 
   /// Transient refill failures retried away so far (see
@@ -171,6 +186,7 @@ class RadixExchange {
     for (size_t i = 0; i < 2; ++i) {
       pub_side_count_[i] = side_count_[i];
       pub_done_[i] = done_[i];
+      pub_done_step_[i] = done_step_[i];
     }
   }
 
@@ -186,12 +202,15 @@ class RadixExchange {
   exec::InterleaveScheduler scheduler_;
   storage::ColumnBatch input_batch_[2];
   size_t input_pos_[2] = {0, 0};
-  /// Routing cursor: advanced by the routing loop.
+  /// Routing cursor: advanced by the routing loop. done_step_ is the
+  /// step count at which the side's end-of-stream was discovered.
   bool done_[2] = {false, false};
+  uint64_t done_step_[2] = {0, 0};
   uint64_t steps_ = 0;
   uint64_t side_count_[2] = {0, 0};
   /// Published at epoch commit; what accessors expose.
   bool pub_done_[2] = {false, false};
+  uint64_t pub_done_step_[2] = {0, 0};
   uint64_t pub_steps_ = 0;
   uint64_t pub_side_count_[2] = {0, 0};
 };

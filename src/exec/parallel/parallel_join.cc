@@ -66,7 +66,8 @@ ParallelAdaptiveJoin::ParallelAdaptiveJoin(exec::Operator* left,
       controller_(options_.base.adaptive, options_.base.weights) {
   options_.num_shards = ResolveShardCount(options_.num_shards);
   if (options_.unbounded_epoch_steps == 0) {
-    options_.unbounded_epoch_steps = 4096;
+    options_.unbounded_epoch_steps =
+        ParallelJoinOptions().unbounded_epoch_steps;
   }
 }
 
@@ -165,28 +166,41 @@ Status ParallelAdaptiveJoin::Close() {
   return Status::OK();
 }
 
-uint64_t ParallelAdaptiveJoin::EpochBudget(
-    uint64_t steps_to_control_point) const {
-  if (steps_to_control_point == adaptive::Controller::kNoControlPoint) {
-    return options_.unbounded_epoch_steps;
-  }
-  return std::max<uint64_t>(1, steps_to_control_point);
-}
-
-stats::JoinProgress ParallelAdaptiveJoin::Progress() const {
+stats::JoinProgress ParallelAdaptiveJoin::ProgressAt(uint64_t step) const {
   const adaptive::AdaptiveOptions& adaptive = options_.base.adaptive;
   const exec::Side child_side = exec::OtherSide(adaptive.parent_side);
-  // The global join progress the single-threaded monitor would read
-  // off its one core, aggregated across shards by the coordinator.
+  // The merge has reached `step`: its counters describe exactly the
+  // steps before it, which is what a run whose epochs all ended at
+  // `step` would publish there.
   stats::JoinProgress progress;
-  progress.parents_scanned = exchange_->side_count(adaptive.parent_side);
-  progress.children_scanned = exchange_->side_count(child_side);
+  progress.parents_scanned =
+      merged_side_count_[static_cast<size_t>(adaptive.parent_side)];
+  progress.children_scanned =
+      merged_side_count_[static_cast<size_t>(child_side)];
   progress.children_matched =
       adaptive.use_pairs_statistic
           ? pairs_emitted_
           : matched_any_count_[static_cast<size_t>(child_side)];
-  progress.parent_exhausted = exchange_->input_exhausted(adaptive.parent_side);
+  progress.parent_exhausted =
+      exchange_->exhausted_before(adaptive.parent_side, step);
   return progress;
+}
+
+stats::JoinProgress ParallelAdaptiveJoin::Progress() const {
+  // Between drive calls the merge has consumed every published step,
+  // and an end of stream found while routing the last of them counts.
+  stats::JoinProgress progress = ProgressAt(exchange_->steps());
+  progress.parent_exhausted =
+      exchange_->input_exhausted(options_.base.adaptive.parent_side);
+  return progress;
+}
+
+uint64_t ParallelAdaptiveJoin::NextControlStep(uint64_t step) const {
+  const uint64_t until = controller_.StepsUntilControlPoint(step);
+  if (until != adaptive::Controller::kNoControlPoint) return step + until;
+  // Nothing scheduled: the governor still gets every epoch boundary.
+  const uint64_t epoch = options_.unbounded_epoch_steps;
+  return (step / epoch + 1) * epoch;
 }
 
 CompletenessStats ParallelAdaptiveJoin::Completeness() const {
@@ -210,8 +224,9 @@ CompletenessStats ParallelAdaptiveJoin::Completeness() const {
 }
 
 Result<std::pair<uint64_t, uint64_t>> ParallelAdaptiveJoin::ApplyTransition(
-    ProcessorState next) {
-  // Broadcast: every shard enters the new state at the epoch barrier,
+    ProcessorState next, uint64_t step) {
+  // Broadcast: every shard drops the tuples it already processed from
+  // `step` on (phase A may have run past it) and enters the new state,
   // catching up its own lagging structures in parallel. The summed
   // per-shard catch-up counts equal the single-threaded engine's,
   // because the shard stores partition the global store and every
@@ -222,7 +237,10 @@ Result<std::pair<uint64_t, uint64_t>> ParallelAdaptiveJoin::ApplyTransition(
   for (size_t i = 0; i < shards_.size(); ++i) {
     JoinShard* shard = shard_ptrs_[i];
     auto* slot = &catchups[i];
-    tasks.push_back([shard, next, slot] { *slot = shard->ApplyState(next); });
+    tasks.push_back([shard, next, step, slot] {
+      shard->RollbackTo(step);
+      *slot = shard->ApplyState(next);
+    });
   }
   Status broadcast = RunTasks(std::move(tasks));
   if (!broadcast.ok()) {
@@ -240,27 +258,158 @@ Result<std::pair<uint64_t, uint64_t>> ParallelAdaptiveJoin::ApplyTransition(
   return total;
 }
 
-Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
-  *stream_ended = false;
+Status ParallelAdaptiveJoin::PumpEpoch() {
   if (!pump_error_.ok()) return pump_error_;
-  // Epoch boundary: every shard is quiescent — safe for adaptation,
-  // deadline enforcement, and teardown alike. Budgeted runs charge
-  // their accounting tree first, so the governor's view (and any
-  // soft/hard budget decision it takes) sees this control point's
-  // footprint, not the previous one's.
+  route_.clear();
+  merged_ = 0;
+  epoch_start_ = exchange_->steps();
+  // Epoch boundary: every shard is quiescent. Budgeted runs charge
+  // their accounting tree here, so every governor view until the next
+  // boundary sees this footprint.
   if (options_.memory_budget != nullptr) {
     Status charged = RefreshMemoryAccounting();
     if (!charged.ok()) {
       // An injected charge fault (`budget.charge`) degrades like any
-      // recoverable epoch fault; route_ was cleared after the last
-      // merge, so there is nothing to roll back.
-      return HandleEpochFault(std::move(charged), /*shard=*/-1,
-                              stream_ended);
+      // recoverable epoch fault; nothing is routed yet.
+      return HandleEpochFault(std::move(charged), /*shard=*/-1);
     }
   }
+  // A control point at the boundary itself runs before the epoch is
+  // routed, exactly as at every other epoch length.
+  const bool at_control_point = epoch_start_ == next_control_step_;
+  if (at_control_point) {
+    bool transitioned = false;
+    AQP_RETURN_IF_ERROR(ControlPointAt(epoch_start_, &transitioned));
+    if (stream_done_) return Status::OK();
+  } else if (finalize_requested_) {
+    FinishEarly(epoch_start_);
+    return Status::OK();
+  }
+
+  if (ingest_inflight_) {
+    // Swap point: the epoch's route was staged by the ingest task
+    // during the previous epoch. Wait for it, then commit the staged
+    // tier — counters publish, shard staged rows become the epoch's
+    // input.
+    Status ingest = WaitIngest();
+    if (!ingest.ok()) return HandleEpochFault(std::move(ingest), /*shard=*/-1);
+    route_.swap(staged_route_);
+    exchange_->CommitStaged(shard_ptrs_);
+    ++ingest_stats_.epochs_staged;
+  } else if (!exchange_->input_exhausted(exec::Side::kLeft) ||
+             !exchange_->input_exhausted(exec::Side::kRight)) {
+    // Nothing in flight (the first epoch): route on the coordinator,
+    // through the same staged tier.
+    const auto route_start = std::chrono::steady_clock::now();
+    auto coordinator_routed = exchange_->RouteEpoch(
+        options_.unbounded_epoch_steps, shard_ptrs_, &route_);
+    ingest_stats_.serial_route_ns += ElapsedNs(route_start);
+    ++ingest_stats_.epochs_routed_serially;
+    if (!coordinator_routed.ok()) {
+      // Mid-epoch routing failure: RouteEpoch already discarded the
+      // staged rows and nothing was published — the same state a
+      // staging fault leaves. The exchange's scheduler position cannot
+      // be rewound, so on_fault decides between the sticky error and a
+      // degraded partial-result finalization.
+      route_.clear();
+      return HandleEpochFault(coordinator_routed.status(), /*shard=*/-1);
+    }
+  }
+  if (route_.empty()) {
+    // End of stream. Its step is a governor point whatever the
+    // schedule says, as it is when epochs end at control points.
+    if (!at_control_point) {
+      bool transitioned = false;
+      AQP_RETURN_IF_ERROR(ControlPointAt(epoch_start_, &transitioned));
+      if (stream_done_) return Status::OK();
+    }
+    stream_done_ = true;
+    UpdateMemoryAccounting();
+    return Status::OK();
+  }
+  // With the staged tier now swapped into the epoch tier, it is free
+  // again: start routing the next epoch while this one's phases
+  // execute.
+  MaybeSubmitIngest();
+
+  int32_t failed_shard = -1;
+  Status phases = RunPhases(epoch_start_, &failed_shard);
+  if (!phases.ok()) {
+    // A shard died mid-ingest. Its store may hold a prefix of the
+    // epoch's rows, but no ref or flag references them — output and
+    // global state come only from *merged* steps — so the completed
+    // prefix is intact and degradable.
+    return HandleEpochFault(std::move(phases), failed_shard);
+  }
+
+  // Coordinator merge-entry fault site: fires before the merge mutates
+  // any global state, so it aborts the epoch like a phase fault.
+  auto merge_entry = []() -> Status {
+    AQP_FAILPOINT(fail::site::kExchangeMerge);
+    return Status::OK();
+  };
+  Status merge_site = merge_entry();
+  if (!merge_site.ok()) {
+    return HandleEpochFault(std::move(merge_site), /*shard=*/-1);
+  }
+
+  // The merge walks the epoch in global step order and runs every
+  // control point it crosses with the progress as of that step. A stay
+  // costs nothing more; a transition rolls the shards back to the
+  // step and redoes the phases over the rest of the epoch in the new
+  // state.
+  for (size_t s = 0; s < 2; ++s) {
+    const size_t count = exchange_->side_count(static_cast<exec::Side>(s));
+    matched_exactly_[s].resize(count, 0);
+    matched_any_[s].resize(count, 0);
+  }
+  epoch_observables_.clear();
+  epoch_observables_.reserve(route_.size());
+  std::fill(merge_cursor_.begin(), merge_cursor_.end(), 0);
+  std::fill(cross_cursor_.begin(), cross_cursor_.end(), 0);
+  for (; merged_ < route_.size(); ++merged_) {
+    const uint64_t step = epoch_start_ + merged_;
+    if (step == next_control_step_) {
+      FlushObservables();
+      bool transitioned = false;
+      AQP_RETURN_IF_ERROR(ControlPointAt(step, &transitioned));
+      if (stream_done_) return Status::OK();
+      if (transitioned) {
+        redone_steps_ += route_.size() - merged_;
+        phases = RunPhases(step, &failed_shard);
+        if (!phases.ok()) {
+          return HandleEpochFault(std::move(phases), failed_shard);
+        }
+        std::fill(merge_cursor_.begin(), merge_cursor_.end(), 0);
+        std::fill(cross_cursor_.begin(), cross_cursor_.end(), 0);
+      }
+    }
+    Status merged = MergeStep();
+    if (!merged.ok()) {
+      // A broken merge invariant means global state (flags, monitor)
+      // may already be partially updated; no epoch may run after it
+      // and the fault is never degradable.
+      pump_error_ = merged.WithContext("epoch=" + std::to_string(epoch_));
+      return pump_error_;
+    }
+  }
+  FlushObservables();
+  ++epoch_;
+  // The merged epoch's route is spent: drop it now so a fault at the
+  // *next* boundary (a failed budget charge) cannot mistake its
+  // already-published, already-merged rows for an aborted epoch and
+  // roll them back.
+  route_.clear();
+  merged_ = 0;
+  epoch_start_ = exchange_->steps();
+  return Status::OK();
+}
+
+Status ParallelAdaptiveJoin::ControlPointAt(uint64_t step, bool* transitioned) {
+  *transitioned = false;
   if (options_.governor) {
     EpochView view;
-    view.steps = exchange_->steps();
+    view.steps = step;
     view.pairs_emitted = pairs_emitted_;
     view.state = controller_.state();
     view.memory_bytes = memory_bytes_;
@@ -276,118 +425,43 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
       case EpochDirective::kCancel:
         // Buffered output is not delivered, and neither is the staged
         // epoch: drain the ingest task and drop its work.
-        AbandonStagedIngest();
+        TruncateAt(step);
         pump_error_ = Status::Cancelled(name() + " cancelled at step " +
-                                        std::to_string(exchange_->steps()));
+                                        std::to_string(step));
         return pump_error_;
     }
   }
   if (finalize_requested_) {
-    // Hard deadline at the swap point: the staged epoch (in flight or
-    // ready) is input that was never due — discard it, ingest errors
-    // included.
-    AbandonStagedIngest();
-    finalized_early_ = finalized_early_ ||
-                       !exchange_->input_exhausted(exec::Side::kLeft) ||
-                       !exchange_->input_exhausted(exec::Side::kRight);
-    *stream_ended = true;
-    stream_done_ = true;
-    UpdateMemoryAccounting();
+    FinishEarly(step);
     return Status::OK();
   }
   // The MAR control point, soft-deadline clamp included.
   Status control = controller_.ControlPoint(
-      exchange_->steps(), Progress(),
-      [this](ProcessorState next) { return ApplyTransition(next); });
+      step, ProgressAt(step), [this, step, transitioned](ProcessorState next) {
+        *transitioned = true;
+        return ApplyTransition(next, step);
+      });
   if (!control.ok()) {
     // A failed catch-up broadcast leaves shard probe states mixed —
     // never degradable (see ApplyTransition).
     AbandonStagedIngest();
-    pump_error_ =
-        control.WithContext("epoch=" + std::to_string(epoch_));
+    pump_error_ = control.WithContext("epoch=" + std::to_string(epoch_));
     return pump_error_;
   }
-  uint64_t routed = 0;
-  if (ingest_inflight_) {
-    // Swap point: the epoch's route was staged by the ingest task
-    // during the previous epoch. Wait for it, then commit the staged
-    // tier — counters publish, shard staged rows become the epoch's
-    // input — only now, after this control point, so every observer
-    // (governor, Progress, trace) sees exactly the committed epochs.
-    // route_ is empty here, so a fault rolls nothing back.
-    Status ingest = WaitIngest();
-    if (!ingest.ok()) {
-      return HandleEpochFault(std::move(ingest), /*shard=*/-1, stream_ended);
-    }
-    const uint64_t budget =
-        EpochBudget(controller_.StepsUntilControlPoint(exchange_->steps()));
-    if (staged_budget_ != budget) {
-      // The budget prediction is exact by construction; a mismatch
-      // means the staged epoch is not the epoch the control loop just
-      // shaped, and committing it would silently fork the trace.
-      return HandleEpochFault(
-          Status::Internal(
-              "pipelined ingest staged a " +
-              std::to_string(staged_budget_) + "-step epoch but the "
-              "control point requires " + std::to_string(budget)),
-          /*shard=*/-1, stream_ended);
-    }
-    route_.clear();
-    route_.swap(staged_route_);
-    exchange_->CommitStaged(shard_ptrs_);
-    routed = route_.size();
-    ++ingest_stats_.epochs_staged;
-  } else {
-    // Nothing in flight (the first epoch, or the empty probe after the
-    // inputs ran dry): route on the coordinator, through the same
-    // staged tier.
-    const uint64_t budget =
-        EpochBudget(controller_.StepsUntilControlPoint(exchange_->steps()));
-    route_.clear();
-    const auto route_start = std::chrono::steady_clock::now();
-    auto coordinator_routed =
-        exchange_->RouteEpoch(budget, shard_ptrs_, &route_);
-    ingest_stats_.serial_route_ns += ElapsedNs(route_start);
-    ++ingest_stats_.epochs_routed_serially;
-    if (!coordinator_routed.ok()) {
-      // Mid-epoch routing failure: RouteEpoch already discarded the
-      // staged rows and nothing was published — the same state a
-      // staging fault leaves. The exchange's scheduler position cannot
-      // be rewound, so on_fault decides between the sticky error and a
-      // degraded partial-result finalization.
-      route_.clear();
-      return HandleEpochFault(coordinator_routed.status(), /*shard=*/-1,
-                              stream_ended);
-    }
-    routed = *coordinator_routed;
-  }
-  if (routed == 0) {
-    *stream_ended = true;
-    stream_done_ = true;
-    UpdateMemoryAccounting();
-    return Status::OK();
-  }
-  for (JoinShard* shard : shard_ptrs_) shard->BeginEpoch();
-  // With the staged tier now swapped into the epoch tier, it is free
-  // again: start routing the next epoch while this one's phases
-  // execute.
-  MaybeSubmitIngest();
+  next_control_step_ = NextControlStep(step);
+  return Status::OK();
+}
 
+Status ParallelAdaptiveJoin::RunPhases(uint64_t from_step,
+                                       int32_t* failed_shard) {
+  for (JoinShard* shard : shard_ptrs_) shard->BeginEpoch();
   // Phase A: per-shard step loops over their partitions.
   std::vector<std::function<void()>> tasks;
   tasks.reserve(shards_.size());
   for (JoinShard* shard : shard_ptrs_) {
-    tasks.push_back([shard] { shard->RunBuildPhase(); });
+    tasks.push_back([shard, from_step] { shard->RunBuildPhase(from_step); });
   }
-  int32_t failed_task = -1;
-  Status phase = RunTasks(std::move(tasks), &failed_task);
-  if (!phase.ok()) {
-    // A shard died mid-ingest. Its store may hold a prefix of the
-    // epoch's rows, but no ref or flag references them — output and
-    // global state come only from *merged* epochs — so the completed
-    // prefix is intact and degradable.
-    return HandleEpochFault(std::move(phase), failed_task, stream_ended);
-  }
+  AQP_RETURN_IF_ERROR(RunTasks(std::move(tasks), failed_shard));
 
   // Phase B: cross-shard approximate probes (only when some input
   // probes approximately; exact matches are intra-shard by radix
@@ -395,67 +469,53 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
   const ProcessorState state = controller_.state();
   const bool any_approx = LeftMode(state) == join::ProbeMode::kApproximate ||
                           RightMode(state) == join::ProbeMode::kApproximate;
-  if (any_approx && shards_.size() > 1) {
-    tasks.clear();
-    for (JoinShard* shard : shard_ptrs_) {
-      auto* all = &shard_ptrs_;
-      tasks.push_back([shard, all] { shard->RunCrossProbePhase(*all); });
-    }
-    failed_task = -1;
-    phase = RunTasks(std::move(tasks), &failed_task);
-    if (!phase.ok()) {
-      return HandleEpochFault(std::move(phase), failed_task, stream_ended);
-    }
+  if (!any_approx || shards_.size() <= 1) return Status::OK();
+  tasks.clear();
+  for (JoinShard* shard : shard_ptrs_) {
+    auto* all = &shard_ptrs_;
+    tasks.push_back([shard, all, from_step] {
+      shard->RunCrossProbePhase(*all, from_step);
+    });
   }
-
-  // Coordinator merge-entry fault site: fires before the merge mutates
-  // any global state, so it aborts the epoch like a phase fault.
-  auto merge_entry = []() -> Status {
-    AQP_FAILPOINT(fail::site::kExchangeMerge);
-    return Status::OK();
-  };
-  Status merge_site = merge_entry();
-  if (!merge_site.ok()) {
-    return HandleEpochFault(std::move(merge_site), /*shard=*/-1,
-                            stream_ended);
-  }
-
-  Status merged = MergeEpoch();
-  if (!merged.ok()) {
-    // A broken merge invariant means global state (flags, monitor) may
-    // already be partially updated; no epoch may run after it and the
-    // fault is never degradable.
-    pump_error_ =
-        merged.WithContext("epoch=" + std::to_string(epoch_));
-    return pump_error_;
-  }
-  ++epoch_;
-  // The merged epoch's route is spent: drop it now so a fault at the
-  // *next* control point (a failed budget charge) cannot mistake its
-  // already-published, already-merged rows for an aborted epoch and
-  // roll them back.
-  route_.clear();
-  return Status::OK();
+  return RunTasks(std::move(tasks), failed_shard);
 }
 
-Status ParallelAdaptiveJoin::HandleEpochFault(Status error, int32_t shard,
-                                              bool* stream_ended) {
-  // A phase/merge-entry fault can arrive with the *next* epoch's
-  // ingest still in flight; drain it and drop the staged tier first,
-  // so the cursor counters rewind to the published ones before the
-  // rollback below adjusts both past the faulted epoch.
+void ParallelAdaptiveJoin::FlushObservables() {
+  if (epoch_observables_.empty()) return;
+  controller_.OnSteps(epoch_observables_);
+  epoch_observables_.clear();
+}
+
+void ParallelAdaptiveJoin::TruncateAt(uint64_t step) {
   AbandonStagedIngest();
-  // Abandon the epoch: roll the exchange's counters back past its
-  // committed route, so progress, completeness, and ordinal
-  // bookkeeping all describe exactly the epochs whose output was
-  // merged. The scheduler position cannot be rewound, so no epoch may
-  // ever be routed again — either terminal path below guarantees that.
-  uint64_t aborted_rows[2] = {0, 0};
-  for (const RouteEntry& entry : route_) {
-    ++aborted_rows[static_cast<size_t>(entry.side)];
+  // Roll the exchange's counters back past every routed step at or
+  // after `step`, so progress, completeness, and ordinal bookkeeping
+  // describe exactly the merged steps.
+  const size_t keep = static_cast<size_t>(step - epoch_start_);
+  uint64_t dropped[2] = {0, 0};
+  for (size_t i = keep; i < route_.size(); ++i) {
+    ++dropped[static_cast<size_t>(route_[i].side)];
   }
-  exchange_->RollbackCounts(route_.size(), aborted_rows[0], aborted_rows[1]);
-  route_.clear();
+  exchange_->RollbackCounts(route_.size() - keep, dropped[0], dropped[1]);
+  route_.resize(keep);
+}
+
+void ParallelAdaptiveJoin::FinishEarly(uint64_t step) {
+  // Hard deadline: the steps from `step` on — the rest of the epoch,
+  // and the staged next one — are input that was never due.
+  TruncateAt(step);
+  finalized_early_ = finalized_early_ ||
+                     !exchange_->input_exhausted(exec::Side::kLeft) ||
+                     !exchange_->input_exhausted(exec::Side::kRight);
+  stream_done_ = true;
+  UpdateMemoryAccounting();
+}
+
+Status ParallelAdaptiveJoin::HandleEpochFault(Status error, int32_t shard) {
+  // Abandon the unmerged rest of the epoch (and the staged next one):
+  // the scheduler position cannot be rewound, so no epoch may ever be
+  // routed again — either terminal path below guarantees that.
+  TruncateAt(epoch_start_ + merged_);
 
   Status annotated = error.WithContext(
       "epoch=" + std::to_string(epoch_) +
@@ -475,7 +535,6 @@ Status ParallelAdaptiveJoin::HandleEpochFault(Status error, int32_t shard,
     fault_ = std::move(report);
     finalized_early_ = true;
     stream_done_ = true;
-    *stream_ended = true;
     UpdateMemoryAccounting();
     return Status::OK();
   }
@@ -494,11 +553,6 @@ void ParallelAdaptiveJoin::MaybeSubmitIngest() {
     return;
   }
   staged_route_.clear();
-  // The next pump's budget, one epoch early: what the controller will
-  // schedule once the control point at the committed step count has
-  // run. The swap point re-derives it and Internal-errors on mismatch.
-  staged_budget_ =
-      EpochBudget(controller_.StepsAfterControlPoint(exchange_->steps()));
   ingest_status_ = Status::OK();
   std::vector<std::function<void()>> tasks;
   tasks.push_back([this] {
@@ -507,13 +561,13 @@ void ParallelAdaptiveJoin::MaybeSubmitIngest() {
     // and staged buffers — nothing a phase worker or the coordinator
     // reads before the swap-point Wait().
     const auto stage_start = std::chrono::steady_clock::now();
-    auto staged =
-        exchange_->StageEpoch(staged_budget_, shard_ptrs_, &staged_route_);
+    auto staged = exchange_->StageEpoch(options_.unbounded_epoch_steps,
+                                        shard_ptrs_, &staged_route_);
     ingest_stats_.overlap_route_ns += ElapsedNs(stage_start);
     ingest_status_ = staged.ok() ? Status::OK() : staged.status();
     if (coord_node_ != nullptr) {
       // Publish this task's tier sizes so the coordinator's next
-      // control-point charge can account the ingest side without
+      // epoch-boundary charge can account the ingest side without
       // touching buffers this task owns.
       ingest_side_bytes_.store(IngestSideMemoryUsage(),
                                std::memory_order_relaxed);
@@ -553,7 +607,7 @@ void ParallelAdaptiveJoin::AbandonStagedIngest() {
 Status ParallelAdaptiveJoin::RefreshMemoryAccounting() {
   // Injected charge failure: a backing allocator refusing the
   // accounting charge. Degrades through HandleEpochFault like any
-  // recoverable control-point fault.
+  // recoverable epoch-boundary fault.
   AQP_FAILPOINT(fail::site::kBudgetCharge);
   UpdateMemoryAccounting();
   return Status::OK();
@@ -619,149 +673,134 @@ Status ParallelAdaptiveJoin::RunTasks(std::vector<std::function<void()>> tasks,
   return status;
 }
 
-Status ParallelAdaptiveJoin::MergeEpoch() {
-  const uint64_t epoch_start = exchange_->steps() - route_.size();
-  std::fill(merge_cursor_.begin(), merge_cursor_.end(), 0);
-  std::fill(cross_cursor_.begin(), cross_cursor_.end(), 0);
-  epoch_observables_.clear();
-  epoch_observables_.reserve(route_.size());
+Status ParallelAdaptiveJoin::MergeStep() {
+  const size_t i = merged_;
+  const uint64_t seq = epoch_start_ + i;
+  const RouteEntry& entry = route_[i];
+  JoinShard* shard = shard_ptrs_[entry.shard];
+  const exec::Side read_side = entry.side;
+  const exec::Side stored_side = exec::OtherSide(read_side);
+  const size_t read_idx = static_cast<size_t>(read_side);
+  const size_t stored_idx = static_cast<size_t>(stored_side);
 
-  // Size the global flag bitsets for every tuple routed so far.
-  for (size_t s = 0; s < 2; ++s) {
-    const size_t count = exchange_->side_count(static_cast<exec::Side>(s));
-    matched_exactly_[s].resize(count, 0);
-    matched_any_[s].resize(count, 0);
+  merge_scratch_.clear();
+
+  // Intra-shard matches of this step (phase A). The shard must have
+  // produced exactly one StepOutputs per routed row, in routing
+  // order — a mismatch would silently misattribute matches to the
+  // wrong global steps, so it is checked in every build type.
+  if (merge_cursor_[entry.shard] >= shard->step_outputs().size()) {
+    return Status::Internal(
+        "parallel join merge: shard " + std::to_string(entry.shard) +
+        " produced " + std::to_string(shard->step_outputs().size()) +
+        " phase-A steps but the route expects more (global step " +
+        std::to_string(seq) + ")");
+  }
+  const StepOutputs& step =
+      shard->step_outputs()[merge_cursor_[entry.shard]++];
+  if (step.seq != seq) {
+    return Status::Internal(
+        "parallel join merge: phase-A outputs out of order on shard " +
+        std::to_string(entry.shard) + " (got step " +
+        std::to_string(step.seq) + ", expected " + std::to_string(seq) +
+        ")");
+  }
+  for (uint32_t m = step.begin; m < step.end; ++m) {
+    const join::JoinMatch& match = shard->matches()[m];
+    MergedMatch merged;
+    merged.probe_side = read_side;
+    merged.probe_ordinal = entry.ordinal;
+    merged.stored_ordinal = shard->side_ordinal(stored_side, match.stored_id);
+    merged.ref.similarity = match.similarity;
+    merged.ref.kind = match.kind;
+    if (read_side == exec::Side::kLeft) {
+      merged.ref.left_shard = entry.shard;
+      merged.ref.left_id = match.probe_id;
+      merged.ref.right_shard = entry.shard;
+      merged.ref.right_id = match.stored_id;
+    } else {
+      merged.ref.left_shard = entry.shard;
+      merged.ref.left_id = match.stored_id;
+      merged.ref.right_shard = entry.shard;
+      merged.ref.right_id = match.probe_id;
+    }
+    merge_scratch_.push_back(merged);
   }
 
-  for (size_t i = 0; i < route_.size(); ++i) {
-    const uint64_t seq = epoch_start + i;
-    const RouteEntry& entry = route_[i];
-    JoinShard* shard = shard_ptrs_[entry.shard];
-    const exec::Side read_side = entry.side;
-    const exec::Side stored_side = exec::OtherSide(read_side);
-    const size_t read_idx = static_cast<size_t>(read_side);
-    const size_t stored_idx = static_cast<size_t>(stored_side);
-
-    merge_scratch_.clear();
-
-    // Intra-shard matches of this step (phase A). The shard must have
-    // produced exactly one StepOutputs per routed row, in routing
-    // order — a mismatch would silently misattribute matches to the
-    // wrong global steps, so it is checked in every build type.
-    if (merge_cursor_[entry.shard] >= shard->step_outputs().size()) {
-      return Status::Internal(
-          "parallel join merge: shard " + std::to_string(entry.shard) +
-          " produced " + std::to_string(shard->step_outputs().size()) +
-          " phase-A steps but the route expects more (global step " +
-          std::to_string(seq) + ")");
-    }
-    const StepOutputs& step =
-        shard->step_outputs()[merge_cursor_[entry.shard]++];
-    if (step.seq != seq) {
-      return Status::Internal(
-          "parallel join merge: phase-A outputs out of order on shard " +
-          std::to_string(entry.shard) + " (got step " +
-          std::to_string(step.seq) + ", expected " + std::to_string(seq) +
-          ")");
-    }
-    for (uint32_t m = step.begin; m < step.end; ++m) {
-      const join::JoinMatch& match = shard->matches()[m];
+  // Cross-shard matches of this step (phase B), if any.
+  const auto& cross_steps = shard->cross_step_outputs();
+  size_t& cross_cursor = cross_cursor_[entry.shard];
+  if (cross_cursor < cross_steps.size() &&
+      cross_steps[cross_cursor].seq == seq) {
+    const StepOutputs& cross = cross_steps[cross_cursor++];
+    for (uint32_t m = cross.begin; m < cross.end; ++m) {
+      const CrossMatch& cm = shard->cross_matches()[m];
+      const JoinShard* stored_shard = shard_ptrs_[cm.stored_shard];
       MergedMatch merged;
       merged.probe_side = read_side;
       merged.probe_ordinal = entry.ordinal;
-      merged.stored_ordinal = shard->side_ordinal(stored_side, match.stored_id);
-      merged.ref.similarity = match.similarity;
-      merged.ref.kind = match.kind;
+      merged.stored_ordinal =
+          stored_shard->side_ordinal(stored_side, cm.match.stored_id);
+      merged.ref.similarity = cm.match.similarity;
+      merged.ref.kind = cm.match.kind;
       if (read_side == exec::Side::kLeft) {
         merged.ref.left_shard = entry.shard;
-        merged.ref.left_id = match.probe_id;
-        merged.ref.right_shard = entry.shard;
-        merged.ref.right_id = match.stored_id;
+        merged.ref.left_id = cm.match.probe_id;
+        merged.ref.right_shard = cm.stored_shard;
+        merged.ref.right_id = cm.match.stored_id;
       } else {
-        merged.ref.left_shard = entry.shard;
-        merged.ref.left_id = match.stored_id;
+        merged.ref.left_shard = cm.stored_shard;
+        merged.ref.left_id = cm.match.stored_id;
         merged.ref.right_shard = entry.shard;
-        merged.ref.right_id = match.probe_id;
+        merged.ref.right_id = cm.match.probe_id;
       }
       merge_scratch_.push_back(merged);
     }
-
-    // Cross-shard matches of this step (phase B), if any.
-    const auto& cross_steps = shard->cross_step_outputs();
-    size_t& cross_cursor = cross_cursor_[entry.shard];
-    if (cross_cursor < cross_steps.size() &&
-        cross_steps[cross_cursor].seq == seq) {
-      const StepOutputs& cross = cross_steps[cross_cursor++];
-      for (uint32_t m = cross.begin; m < cross.end; ++m) {
-        const CrossMatch& cm = shard->cross_matches()[m];
-        const JoinShard* stored_shard = shard_ptrs_[cm.stored_shard];
-        MergedMatch merged;
-        merged.probe_side = read_side;
-        merged.probe_ordinal = entry.ordinal;
-        merged.stored_ordinal =
-            stored_shard->side_ordinal(stored_side, cm.match.stored_id);
-        merged.ref.similarity = cm.match.similarity;
-        merged.ref.kind = cm.match.kind;
-        if (read_side == exec::Side::kLeft) {
-          merged.ref.left_shard = entry.shard;
-          merged.ref.left_id = cm.match.probe_id;
-          merged.ref.right_shard = cm.stored_shard;
-          merged.ref.right_id = cm.match.stored_id;
-        } else {
-          merged.ref.left_shard = cm.stored_shard;
-          merged.ref.left_id = cm.match.stored_id;
-          merged.ref.right_shard = entry.shard;
-          merged.ref.right_id = cm.match.probe_id;
-        }
-        merge_scratch_.push_back(merged);
-      }
-    }
-
-    // Deterministic shard merge order == single-threaded output order:
-    // every probe appends its matches sorted by stored id, and stored
-    // ids in the one-store engine are exactly the per-side ordinals.
-    std::sort(merge_scratch_.begin(), merge_scratch_.end(),
-              [](const MergedMatch& a, const MergedMatch& b) {
-                return a.stored_ordinal < b.stored_ordinal;
-              });
-
-    // Replay the step against the global flags, exactly as the
-    // single-threaded core does: flag/counter updates for the whole
-    // step first, attribution afterwards (§3.3 snapshots the flags at
-    // the end of the step).
-    for (const MergedMatch& merged : merge_scratch_) {
-      if (merged.ref.kind == join::MatchKind::kExact) {
-        matched_exactly_[read_idx][merged.probe_ordinal] = 1;
-        matched_exactly_[stored_idx][merged.stored_ordinal] = 1;
-        ++exact_pairs_;
-      } else {
-        ++approximate_pairs_;
-      }
-      if (!matched_any_[read_idx][merged.probe_ordinal]) {
-        matched_any_[read_idx][merged.probe_ordinal] = 1;
-        ++matched_any_count_[read_idx];
-      }
-      if (!matched_any_[stored_idx][merged.stored_ordinal]) {
-        matched_any_[stored_idx][merged.stored_ordinal] = 1;
-        ++matched_any_count_[stored_idx];
-      }
-      ++pairs_emitted_;
-      out_buffer_.push_back(merged.ref);
-    }
-
-    join::StepObservables obs;
-    for (const MergedMatch& merged : merge_scratch_) {
-      if (merged.ref.kind != join::MatchKind::kApproximate) continue;
-      join::AttributeApproxMatch(
-          read_side,
-          [&] { return matched_exactly_[stored_idx][merged.stored_ordinal]; },
-          [&] { return matched_exactly_[read_idx][merged.probe_ordinal]; },
-          &obs);
-    }
-    epoch_observables_.push_back(obs);
   }
 
-  controller_.OnSteps(epoch_observables_);
+  // Deterministic shard merge order == single-threaded output order:
+  // every probe appends its matches sorted by stored id, and stored
+  // ids in the one-store engine are exactly the per-side ordinals.
+  std::sort(merge_scratch_.begin(), merge_scratch_.end(),
+            [](const MergedMatch& a, const MergedMatch& b) {
+              return a.stored_ordinal < b.stored_ordinal;
+            });
+
+  // Replay the step against the global flags, exactly as the
+  // single-threaded core does: flag/counter updates for the whole
+  // step first, attribution afterwards (§3.3 snapshots the flags at
+  // the end of the step).
+  for (const MergedMatch& merged : merge_scratch_) {
+    if (merged.ref.kind == join::MatchKind::kExact) {
+      matched_exactly_[read_idx][merged.probe_ordinal] = 1;
+      matched_exactly_[stored_idx][merged.stored_ordinal] = 1;
+      ++exact_pairs_;
+    } else {
+      ++approximate_pairs_;
+    }
+    if (!matched_any_[read_idx][merged.probe_ordinal]) {
+      matched_any_[read_idx][merged.probe_ordinal] = 1;
+      ++matched_any_count_[read_idx];
+    }
+    if (!matched_any_[stored_idx][merged.stored_ordinal]) {
+      matched_any_[stored_idx][merged.stored_ordinal] = 1;
+      ++matched_any_count_[stored_idx];
+    }
+    ++pairs_emitted_;
+    out_buffer_.push_back(merged.ref);
+  }
+
+  join::StepObservables obs;
+  for (const MergedMatch& merged : merge_scratch_) {
+    if (merged.ref.kind != join::MatchKind::kApproximate) continue;
+    join::AttributeApproxMatch(
+        read_side,
+        [&] { return matched_exactly_[stored_idx][merged.stored_ordinal]; },
+        [&] { return matched_exactly_[read_idx][merged.probe_ordinal]; },
+        &obs);
+  }
+  epoch_observables_.push_back(obs);
+  ++merged_side_count_[read_idx];
   return Status::OK();
 }
 
@@ -775,12 +814,9 @@ Status ParallelAdaptiveJoin::EnsureOutput(bool* have_output) {
       *have_output = false;
       return Status::OK();
     }
-    bool stream_ended = false;
-    AQP_RETURN_IF_ERROR(PumpEpoch(&stream_ended));
-    if (stream_ended) {
-      *have_output = false;
-      return Status::OK();
-    }
+    // An epoch cut short by a deadline or a fault still delivers the
+    // output merged before the cut: the loop re-checks the buffer.
+    AQP_RETURN_IF_ERROR(PumpEpoch());
   }
   *have_output = true;
   return Status::OK();

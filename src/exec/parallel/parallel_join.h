@@ -47,8 +47,9 @@ struct EpochView {
   uint64_t steps = 0;
   uint64_t pairs_emitted = 0;
   adaptive::ProcessorState state = adaptive::ProcessorState::kLexRex;
-  /// Engine memory footprint as refreshed at this control point; 0
-  /// when the join carries no budget node (accounting off).
+  /// Engine memory footprint as refreshed at the last epoch boundary
+  /// (control points inside an epoch see that figure); 0 when the join
+  /// carries no budget node (accounting off).
   uint64_t memory_bytes = 0;
 };
 
@@ -94,8 +95,8 @@ struct FaultReport {
   /// Failpoint site name when the error carries a "site=…" breadcrumb
   /// (injected faults always do); empty otherwise.
   std::string site;
-  /// Completed epochs before the fault (the result is exactly their
-  /// merged output).
+  /// Completed epochs before the fault (the result is their merged
+  /// output, plus the prefix of the faulting epoch merged before it).
   uint64_t epoch = 0;
   /// Global step count at the fault, after the aborted epoch's steps
   /// were rolled back.
@@ -117,7 +118,7 @@ struct IngestStats {
   /// Epochs whose route was staged ahead by the ingest task.
   uint64_t epochs_staged = 0;
   /// Epochs routed on the coordinator, on the critical path: the
-  /// first epoch and the empty end-of-stream probe.
+  /// first epoch.
   uint64_t epochs_routed_serially = 0;
   /// Coordinator wall time blocked at swap points waiting for (or
   /// helping finish) an in-flight ingest task. On a saturated pool
@@ -139,22 +140,25 @@ struct ParallelJoinOptions {
   adaptive::AdaptiveJoinOptions base;
   /// Shard (worker) count. 0 = hardware concurrency.
   size_t num_shards = 0;
-  /// Epoch length in steps when no control point bounds it (pinned
-  /// policy, or a scripted policy past its last entry). Only
-  /// throughput-relevant: results and traces do not depend on it.
-  uint64_t unbounded_epoch_steps = 4096;
+  /// The one epoch length in steps, for every policy: control points
+  /// are evaluated inside an epoch's merge, so they do not cut epochs.
+  /// Only throughput- and memory-relevant: results and traces do not
+  /// depend on it.
+  uint64_t unbounded_epoch_steps = 512;
   /// Shared worker pool (borrowed, e.g. a LinkageService's; must
   /// outlive the operator). Null = the operator creates its own
   /// max(1, num_shards - 1)-worker pool at Open. Pool choice never
   /// changes results or traces — epochs are barrier-synchronized
   /// either way.
   ThreadPool* shared_pool = nullptr;
-  /// Called by the coordinator at every epoch control point (all
-  /// shards quiescent), *before* the MAR control loop runs. This is
-  /// where per-query deadline budgets plug into the adaptation cycle:
-  /// a service returns kForceExactOnly past a soft deadline, kFinalize
-  /// past a hard one, kCancel on teardown. Null = always proceed
-  /// (byte-identical to the governor-less engine).
+  /// Called by the coordinator at every control point (and, when no
+  /// control point is scheduled, at every epoch boundary), with the
+  /// progress as of that step, *before* the MAR control loop runs.
+  /// This is where per-query deadline budgets plug into the adaptation
+  /// cycle: a service returns kForceExactOnly past a soft deadline,
+  /// kFinalize past a hard one, kCancel on teardown. A directive acts
+  /// at exactly that step, wherever it falls inside an epoch. Null =
+  /// always proceed (byte-identical to the governor-less engine).
   std::function<EpochDirective(const EpochView&)> governor;
   /// Recoverable-fault policy (see FaultPolicy). kFail preserves the
   /// sticky-error behavior.
@@ -165,7 +169,7 @@ struct ParallelJoinOptions {
   /// Per-query budget node of the hierarchical accounting tree
   /// (borrowed; must outlive the join). When set, the join creates one
   /// child node per shard plus a coordinator node under it at Open and
-  /// refreshes them at every epoch control point, so the governor (and
+  /// refreshes them at every epoch boundary, so the governor (and
   /// the node's ancestors, up to a service-global root) observe the
   /// engine's footprint while it runs. Null = no accounting, no
   /// refresh work — byte-identical behavior AND identical hot-path
@@ -190,23 +194,28 @@ struct ParallelMatchRef {
 /// A radix exchange replays the single-threaded input schedule and
 /// routes each tuple by join-key hash to one of N shards, each owning
 /// its own TupleStore / ExactIndex / QGramIndex (inside a
-/// HybridJoinCore). Execution is epoch-synchronized: one epoch spans
-/// the steps to the next MAR control point (δ_adapt in adaptive mode),
-/// and runs as
+/// HybridJoinCore). Execution runs in epochs of one fixed length
+/// (unbounded_epoch_steps) for every policy:
 ///
-///   control point  →  route epoch  →  phase A (parallel: per-shard
-///   step loops)  →  phase B (parallel: cross-shard approximate
-///   probes, sequence-gated)  →  merge (serial: global observation
-///   stream)  →  next control point
+///   route epoch  →  phase A (parallel: per-shard step loops)  →
+///   phase B (parallel: cross-shard approximate probes,
+///   sequence-gated)  →  merge (serial: global observation stream,
+///   with the control points inside the epoch)  →  next epoch
 ///
 /// Adaptation stays *global*: the coordinator merges every shard's
 /// per-step matches back into global step order, applies the §3.3
 /// attribution to coordinator-owned matched-exactly flags, and runs
-/// the same Controller as AdaptiveJoin on global progress. Its
-/// catch-up broadcasts a transition to all shards, each catching up
-/// its own lagging structures, before any shard executes a step of the
-/// next epoch — the paper's safe-state-transfer guarantee, since every
-/// shard is quiescent at the barrier.
+/// the same Controller as AdaptiveJoin on global progress. The merge
+/// calls the governor and the Controller at every control point it
+/// crosses, with the progress as of that step. A stay costs nothing
+/// more. A transition at step j stops the merge at j and broadcasts a
+/// rollback-and-catch-up to all shards: each drops the tuples it
+/// processed from j on, catches up its lagging structures over the
+/// tuples before j, and the phases rerun over the epoch's rows from j
+/// in the new state — the paper's safe-state-transfer guarantee,
+/// paying for quiescence only where a transition happens. A hard
+/// deadline, cancellation or fault likewise cuts the output at its
+/// exact step.
 ///
 /// Equivalence contract (tests/integration/parallel_parity_test.cc):
 /// for any shard count, the output row *sequence* and the adaptation
@@ -237,7 +246,8 @@ class ParallelAdaptiveJoin : public exec::Operator,
     return output_schema_;
   }
   /// Quiescent iff no produced-but-undelivered match refs remain
-  /// buffered (every routed tuple is fully joined at epoch barriers).
+  /// buffered (every routed tuple is fully merged by the end of its
+  /// epoch).
   bool quiescent() const override { return out_pos_ >= out_buffer_.size(); }
   std::string name() const override { return "ParallelAdaptiveJoin"; }
 
@@ -263,7 +273,7 @@ class ParallelAdaptiveJoin : public exec::Operator,
 
   /// \name Deadline controls (also reachable via options().governor).
   /// @{
-  /// Forces the processor into lex/rex at the next epoch boundary and
+  /// Forces the processor into lex/rex at the next control point and
   /// pins it there (soft-deadline semantics; sticky).
   void ForceExactOnly() { controller_.ForceExactOnly(); }
   /// Stops consuming input at the next epoch boundary: buffered output
@@ -291,6 +301,9 @@ class ParallelAdaptiveJoin : public exec::Operator,
   const IngestStats& ingest_stats() const { return ingest_stats_; }
   /// Epochs routed, executed, and merged to completion.
   uint64_t epochs_completed() const { return epoch_; }
+  /// Steps whose phases ran again after a transition inside their
+  /// epoch (the suffix from the transition step to the epoch's end).
+  uint64_t redone_steps() const { return redone_steps_; }
   /// @}
 
   /// \name Run introspection (valid during and after execution).
@@ -317,10 +330,10 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// Engine memory footprint right now: shard committed+staged tiers,
   /// exchange refill batches, and coordinator buffers. Call only when
   /// quiescent (between drive calls with no ingest task in flight, or
-  /// after the stream ended) — the per-control-point refresh uses the
+  /// after the stream ended) — the per-epoch refresh uses the
   /// race-free split internally.
   uint64_t ApproximateMemoryUsage() const;
-  /// Footprint as of the last control-point refresh (0 before any).
+  /// Footprint as of the last epoch-boundary refresh (0 before any).
   uint64_t memory_bytes() const { return memory_bytes_; }
   /// High-water of the refreshed footprint across the run. A final
   /// snapshot is folded in when the stream ends, so with accounting
@@ -338,14 +351,43 @@ class ParallelAdaptiveJoin : public exec::Operator,
     uint32_t stored_ordinal = 0;
   };
 
-  /// Runs one epoch (control point, swap, phases, merge). Sets
-  /// `*stream_ended` when no step could be routed. The epoch's route
-  /// was staged by an ingest task during the previous epoch; the swap
-  /// point waits for that task, commits the staged tier, and submits
-  /// staging of the *next* epoch before the phases run. With nothing
-  /// in flight (the first epoch, the empty end-of-stream probe) the
-  /// coordinator routes the epoch itself through the same staged tier.
-  Status PumpEpoch(bool* stream_ended);
+  /// Runs one epoch: a control point due at its first step, the swap,
+  /// the phases, then the merge with every control point it crosses
+  /// (redoing the phases over the rest of the epoch after a
+  /// transition). Sets stream_done_ when the input ends or a deadline
+  /// or degraded fault cuts the stream; output merged before the cut
+  /// stays buffered. The epoch's route was staged by an ingest task
+  /// during the previous epoch; the swap point waits for that task,
+  /// commits the staged tier, and submits staging of the *next* epoch
+  /// before the phases run. With nothing in flight (the first epoch)
+  /// the coordinator routes the epoch itself through the same staged
+  /// tier.
+  Status PumpEpoch();
+
+  /// The governor and the MAR control point at global step `step`,
+  /// which every merged step before it has reached. Sets
+  /// `*transitioned` when the Controller changed state (the shards
+  /// were rolled back to `step`, so the caller reruns the phases from
+  /// there); ends the stream on kFinalize, fails sticky on kCancel or
+  /// a failed catch-up. Schedules next_control_step_.
+  Status ControlPointAt(uint64_t step, bool* transitioned);
+  /// Phases A and B over the epoch rows from `from_step` on (the
+  /// shards' output buffers are reset first). `*failed_shard` names
+  /// the faulting shard on error.
+  Status RunPhases(uint64_t from_step, int32_t* failed_shard);
+  /// Hands the observables merged since the last control point to the
+  /// Controller.
+  void FlushObservables();
+  /// Drops every routed step at or after `step` that the merge has not
+  /// reached, with the staged next epoch: the exchange counters roll
+  /// back to `step`.
+  void TruncateAt(uint64_t step);
+  /// Ends the stream at `step` (hard deadline / FinalizeEarly).
+  void FinishEarly(uint64_t step);
+  /// The next step at which ControlPointAt runs after one at `step`:
+  /// the Controller's next control point, else the next epoch
+  /// boundary.
+  uint64_t NextControlStep(uint64_t step) const;
 
   /// \name Pipelined ingest (all coordinator-side).
   /// @{
@@ -370,7 +412,7 @@ class ParallelAdaptiveJoin : public exec::Operator,
 
   /// \name Memory accounting (tentpole PR 9).
   /// @{
-  /// Control-point refresh: recomputes the engine footprint (race-free
+  /// Epoch-boundary refresh: recomputes the engine footprint (race-free
   /// against an in-flight ingest task via the committed/ingest-side
   /// split), pushes it into the budget nodes, and updates
   /// memory_bytes_/peak_memory_bytes_. Evaluates the `budget.charge`
@@ -396,28 +438,29 @@ class ParallelAdaptiveJoin : public exec::Operator,
   void UpdateMemoryAccounting();
   /// @}
 
-  /// Epoch length for a controller schedule value (steps to the next
-  /// control point, or unbounded_epoch_steps when none is scheduled).
-  uint64_t EpochBudget(uint64_t steps_to_control_point) const;
-  /// The controller's catch-up: broadcasts `next` to all shards. A
-  /// failed broadcast leaves shard states mixed; never degradable.
+  /// The controller's catch-up at `step`: broadcasts a rollback to
+  /// `step` and the state `next` to all shards. A failed broadcast
+  /// leaves shard states mixed; never degradable.
   Result<std::pair<uint64_t, uint64_t>> ApplyTransition(
-      adaptive::ProcessorState next);
-  /// Abandons the current epoch: drops the staged tier and rolls the
-  /// exchange counters back past the committed route in `route_`
-  /// (empty when the fault hit before a commit — a routing or staging
-  /// fault — since nothing was published then). Then either degrades —
-  /// on_fault == kFinalizePartial and `error` is recoverable: record a
-  /// FaultReport, end the stream as a finalized partial result, return
-  /// OK with `*stream_ended` set — or makes `error` the sticky pump
-  /// error. `shard` attributes phase faults (-1 otherwise).
-  Status HandleEpochFault(Status error, int32_t shard, bool* stream_ended);
-  /// Serial coordinator merge of one routed epoch: global observation
-  /// stream, matched-flag replay, monitor feed, output append. Errors
-  /// only on broken phase invariants (misordered shard outputs).
-  Status MergeEpoch();
-  /// Aggregates the global JoinProgress snapshot the completeness
-  /// model consumes (shared by the control point and Completeness).
+      adaptive::ProcessorState next, uint64_t step);
+  /// Abandons the unmerged rest of the current epoch: drops the staged
+  /// tier and rolls the exchange counters back to the merge position
+  /// (nothing to roll back when the fault hit before a commit — a
+  /// routing or staging fault — since nothing was published then).
+  /// Then either degrades — on_fault == kFinalizePartial and `error`
+  /// is recoverable: record a FaultReport, end the stream as a
+  /// finalized partial result, return OK — or makes `error` the sticky
+  /// pump error. `shard` attributes phase faults (-1 otherwise).
+  Status HandleEpochFault(Status error, int32_t shard);
+  /// Serial coordinator merge of route_[merged_]: matched-flag replay,
+  /// observables, output append. Errors only on broken phase
+  /// invariants (misordered shard outputs).
+  Status MergeStep();
+  /// The global JoinProgress snapshot as of global step `step`, which
+  /// the merge has reached: what a run whose epochs all ended at `step`
+  /// would report there (the control points' view).
+  stats::JoinProgress ProgressAt(uint64_t step) const;
+  /// The snapshot Completeness reports between drive calls.
   stats::JoinProgress Progress() const;
   /// Runs one task batch on the pool (coordinator participates); a
   /// throwing task is contained and returned as the group's first
@@ -452,6 +495,11 @@ class ParallelAdaptiveJoin : public exec::Operator,
   std::vector<uint8_t> matched_exactly_[2];
   std::vector<uint8_t> matched_any_[2];
   uint64_t matched_any_count_[2] = {0, 0};
+  /// Tuples of each side the merge has consumed.
+  uint64_t merged_side_count_[2] = {0, 0};
+  /// Step of the next governor/control point (see NextControlStep).
+  uint64_t next_control_step_ = 0;
+  uint64_t redone_steps_ = 0;
   uint64_t pairs_emitted_ = 0;
   uint64_t exact_pairs_ = 0;
   uint64_t approximate_pairs_ = 0;
@@ -473,14 +521,17 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// ingest_status_, and the overlap counter; the coordinator touches
   /// them only after TaskGroupHandle::Wait() (the pool's barrier).
   std::vector<RouteEntry> staged_route_;
-  uint64_t staged_budget_ = 0;
   Status ingest_status_;
   TaskGroupHandle ingest_handle_;
   bool ingest_inflight_ = false;
   IngestStats ingest_stats_;
 
-  /// Current epoch's route, per-shard merge cursors, and scratch.
+  /// Current epoch's route (its first step is epoch_start_; the merge
+  /// has consumed route_[0, merged_)), per-shard merge cursors, and
+  /// scratch.
   std::vector<RouteEntry> route_;
+  uint64_t epoch_start_ = 0;
+  size_t merged_ = 0;
   std::vector<size_t> merge_cursor_;
   std::vector<size_t> cross_cursor_;
   std::vector<MergedMatch> merge_scratch_;

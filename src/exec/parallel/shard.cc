@@ -1,5 +1,6 @@
 #include "exec/parallel/shard.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -80,11 +81,36 @@ void JoinShard::BeginEpoch() {
   cross_matches_.clear();
 }
 
-void JoinShard::RunBuildPhase() {
+std::vector<RoutedRow>::const_iterator JoinShard::FirstRowAt(
+    uint64_t seq) const {
+  // Rows are routed, and so stored, in global step order.
+  return std::lower_bound(
+      epoch_meta_.begin(), epoch_meta_.end(), seq,
+      [](const RoutedRow& row, uint64_t s) { return row.seq < s; });
+}
+
+void JoinShard::RollbackTo(uint64_t seq) {
+  size_t keep[2] = {core_.store(exec::Side::kLeft).size(),
+                    core_.store(exec::Side::kRight).size()};
+  bool cut[2] = {false, false};
+  // Each side's first epoch row at or after `seq` carries that side's
+  // cut: local ids are assigned in routing order.
+  for (auto it = FirstRowAt(seq); it != epoch_meta_.end(); ++it) {
+    const size_t s = static_cast<size_t>(it->side);
+    if (cut[s]) continue;
+    keep[s] = std::min<size_t>(keep[s], it->local_id);
+    cut[s] = true;
+    if (cut[0] && cut[1]) break;
+  }
+  core_.RollbackTo(keep[0], keep[1]);
+}
+
+void JoinShard::RunBuildPhase(uint64_t from_seq) {
   // Worker-thread context: a fired fault throws and is contained by
   // the thread pool as the task group's sticky error.
   AQP_FAILPOINT_THROW(fail::site::kShardPhaseA);
-  for (const RoutedRow& routed : epoch_meta_) {
+  for (auto it = FirstRowAt(from_seq); it != epoch_meta_.end(); ++it) {
+    const RoutedRow& routed = *it;
     StepOutputs step;
     step.seq = routed.seq;
     step.begin = static_cast<uint32_t>(matches_.size());
@@ -96,10 +122,12 @@ void JoinShard::RunBuildPhase() {
   }
 }
 
-void JoinShard::RunCrossProbePhase(const std::vector<JoinShard*>& shards) {
+void JoinShard::RunCrossProbePhase(const std::vector<JoinShard*>& shards,
+                                   uint64_t from_seq) {
   if (shards.size() <= 1) return;
   AQP_FAILPOINT_THROW(fail::site::kShardPhaseB);
-  for (const RoutedRow& routed : epoch_meta_) {
+  for (auto it = FirstRowAt(from_seq); it != epoch_meta_.end(); ++it) {
+    const RoutedRow& routed = *it;
     if (core_.probe_mode(routed.side) != join::ProbeMode::kApproximate) {
       continue;
     }

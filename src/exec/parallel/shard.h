@@ -123,17 +123,31 @@ class JoinShard {
   /// @}
 
   /// \name Phase runners (worker threads).
+  ///
+  /// Both run over the epoch rows whose global sequence is at least
+  /// `from_seq`: the whole epoch by default, or the suffix a state
+  /// transition inside the epoch makes the shard redo (after RollbackTo
+  /// and BeginEpoch).
   /// @{
   /// Phase A: the existing symmetric-join step loop over the shard's
   /// partition — store, maintain live index, probe intra-shard, record
   /// per-step match regions.
-  void RunBuildPhase();
+  void RunBuildPhase(uint64_t from_seq = 0);
 
   /// Phase B: for every epoch row probing approximately, probe every
   /// *other* shard's opposite q-gram index, keeping only stored tuples
   /// with an earlier global sequence.
-  void RunCrossProbePhase(const std::vector<JoinShard*>& shards);
+  void RunCrossProbePhase(const std::vector<JoinShard*>& shards,
+                          uint64_t from_seq = 0);
   /// @}
+
+  /// Rolls the core back to the tuples that arrived before global step
+  /// `seq`: every epoch row at or after it leaves the stores and the
+  /// indexes, so a state applied next catches up only the prefix and
+  /// the rows can be processed again in the new state. The committed
+  /// seq/ordinal maps and the epoch tier are kept (the rows keep their
+  /// local ids). No-op when no processed row is that recent.
+  void RollbackTo(uint64_t seq);
 
   /// Applies `state`'s per-side probe modes, catching up the newly
   /// live structures; returns {left catch-up, right catch-up} counts
@@ -210,6 +224,9 @@ class JoinShard {
   /// @}
 
  private:
+  /// First epoch row whose global sequence is at least `seq`.
+  std::vector<RoutedRow>::const_iterator FirstRowAt(uint64_t seq) const;
+
   uint32_t index_;
   join::JoinSpec spec_;
   join::ApproxProbeOptions approx_options_;

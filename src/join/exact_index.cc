@@ -74,6 +74,42 @@ size_t ExactIndex::CatchUpWith(const storage::TupleStore& store) {
   return inserted;
 }
 
+void ExactIndex::EraseSlot(size_t i) {
+  const size_t mask = slots_.size() - 1;
+  size_t j = i;
+  while (true) {
+    j = (j + 1) & mask;
+    if (slots_[j].head == kNone) break;
+    // Slot j stays put iff its home lies cyclically in (i, j].
+    const size_t home = static_cast<size_t>(slots_[j].hash) & mask;
+    const bool stays = i <= j ? (i < home && home <= j)
+                              : (i < home || home <= j);
+    if (!stays) {
+      slots_[i] = slots_[j];
+      i = j;
+    }
+  }
+  slots_[i] = Slot{};
+}
+
+void ExactIndex::RollbackTo(size_t n) {
+  if (n >= watermark_) return;
+  for (size_t i = watermark_; i-- > n;) {
+    const auto id = static_cast<storage::TupleId>(i);
+    const size_t slot_index =
+        FindSlot(store_->KeyHash(id), store_->JoinKey(id));
+    assert(slots_[slot_index].head == id && "rollback must run newest first");
+    if (prev_[i] != kNone) {
+      slots_[slot_index].head = prev_[i];
+    } else {
+      EraseSlot(slot_index);
+      --keys_;
+    }
+  }
+  prev_.resize(n);
+  watermark_ = n;
+}
+
 storage::TupleId ExactIndex::ChainHead(std::string_view key,
                                        uint64_t hash) const {
   if (keys_ == 0) return kNone;

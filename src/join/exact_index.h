@@ -47,6 +47,13 @@ class ExactIndex {
   /// never re-hashes or re-reads a std::string.
   size_t CatchUpWith(const storage::TupleStore& store);
 
+  /// Un-indexes tuples [n, watermark()), newest first, leaving the
+  /// index exactly as if it had only caught up to `n` (same chains,
+  /// same distinct keys). Must run before the bound store drops those
+  /// tuples: their keys are read back from it. No-op when n >=
+  /// watermark().
+  void RollbackTo(size_t n);
+
   /// Most recently indexed tuple whose join attribute equals `key`, or
   /// kNone. Walk the full bucket with ChainPrev():
   ///
@@ -93,6 +100,10 @@ class ExactIndex {
   /// Grows the slot array to at least `min_slots` (power of two) and
   /// re-places every occupied slot using its cached hash.
   void Rehash(size_t min_slots);
+
+  /// Empties slot `i` by backward-shift deletion, so every key placed
+  /// past it in its probe run stays reachable.
+  void EraseSlot(size_t i);
 
   /// Slot index holding `key` (by hash then store-backed byte compare),
   /// or the empty slot where it would be inserted.

@@ -126,6 +126,17 @@ size_t HybridJoinCore::SetProbeMode(Side side, ProbeMode mode) {
   return caught_up;
 }
 
+void HybridJoinCore::RollbackTo(size_t left_size, size_t right_size) {
+  const size_t sizes[2] = {left_size, right_size};
+  for (size_t s = 0; s < 2; ++s) {
+    // Indexes first: they read the dropped tuples' keys and grams back
+    // from the store.
+    exact_[s].RollbackTo(sizes[s]);
+    qgram_[s].RollbackTo(sizes[s]);
+    stores_[s].Truncate(sizes[s]);
+  }
+}
+
 size_t HybridJoinCore::ApproximateMemoryUsage() const {
   size_t bytes = 0;
   for (size_t i = 0; i < 2; ++i) {

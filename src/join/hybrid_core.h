@@ -89,6 +89,14 @@ class HybridJoinCore {
     return {left_caught_up, SetProbeMode(Side::kRight, right)};
   }
 
+  /// Drops every tuple past the first `left_size` left and
+  /// `right_size` right tuples from the stores and from all four
+  /// indexes, so that the next steps and the next catch-up see exactly
+  /// what a core that only ever processed those prefixes would see
+  /// (same index contents, watermarks and catch-up counts). The work
+  /// and pair counters keep counting the dropped steps.
+  void RollbackTo(size_t left_size, size_t right_size);
+
   /// Reserves store and q-gram-index capacity for the expected input
   /// cardinalities (0 = unknown); the operator wrappers pass their
   /// size hints so steady ingest never reallocates the per-tuple

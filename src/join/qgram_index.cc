@@ -33,7 +33,6 @@ size_t QGramIndex::CatchUpWith(const storage::TupleStore& store) {
   size_t inserted = 0;
   if (!store_backed_) local_gram_sets_.reserve(target);
   const bool payload = payload_mode();
-  const text::GramOrder* order = filter_.gram_order.get();
   for (size_t i = watermark_; i < target; ++i) {
     const auto id = static_cast<storage::TupleId>(i);
     if (!store_backed_) {
@@ -53,22 +52,11 @@ size_t QGramIndex::CatchUpWith(const storage::TupleStore& store) {
         ++total_postings_;
       }
     } else {
-      // Payload layout: order the tuple's grams under the global gram
-      // order, then post the first g-k+1 of them (all g without prefix
-      // filtering), each carrying the tuple's gram count and the
-      // gram's position in the ordered list.
+      // Payload layout: post the first g-k+1 grams in the global gram
+      // order (all g without prefix filtering), each carrying the
+      // tuple's gram count and the gram's position in the ordered list.
       const size_t g = set.size();
-      order_scratch_.clear();
-      order_scratch_.reserve(g);
-      for (text::GramKey key : set.grams()) {
-        order_scratch_.emplace_back(order ? order->FrequencyOf(key) : 0,
-                                    key);
-      }
-      // grams() is already key-sorted, so with no sampled order this
-      // sort is a no-op pass; with one it ranks rarest first.
-      std::sort(order_scratch_.begin(), order_scratch_.end());
-      const size_t posted =
-          filter_.prefix ? PrefixLengthFor(measure_, g, sim_threshold_) : g;
+      const size_t posted = OrderPostedGrams(set);
       for (size_t j = 0; j < posted; ++j) {
         std::vector<GramPosting>& postings =
             payload_postings_[order_scratch_[j].second];
@@ -84,6 +72,53 @@ size_t QGramIndex::CatchUpWith(const storage::TupleStore& store) {
   }
   watermark_ = target;
   return inserted;
+}
+
+size_t QGramIndex::OrderPostedGrams(const text::GramSet& set) {
+  const text::GramOrder* order = filter_.gram_order.get();
+  const size_t g = set.size();
+  order_scratch_.clear();
+  order_scratch_.reserve(g);
+  for (text::GramKey key : set.grams()) {
+    order_scratch_.emplace_back(order ? order->FrequencyOf(key) : 0, key);
+  }
+  // grams() is already key-sorted, so with no sampled order this sort
+  // is a no-op pass; with one it ranks rarest first.
+  std::sort(order_scratch_.begin(), order_scratch_.end());
+  return filter_.prefix ? PrefixLengthFor(measure_, g, sim_threshold_) : g;
+}
+
+void QGramIndex::RollbackTo(size_t n) {
+  if (n >= watermark_) return;
+  // Postings are appended in id order, so the newest tuple's entries
+  // are the tails of its grams' lists.
+  for (size_t i = watermark_; i-- > n;) {
+    const auto id = static_cast<storage::TupleId>(i);
+    const text::GramSet& set = GramSetOf(id);
+    if (set.empty()) {
+      assert(empty_gram_tuples_.back() == id);
+      empty_gram_tuples_.pop_back();
+    } else if (!payload_mode()) {
+      for (text::GramKey key : set.grams()) {
+        auto it = postings_.find(key);
+        assert(it != postings_.end() && it->second.back() == id);
+        it->second.pop_back();
+        if (it->second.empty()) postings_.erase(it);
+        --total_postings_;
+      }
+    } else {
+      const size_t posted = OrderPostedGrams(set);
+      for (size_t j = 0; j < posted; ++j) {
+        auto it = payload_postings_.find(order_scratch_[j].second);
+        assert(it != payload_postings_.end() && it->second.back().id == id);
+        it->second.pop_back();
+        if (it->second.empty()) payload_postings_.erase(it);
+        --total_postings_;
+      }
+    }
+  }
+  if (!store_backed_) local_gram_sets_.resize(n);
+  watermark_ = n;
 }
 
 const std::vector<storage::TupleId>* QGramIndex::Postings(

@@ -71,6 +71,13 @@ class QGramIndex {
   /// tuples were inserted.
   size_t CatchUpWith(const storage::TupleStore& store);
 
+  /// Un-indexes tuples [n, watermark()), newest first, leaving the
+  /// index exactly as if it had only caught up to `n`: same posting
+  /// lists, same distinct grams, same frequencies. Must run before the
+  /// bound store drops those tuples (their gram sets are read back).
+  /// No-op when n >= watermark().
+  void RollbackTo(size_t n);
+
   /// Posting list of a gram (tuples whose join attribute contains it),
   /// or nullptr if the gram is unknown. Plain layout only.
   const std::vector<storage::TupleId>* Postings(text::GramKey key) const;
@@ -134,6 +141,10 @@ class QGramIndex {
   size_t ApproximateMemoryUsage() const;
 
  private:
+  /// Payload layout: fills order_scratch_ with `set`'s grams under the
+  /// global gram order and returns how many of them are posted.
+  size_t OrderPostedGrams(const text::GramSet& set);
+
   text::QGramOptions options_;
   ApproxFilterOptions filter_;
   text::SimilarityMeasure measure_ = text::SimilarityMeasure::kJaccard;

@@ -1,5 +1,6 @@
 #include "storage/key_arena.h"
 
+#include <cassert>
 #include <cstring>
 
 #include "common/failpoint.h"
@@ -29,6 +30,20 @@ uint64_t KeyArena::Intern(std::string_view bytes) {
   }
   used_in_last_ += bytes.size();
   return offset;
+}
+
+void KeyArena::Unintern(uint64_t offset, uint32_t len) {
+  payload_bytes_ -= len;
+  if (offset & kOverflowBit) {
+    assert((offset & ~kOverflowBit) + 1 == overflow_.size() &&
+           "Unintern must drop the most recent key first");
+    overflow_.pop_back();
+    return;
+  }
+  // The key sat at the tail of its chunk: rewind the fill position
+  // there and release any chunk started after it.
+  chunks_.resize((offset >> kChunkShift) + 1);
+  used_in_last_ = static_cast<size_t>(offset & (kChunkBytes - 1));
 }
 
 size_t KeyArena::ApproximateMemoryUsage() const {

@@ -39,6 +39,11 @@ class KeyArena {
   /// pass to View(). The caller keeps the length.
   uint64_t Intern(std::string_view bytes);
 
+  /// Drops the most recently interned key, which must be the one at
+  /// `offset` with length `len` (keys are dropped last-in, first-out).
+  /// Views of the keys still interned stay valid.
+  void Unintern(uint64_t offset, uint32_t len);
+
   /// The interned bytes at `offset` (must come from Intern, paired
   /// with the length passed to it). Valid for the arena's lifetime.
   std::string_view View(uint64_t offset, uint32_t len) const {

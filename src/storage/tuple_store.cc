@@ -205,6 +205,39 @@ TupleId TupleStore::Add(Tuple tuple, uint64_t key_hash) {
   return id;
 }
 
+void TupleStore::Truncate(size_t n) {
+  if (n >= keys_.size()) return;
+  // Newest first, so the key arena and the payload arena rewind in the
+  // order they grew.
+  for (size_t id = keys_.size(); id-- > n;) {
+    arena_.Unintern(keys_[id].offset, keys_[id].len);
+    for (size_t col = 0; col < columns_.size(); ++col) {
+      const PayloadColumn& src = columns_[col];
+      if (col != join_column_ && src.type == ValueType::kString &&
+          !src.nulls[id]) {
+        payload_arena_.resize(src.str_offset[id]);
+      }
+    }
+    if (matched_any_[id]) --matched_any_count_;
+  }
+  keys_.resize(n);
+  for (PayloadColumn& col : columns_) {
+    col.nulls.resize(n);
+    // Latched value lanes hold one slot per row; unlatched ones are
+    // empty and stay so.
+    if (col.i64.size() > n) col.i64.resize(n);
+    if (col.f64.size() > n) col.f64.resize(n);
+    if (col.str_offset.size() > n) col.str_offset.resize(n);
+    if (col.str_len.size() > n) col.str_len.resize(n);
+  }
+  matched_exactly_.resize(n);
+  matched_any_.resize(n);
+  if (gram_ready_.size() > n) {
+    gram_sets_.resize(n);
+    gram_ready_.resize(n);
+  }
+}
+
 void TupleStore::Reserve(size_t n) {
   reserve_hint_ = std::max(reserve_hint_, n);
   keys_.reserve(n);

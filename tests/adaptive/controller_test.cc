@@ -53,9 +53,7 @@ struct CatchUpLog {
 };
 
 /// Drives `controller` through step counts 0..`end` in runs of the given
-/// lengths (cycled, each clamped to the schedule), checking at every
-/// control point that StepsAfterControlPoint predicted the schedule
-/// ControlPoint then set.
+/// lengths (cycled, each clamped to the schedule ControlPoint set).
 void WalkSchedule(Controller* controller, uint64_t end,
                   const std::vector<uint64_t>& runs,
                   const stats::JoinProgress& progress) {
@@ -63,12 +61,10 @@ void WalkSchedule(Controller* controller, uint64_t end,
   uint64_t steps = 0;
   size_t run = 0;
   while (steps < end) {
-    const uint64_t predicted = controller->StepsAfterControlPoint(steps);
     ASSERT_TRUE(controller->ControlPoint(steps, progress, log.Fn()).ok());
-    ASSERT_EQ(controller->StepsUntilControlPoint(steps), predicted)
-        << "at step " << steps;
-    const uint64_t length = std::min(
-        {runs[run++ % runs.size()], predicted, end - steps});
+    const uint64_t length =
+        std::min({runs[run++ % runs.size()],
+                  controller->StepsUntilControlPoint(steps), end - steps});
     controller->OnSteps(std::vector<join::StepObservables>(length));
     steps += length;
   }
@@ -77,7 +73,6 @@ void WalkSchedule(Controller* controller, uint64_t end,
 TEST(ControllerTest, PinnedSchedulesNoControlPoint) {
   Controller controller(Options(AdaptivePolicy::kPinned), StateWeights());
   EXPECT_EQ(controller.StepsUntilControlPoint(0), kNone);
-  EXPECT_EQ(controller.StepsAfterControlPoint(0), kNone);
   WalkSchedule(&controller, 500, {7, 50, 130}, Shortfall());
   EXPECT_EQ(controller.trace().size(), 0u);
   EXPECT_EQ(controller.state(), ProcessorState::kLexRex);
@@ -98,11 +93,9 @@ TEST(ControllerTest, ScriptedScheduleIsPredictedAcrossEntries) {
        std::vector<std::vector<uint64_t>>{{1}, {3, 8}, {1000}}) {
     Controller controller(o, StateWeights());
     EXPECT_EQ(controller.StepsUntilControlPoint(0), 1u);  // entry due now
-    EXPECT_EQ(controller.StepsAfterControlPoint(0), 10u);
     WalkSchedule(&controller, 100, runs, Shortfall());
     // Past the last entry nothing is scheduled.
     EXPECT_EQ(controller.StepsUntilControlPoint(100), kNone);
-    EXPECT_EQ(controller.StepsAfterControlPoint(100), kNone);
     ASSERT_EQ(controller.trace().size(), 4u);
     const auto& records = controller.trace().records();
     EXPECT_EQ(records[0].assessment.step, 0u);
@@ -125,7 +118,6 @@ TEST(ControllerTest, AdaptiveScheduleIsPredictedAcrossDeltaBoundaries) {
     Controller controller(Options(AdaptivePolicy::kAdaptive),
                           StateWeights());
     EXPECT_EQ(controller.StepsUntilControlPoint(0), 50u);
-    EXPECT_EQ(controller.StepsAfterControlPoint(0), 50u);
     WalkSchedule(&controller, 500, runs, Healthy());
     // One assessment per δ_adapt boundary, none at step 0.
     ASSERT_EQ(controller.trace().size(), 9u);
@@ -134,11 +126,8 @@ TEST(ControllerTest, AdaptiveScheduleIsPredictedAcrossDeltaBoundaries) {
                 50u * (i + 1));
       EXPECT_EQ(controller.trace().records()[i].phi, 0);
     }
-    // At a boundary: before the control point it is due now; after it,
-    // the next boundary is a whole δ_adapt away.
+    // At a boundary before its control point ran, it is due now.
     EXPECT_EQ(controller.StepsUntilControlPoint(500), 1u);
-    EXPECT_EQ(controller.StepsAfterControlPoint(500), 50u);
-    EXPECT_EQ(controller.StepsAfterControlPoint(499), 1u);
   }
 }
 
@@ -185,9 +174,8 @@ TEST(ControllerTest, DeadlineClampForcesExactAndPinsIt) {
   // is due, and the schedule is unchanged by it.
   controller.ForceExactOnly();
   controller.OnSteps(std::vector<join::StepObservables>(20));
-  const uint64_t predicted = controller.StepsAfterControlPoint(70);
   ASSERT_TRUE(controller.ControlPoint(70, Shortfall(), log.Fn()).ok());
-  EXPECT_EQ(controller.StepsUntilControlPoint(70), predicted);
+  EXPECT_EQ(controller.StepsUntilControlPoint(70), 30u);
   EXPECT_EQ(controller.state(), ProcessorState::kLexRex);
   ASSERT_EQ(controller.trace().size(), 2u);
   const AssessmentRecord& clamp = controller.trace().records()[1];

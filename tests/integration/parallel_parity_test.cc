@@ -24,6 +24,10 @@ using exec::parallel::ParallelJoinOptions;
 using exec::parallel::ParallelMatchRef;
 
 constexpr size_t kShardCounts[] = {1, 2, 4, 8};
+/// Epoch lengths: control points (every δ_adapt = 50 steps) fall inside
+/// epochs and on their edges, and the default length holds several.
+const uint64_t kEpochSteps[] = {7, 173,
+                                ParallelJoinOptions().unbounded_epoch_steps};
 
 datagen::TestCaseOptions PaperCaseOptions() {
   datagen::TestCaseOptions options;
@@ -109,23 +113,29 @@ TEST(ParallelParityTest, EveryShardCountMatchesSingleThreadedAdaptive) {
     ASSERT_GT(reference.transitions, 0u) << case_options.Label();
 
     for (size_t shards : kShardCounts) {
-      exec::RelationScan child(&tc->child);
-      exec::RelationScan parent(&tc->parent);
-      ParallelJoinOptions options;
-      options.base = BaseOptions(*tc);
-      options.num_shards = shards;
-      ParallelAdaptiveJoin join(&child, &parent, options);
-      auto result = exec::CollectAll(&join);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      for (uint64_t epoch_steps : kEpochSteps) {
+        exec::RelationScan child(&tc->child);
+        exec::RelationScan parent(&tc->parent);
+        ParallelJoinOptions options;
+        options.base = BaseOptions(*tc);
+        options.num_shards = shards;
+        options.unbounded_epoch_steps = epoch_steps;
+        ParallelAdaptiveJoin join(&child, &parent, options);
+        auto result = exec::CollectAll(&join);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-      SCOPED_TRACE(testing::Message() << case_options.Label()
-                                      << " shards=" << shards);
-      EXPECT_EQ(join.steps(), reference.steps);
-      EXPECT_EQ(join.pairs_emitted(), reference.pairs);
-      EXPECT_EQ(join.monitor().steps(), reference.steps);
-      EXPECT_EQ(join.cost().total_transitions(), reference.transitions);
-      ExpectSameRows(*result, reference.result);
-      ExpectSameTrace(join.trace(), reference.trace);
+        SCOPED_TRACE(testing::Message() << case_options.Label()
+                                        << " shards=" << shards
+                                        << " epoch=" << epoch_steps);
+        EXPECT_EQ(join.steps(), reference.steps);
+        EXPECT_EQ(join.pairs_emitted(), reference.pairs);
+        EXPECT_EQ(join.monitor().steps(), reference.steps);
+        EXPECT_EQ(join.cost().total_transitions(), reference.transitions);
+        EXPECT_EQ(join.epochs_completed(),
+                  (reference.steps + epoch_steps - 1) / epoch_steps);
+        ExpectSameRows(*result, reference.result);
+        ExpectSameTrace(join.trace(), reference.trace);
+      }
     }
   }
 }
@@ -290,17 +300,107 @@ TEST(ParallelParityTest, ScriptedTransitionsFireAtSameStepsAcrossShards) {
   const ReferenceRun reference = RunSingleThreaded(tc, base);
   ASSERT_EQ(reference.trace.size(), 3u);
   for (size_t shards : kShardCounts) {
+    for (uint64_t epoch_steps : kEpochSteps) {
+      exec::RelationScan child(&tc.child);
+      exec::RelationScan parent(&tc.parent);
+      ParallelJoinOptions options;
+      options.base = base;
+      options.num_shards = shards;
+      options.unbounded_epoch_steps = epoch_steps;
+      ParallelAdaptiveJoin join(&child, &parent, options);
+      auto result = exec::CollectAll(&join);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      SCOPED_TRACE(testing::Message() << "shards=" << shards
+                                      << " epoch=" << epoch_steps);
+      ExpectSameRows(*result, reference.result);
+      ExpectSameTrace(join.trace(), reference.trace);
+    }
+  }
+}
+
+TEST(ParallelParityTest, SeveralTransitionsInsideOneEpoch) {
+  // Five transitions (two at one step) inside the first 512-step epoch:
+  // each one rolls the shards back and redoes the rest of the epoch.
+  const datagen::TestCase tc = PaperCase();
+  AdaptiveJoinOptions base = BaseOptions(tc);
+  base.adaptive.policy = adaptive::AdaptivePolicy::kScripted;
+  base.adaptive.script = {
+      {60, adaptive::ProcessorState::kLapRap},
+      {61, adaptive::ProcessorState::kLexRap},
+      {200, adaptive::ProcessorState::kLapRex},
+      {200, adaptive::ProcessorState::kLapRap},
+      {450, adaptive::ProcessorState::kLexRex},
+  };
+  const ReferenceRun reference = RunSingleThreaded(tc, base);
+  ASSERT_EQ(reference.transitions, 5u);
+  for (size_t shards : kShardCounts) {
     exec::RelationScan child(&tc.child);
     exec::RelationScan parent(&tc.parent);
     ParallelJoinOptions options;
     options.base = base;
     options.num_shards = shards;
+    options.unbounded_epoch_steps = 512;
     ParallelAdaptiveJoin join(&child, &parent, options);
     auto result = exec::CollectAll(&join);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    // Four distinct transition steps, each redoing the epoch's rest.
+    EXPECT_EQ(join.redone_steps(), (512 - 60) + (512 - 61) + (512 - 200) +
+                                       (512 - 450));
+    EXPECT_EQ(join.cost().total_transitions(), reference.transitions);
     ExpectSameRows(*result, reference.result);
     ExpectSameTrace(join.trace(), reference.trace);
+  }
+}
+
+TEST(ParallelParityTest, SoftDeadlineClampInsideAnEpochMatchesEveryLength) {
+  // The case runs in lap/rap from step 300 to 1050. A soft deadline at
+  // step 430 clamps it into lex/rex at the next control point (step
+  // 450), inside an epoch for every length tested. The reference cuts
+  // an epoch at every control point (epoch length = δ_adapt), so only
+  // the epoch length differs.
+  const datagen::TestCase tc = PaperCase();
+  const auto run = [&tc](size_t shards, uint64_t epoch_steps) {
+    exec::RelationScan child(&tc.child);
+    exec::RelationScan parent(&tc.parent);
+    ParallelJoinOptions options;
+    options.base = BaseOptions(tc);
+    options.num_shards = shards;
+    options.unbounded_epoch_steps = epoch_steps;
+    options.governor = [](const exec::parallel::EpochView& view) {
+      return view.steps >= 430 ? exec::parallel::EpochDirective::kForceExactOnly
+                               : exec::parallel::EpochDirective::kProceed;
+    };
+    ParallelAdaptiveJoin join(&child, &parent, options);
+    auto result = exec::CollectAll(&join);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    ReferenceRun out;
+    out.result = std::move(*result);
+    out.trace = join.trace();
+    out.steps = join.steps();
+    out.transitions = join.cost().total_transitions();
+    return out;
+  };
+  const ReferenceRun reference = run(1, 50);
+  bool clamped = false;
+  for (const adaptive::AssessmentRecord& record : reference.trace.records()) {
+    if (record.phi == adaptive::Decision::kDeadlineClamp &&
+        record.transitioned()) {
+      EXPECT_EQ(record.assessment.step, 450u);
+      clamped = true;
+    }
+  }
+  ASSERT_TRUE(clamped) << "the clamp must force a transition";
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    for (uint64_t epoch_steps : kEpochSteps) {
+      SCOPED_TRACE(testing::Message() << "shards=" << shards
+                                      << " epoch=" << epoch_steps);
+      const ReferenceRun actual = run(shards, epoch_steps);
+      EXPECT_EQ(actual.steps, reference.steps);
+      EXPECT_EQ(actual.transitions, reference.transitions);
+      ExpectSameRows(actual.result, reference.result);
+      ExpectSameTrace(actual.trace, reference.trace);
+    }
   }
 }
 

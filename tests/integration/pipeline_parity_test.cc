@@ -166,9 +166,7 @@ TEST(PipelineParityTest, EveryShardAndBatchSizeMatchesSerialAndReference) {
 TEST(PipelineParityTest, PinnedAndScriptedPoliciesAgreeWhenPipelined) {
   const datagen::TestCase tc = PaperCase();
 
-  // Pinned: the epoch budget is unbounded_epoch_steps; exercise an odd
-  // length so staged budgets and control-point budgets must agree on
-  // every epoch, not just power-of-two ones.
+  // Pinned: exercise an odd epoch length, not just power-of-two ones.
   for (adaptive::ProcessorState state :
        {adaptive::ProcessorState::kLexRex,
         adaptive::ProcessorState::kLapRap}) {
@@ -192,8 +190,8 @@ TEST(PipelineParityTest, PinnedAndScriptedPoliciesAgreeWhenPipelined) {
     }
   }
 
-  // Scripted: staged budgets must stop exactly at every scripted
-  // transition step, including the unbounded tail after the last one.
+  // Scripted: every scripted transition lands at its step inside a
+  // staged epoch, including the tail after the last one.
   AdaptiveJoinOptions base = BaseOptions(tc);
   base.adaptive.policy = adaptive::AdaptivePolicy::kScripted;
   base.adaptive.script = {
@@ -289,6 +287,9 @@ TEST(PipelineParityTest, HardDeadlineMidStageLeavesIdenticalPrefix) {
   ParallelJoinOptions options;
   options.base = BaseOptions(tc);
   options.num_shards = 4;
+  // 128-step epochs: the 1,200-step input then stages several epochs,
+  // and step 400 falls inside the fourth one while the fifth is staged.
+  options.unbounded_epoch_steps = 128;
   options.governor = [](const EpochView& view) {
     return view.steps >= 400 ? EpochDirective::kFinalize
                              : EpochDirective::kProceed;
@@ -297,10 +298,37 @@ TEST(PipelineParityTest, HardDeadlineMidStageLeavesIdenticalPrefix) {
   auto result = exec::CollectAll(&join);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(join.finalized_early());
-  // Epochs end at δ_adapt = 50 control points, so the first one the
-  // governor sees at or past step 400 is step 400 itself.
+  // Control points fall every δ_adapt = 50 steps, so the first one
+  // the governor sees at or past step 400 is step 400 itself, and the
+  // merge cuts the epoch there.
   EXPECT_EQ(join.steps(), 400u);
   EXPECT_GT(join.ingest_stats().epochs_staged, 0u);
+  ExpectStrictPrefixRows(*result, full.result);
+}
+
+TEST(PipelineParityTest, HardDeadlineInTheLastEpochIsStillEarly) {
+  // The last 512-step epoch, [1024, 1200), routes the rest of the input
+  // and discovers both ends of stream. A hard deadline at step 1150
+  // cuts it there: the run ends early, and the ends of stream found
+  // past the cut are not reported.
+  const datagen::TestCase tc = PaperCase();
+  const ReferenceRun full = RunSingleThreaded(tc, BaseOptions(tc));
+  ASSERT_EQ(full.steps, 1200u);
+  exec::RelationScan child(&tc.child);
+  exec::RelationScan parent(&tc.parent);
+  ParallelJoinOptions options;
+  options.base = BaseOptions(tc);
+  options.num_shards = 2;
+  options.unbounded_epoch_steps = 512;
+  options.governor = [](const EpochView& view) {
+    return view.steps >= 1150 ? EpochDirective::kFinalize
+                              : EpochDirective::kProceed;
+  };
+  ParallelAdaptiveJoin join(&child, &parent, options);
+  auto result = exec::CollectAll(&join);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(join.steps(), 1150u);
+  EXPECT_TRUE(join.finalized_early());
   ExpectStrictPrefixRows(*result, full.result);
 }
 
@@ -324,8 +352,8 @@ TEST(PipelineParityTest, CancellationMidStageDiscardsStagedEpochCleanly) {
     if (status.ok()) ASSERT_FALSE(batch.empty()) << "EOS before cancel";
   }
   EXPECT_TRUE(status.IsCancelled()) << status.ToString();
-  // Cancellation fires at a published control point: δ_adapt = 50
-  // puts the first one at or past step 300 at exactly step 300.
+  // Cancellation fires at a control point: δ_adapt = 50 puts the first
+  // one at or past step 300 at exactly step 300, inside the epoch.
   EXPECT_EQ(join.steps(), 300u);
   // The error is sticky, and Close still succeeds with the in-flight
   // staged epoch abandoned.
@@ -360,6 +388,8 @@ TEST_F(PipelineFaultTest, StageFaultDegradesToStrictPrefixWithReport) {
   options.base = BaseOptions(tc);
   options.num_shards = 4;
   options.on_fault = FaultPolicy::kFinalizePartial;
+  // 128-step epochs, so the 1,200-step input stages a third epoch.
+  options.unbounded_epoch_steps = 128;
   ParallelAdaptiveJoin join(&child, &parent, options);
   fail::ScopedFailpoint guard(
       fail::site::kExchangeStage,
