@@ -356,7 +356,7 @@ Status ParallelAdaptiveJoin::PumpEpoch() {
   // The merge walks the epoch in global step order and runs every
   // control point it crosses with the progress as of that step. A stay
   // costs nothing more; a transition rolls the shards back to the
-  // step and redoes the phases over the rest of the epoch in the new
+  // step, and the phases run again over the rows from there in the new
   // state.
   for (size_t s = 0; s < 2; ++s) {
     const size_t count = exchange_->side_count(static_cast<exec::Side>(s));
@@ -365,8 +365,6 @@ Status ParallelAdaptiveJoin::PumpEpoch() {
   }
   epoch_observables_.clear();
   epoch_observables_.reserve(route_.size());
-  std::fill(merge_cursor_.begin(), merge_cursor_.end(), 0);
-  std::fill(cross_cursor_.begin(), cross_cursor_.end(), 0);
   for (; merged_ < route_.size(); ++merged_) {
     const uint64_t step = epoch_start_ + merged_;
     if (step == next_control_step_) {
@@ -375,13 +373,14 @@ Status ParallelAdaptiveJoin::PumpEpoch() {
       AQP_RETURN_IF_ERROR(ControlPointAt(step, &transitioned));
       if (stream_done_) return Status::OK();
       if (transitioned) {
-        redone_steps_ += route_.size() - merged_;
-        phases = RunPhases(step, &failed_shard);
-        if (!phases.ok()) {
-          return HandleEpochFault(std::move(phases), failed_shard);
-        }
-        std::fill(merge_cursor_.begin(), merge_cursor_.end(), 0);
-        std::fill(cross_cursor_.begin(), cross_cursor_.end(), 0);
+        redone_steps_ += phases_end_ - step;
+        phases_end_ = step;
+      }
+    }
+    if (step == phases_end_) {
+      phases = RunPhases(step, &failed_shard);
+      if (!phases.ok()) {
+        return HandleEpochFault(std::move(phases), failed_shard);
       }
     }
     Status merged = MergeStep();
@@ -454,12 +453,25 @@ Status ParallelAdaptiveJoin::ControlPointAt(uint64_t step, bool* transitioned) {
 
 Status ParallelAdaptiveJoin::RunPhases(uint64_t from_step,
                                        int32_t* failed_shard) {
+  // Several shards run ahead to the end of the epoch: stopping at each
+  // control point would cost a barrier there, and a redo happens only
+  // where a transition does. A single shard has no barrier to save, so
+  // it stops at the next control point and never redoes work.
+  const uint64_t epoch_end = epoch_start_ + route_.size();
+  const uint64_t to_step = shards_.size() > 1
+                               ? epoch_end
+                               : std::min(epoch_end, next_control_step_);
   for (JoinShard* shard : shard_ptrs_) shard->BeginEpoch();
+  std::fill(merge_cursor_.begin(), merge_cursor_.end(), 0);
+  std::fill(cross_cursor_.begin(), cross_cursor_.end(), 0);
+  phases_end_ = to_step;
   // Phase A: per-shard step loops over their partitions.
   std::vector<std::function<void()>> tasks;
   tasks.reserve(shards_.size());
   for (JoinShard* shard : shard_ptrs_) {
-    tasks.push_back([shard, from_step] { shard->RunBuildPhase(from_step); });
+    tasks.push_back([shard, from_step, to_step] {
+      shard->RunBuildPhase(from_step, to_step);
+    });
   }
   AQP_RETURN_IF_ERROR(RunTasks(std::move(tasks), failed_shard));
 

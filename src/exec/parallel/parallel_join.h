@@ -302,7 +302,9 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// Epochs routed, executed, and merged to completion.
   uint64_t epochs_completed() const { return epoch_; }
   /// Steps whose phases ran again after a transition inside their
-  /// epoch (the suffix from the transition step to the epoch's end).
+  /// epoch (from the transition step to where the phases had run:
+  /// the epoch's end with several shards; a single shard never runs
+  /// past a control point, so it never redoes a step).
   uint64_t redone_steps() const { return redone_steps_; }
   /// @}
 
@@ -372,8 +374,10 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// a failed catch-up. Schedules next_control_step_.
   Status ControlPointAt(uint64_t step, bool* transitioned);
   /// Phases A and B over the epoch rows from `from_step` on (the
-  /// shards' output buffers are reset first). `*failed_shard` names
-  /// the faulting shard on error.
+  /// shards' output buffers and the merge cursors are reset first): to
+  /// the end of the epoch with several shards, to the next control
+  /// point with one. Sets phases_end_. `*failed_shard` names the
+  /// faulting shard on error.
   Status RunPhases(uint64_t from_step, int32_t* failed_shard);
   /// Hands the observables merged since the last control point to the
   /// Controller.
@@ -532,6 +536,8 @@ class ParallelAdaptiveJoin : public exec::Operator,
   std::vector<RouteEntry> route_;
   uint64_t epoch_start_ = 0;
   size_t merged_ = 0;
+  /// The phases have run over the epoch's steps before this one.
+  uint64_t phases_end_ = 0;
   std::vector<size_t> merge_cursor_;
   std::vector<size_t> cross_cursor_;
   std::vector<MergedMatch> merge_scratch_;

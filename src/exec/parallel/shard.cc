@@ -105,11 +105,12 @@ void JoinShard::RollbackTo(uint64_t seq) {
   core_.RollbackTo(keep[0], keep[1]);
 }
 
-void JoinShard::RunBuildPhase(uint64_t from_seq) {
+void JoinShard::RunBuildPhase(uint64_t from_seq, uint64_t end_seq) {
   // Worker-thread context: a fired fault throws and is contained by
   // the thread pool as the task group's sticky error.
   AQP_FAILPOINT_THROW(fail::site::kShardPhaseA);
-  for (auto it = FirstRowAt(from_seq); it != epoch_meta_.end(); ++it) {
+  for (auto it = FirstRowAt(from_seq);
+       it != epoch_meta_.end() && it->seq < end_seq; ++it) {
     const RoutedRow& routed = *it;
     StepOutputs step;
     step.seq = routed.seq;
@@ -123,10 +124,11 @@ void JoinShard::RunBuildPhase(uint64_t from_seq) {
 }
 
 void JoinShard::RunCrossProbePhase(const std::vector<JoinShard*>& shards,
-                                   uint64_t from_seq) {
+                                   uint64_t from_seq, uint64_t end_seq) {
   if (shards.size() <= 1) return;
   AQP_FAILPOINT_THROW(fail::site::kShardPhaseB);
-  for (auto it = FirstRowAt(from_seq); it != epoch_meta_.end(); ++it) {
+  for (auto it = FirstRowAt(from_seq);
+       it != epoch_meta_.end() && it->seq < end_seq; ++it) {
     const RoutedRow& routed = *it;
     if (core_.probe_mode(routed.side) != join::ProbeMode::kApproximate) {
       continue;

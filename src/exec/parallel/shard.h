@@ -124,21 +124,22 @@ class JoinShard {
 
   /// \name Phase runners (worker threads).
   ///
-  /// Both run over the epoch rows whose global sequence is at least
-  /// `from_seq`: the whole epoch by default, or the suffix a state
-  /// transition inside the epoch makes the shard redo (after RollbackTo
-  /// and BeginEpoch).
+  /// Both run over the epoch rows whose global sequence is in
+  /// [`from_seq`, `end_seq`): the whole epoch by default, or the part a
+  /// state transition inside the epoch makes the shard run (again,
+  /// after RollbackTo and BeginEpoch).
   /// @{
   /// Phase A: the existing symmetric-join step loop over the shard's
   /// partition — store, maintain live index, probe intra-shard, record
   /// per-step match regions.
-  void RunBuildPhase(uint64_t from_seq = 0);
+  void RunBuildPhase(uint64_t from_seq = 0, uint64_t end_seq = UINT64_MAX);
 
   /// Phase B: for every epoch row probing approximately, probe every
   /// *other* shard's opposite q-gram index, keeping only stored tuples
   /// with an earlier global sequence.
   void RunCrossProbePhase(const std::vector<JoinShard*>& shards,
-                          uint64_t from_seq = 0);
+                          uint64_t from_seq = 0,
+                          uint64_t end_seq = UINT64_MAX);
   /// @}
 
   /// Rolls the core back to the tuples that arrived before global step

@@ -50,7 +50,7 @@ LinkageService::~LinkageService() {
     sync::MutexLock lock(&mu_);
     shutdown_ = true;
     // Queued queries never run; running ones see the cancel flag at
-    // their next epoch control point.
+    // their next control point.
     for (auto& [id, q] : queries_) {
       if (!IsTerminalState(q->state)) {
         q->cancel_requested.store(true, std::memory_order_relaxed);
@@ -141,7 +141,7 @@ Status LinkageService::Cancel(QueryId id) {
     q->stats.status = q->final_status;
     state_changed_.NotifyAll();
   }
-  // A running query tears down at its next epoch control point, via
+  // A running query tears down at its next control point, via
   // the governor — between epochs every shard is quiescent, so no
   // phase task of this query is left behind on the pool. The notify
   // also cuts a retry backoff sleep short, so cancellation is prompt

@@ -49,7 +49,7 @@ struct ServiceOptions {
 /// task groups — the pool's FIFO-fair group dispatch interleaves them,
 /// so a wide query cannot starve a narrow one.
 ///
-/// Deadlines plug into the engine's epoch control points through the
+/// Deadlines plug into the engine's control points through the
 /// governor hook (every shard quiescent): past its soft deadline a
 /// query is forced into the cheapest exact state and pinned there;
 /// past its hard deadline it is finalized early and reports the
@@ -101,7 +101,7 @@ class LinkageService {
                          QueryOptions options) AQP_EXCLUDES(mu_);
 
   /// Requests cancellation: a queued query is cancelled immediately, a
-  /// running one at its next epoch control point. Terminal queries are
+  /// running one at its next control point. Terminal queries are
   /// left untouched (NotFound for unknown ids, OK otherwise).
   Status Cancel(QueryId id) AQP_EXCLUDES(mu_);
 
@@ -175,14 +175,14 @@ class LinkageService {
     bool result_taken = false;
 
     /// Set by Cancel()/shutdown, read by the query's governor at every
-    /// epoch control point.
+    /// control point.
     std::atomic<bool> cancel_requested{false};
     /// Set by the watchdog (stall or global pressure), read by the
     /// governor: finalize at the next control point with whatever
     /// prefix has been merged.
     std::atomic<bool> force_finalize{false};
     /// Liveness heartbeat: steady-clock nanos stamped by the runner at
-    /// every epoch control point and drain iteration, read by the
+    /// every control point and drain iteration, read by the
     /// watchdog thread. 0 = not running.
     std::atomic<int64_t> heartbeat_ns{0};
     /// Written only by the runner thread while running.
@@ -247,7 +247,7 @@ class LinkageService {
   /// over re-openable children, so attempts are idempotent.
   AttemptOutcome RunAttempt(QueryRecord* q) AQP_EXCLUDES(mu_);
   /// Deadline/budget/cancel/watchdog policy, called by the engine at
-  /// epoch control points on the runner thread.
+  /// control points on the runner thread.
   exec::parallel::EpochDirective Govern(QueryRecord* q,
                                         const exec::parallel::EpochView& view)
       AQP_EXCLUDES(mu_);

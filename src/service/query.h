@@ -49,7 +49,7 @@ bool IsTerminalState(QueryState state);
 /// exposed per query.
 ///
 /// Both step budgets (deterministic: checked against the global step
-/// count at every epoch control point) and wall-clock budgets
+/// count at every control point) and wall-clock budgets
 /// (measured from the moment the query starts running) are supported;
 /// whichever trips first wins. Zero disables a bound.
 ///
@@ -57,7 +57,7 @@ bool IsTerminalState(QueryState state);
 /// exact state (lex/rex) and pinned there: it still runs to
 /// completion, but stops paying for approximate matching. Past the
 /// *hard* deadline the query is finalized early: it stops consuming
-/// input at the next epoch boundary and reports the partial result it
+/// input at the next control point and reports the partial result it
 /// has, together with its completeness statistics.
 struct DeadlineOptions {
   std::chrono::nanoseconds soft_deadline{0};

@@ -14,7 +14,7 @@ namespace aqp {
 namespace service {
 
 /// \brief Per-query memory budget — the memory twin of
-/// DeadlineOptions, enforced at the same epoch control points.
+/// DeadlineOptions, enforced at the same control points.
 ///
 /// Past the *soft* budget the query is clamped into the cheapest exact
 /// state (lex/rex) and pinned there: the symmetric stores keep growing
@@ -33,7 +33,7 @@ struct MemoryBudgetOptions {
 
 /// \brief Canonical ResourceReport::site values.
 namespace resource_site {
-/// Per-query hard budget tripped at an epoch control point.
+/// Per-query hard budget tripped at an control point.
 inline constexpr char kQueryHardBudget[] = "query.hard_budget";
 /// Global high-water shed a submission or reclaimed a running query.
 inline constexpr char kGlobalHighWater[] = "global.high_water";
