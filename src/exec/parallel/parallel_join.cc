@@ -195,14 +195,6 @@ stats::JoinProgress ParallelAdaptiveJoin::Progress() const {
   return progress;
 }
 
-uint64_t ParallelAdaptiveJoin::NextControlStep(uint64_t step) const {
-  const uint64_t until = controller_.StepsUntilControlPoint(step);
-  if (until != adaptive::Controller::kNoControlPoint) return step + until;
-  // Nothing scheduled: the governor still gets every epoch boundary.
-  const uint64_t epoch = options_.unbounded_epoch_steps;
-  return (step / epoch + 1) * epoch;
-}
-
 CompletenessStats ParallelAdaptiveJoin::Completeness() const {
   CompletenessStats out;
   if (exchange_ == nullptr) return out;
@@ -274,8 +266,8 @@ Status ParallelAdaptiveJoin::PumpEpoch() {
       return HandleEpochFault(std::move(charged), /*shard=*/-1);
     }
   }
-  // A control point at the boundary itself runs before the epoch is
-  // routed, exactly as at every other epoch length.
+  // A control point due at the boundary runs before the epoch is
+  // routed, so a transition there needs no redo.
   const bool at_control_point = epoch_start_ == next_control_step_;
   if (at_control_point) {
     bool transitioned = false;
@@ -316,8 +308,8 @@ Status ParallelAdaptiveJoin::PumpEpoch() {
     }
   }
   if (route_.empty()) {
-    // End of stream. Its step is a governor point whatever the
-    // schedule says, as it is when epochs end at control points.
+    // End of stream: its step is always a governor point, even when
+    // no control point is due there.
     if (!at_control_point) {
       bool transitioned = false;
       AQP_RETURN_IF_ERROR(ControlPointAt(epoch_start_, &transitioned));
@@ -399,8 +391,6 @@ Status ParallelAdaptiveJoin::PumpEpoch() {
   // already-published, already-merged rows for an aborted epoch and
   // roll them back.
   route_.clear();
-  merged_ = 0;
-  epoch_start_ = exchange_->steps();
   return Status::OK();
 }
 
@@ -447,7 +437,13 @@ Status ParallelAdaptiveJoin::ControlPointAt(uint64_t step, bool* transitioned) {
     pump_error_ = control.WithContext("epoch=" + std::to_string(epoch_));
     return pump_error_;
   }
-  next_control_step_ = NextControlStep(step);
+  // The next one is the Controller's next control point; with nothing
+  // scheduled, the governor still gets every epoch boundary.
+  const uint64_t until = controller_.StepsUntilControlPoint(step);
+  const uint64_t epoch = options_.unbounded_epoch_steps;
+  next_control_step_ = until != adaptive::Controller::kNoControlPoint
+                           ? step + until
+                           : (step / epoch + 1) * epoch;
   return Status::OK();
 }
 

@@ -388,10 +388,6 @@ class ParallelAdaptiveJoin : public exec::Operator,
   void TruncateAt(uint64_t step);
   /// Ends the stream at `step` (hard deadline / FinalizeEarly).
   void FinishEarly(uint64_t step);
-  /// The next step at which ControlPointAt runs after one at `step`:
-  /// the Controller's next control point, else the next epoch
-  /// boundary.
-  uint64_t NextControlStep(uint64_t step) const;
 
   /// \name Pipelined ingest (all coordinator-side).
   /// @{
@@ -501,7 +497,7 @@ class ParallelAdaptiveJoin : public exec::Operator,
   uint64_t matched_any_count_[2] = {0, 0};
   /// Tuples of each side the merge has consumed.
   uint64_t merged_side_count_[2] = {0, 0};
-  /// Step of the next governor/control point (see NextControlStep).
+  /// Step of the next governor/control point (see ControlPointAt).
   uint64_t next_control_step_ = 0;
   uint64_t redone_steps_ = 0;
   uint64_t pairs_emitted_ = 0;

@@ -104,10 +104,8 @@ void ExpectSameCore(const HybridJoinCore& actual,
   for (const Event& e : events) {
     const std::string& key = e.tuple[0].AsString();
     keys.insert(key);
-    for (text::GramKey g :
-         text::GramSet::Of(key, expected.spec().qgram).grams()) {
-      grams.insert(g);
-    }
+    const text::GramSet set = text::GramSet::Of(key, expected.spec().qgram);
+    grams.insert(set.grams().begin(), set.grams().end());
   }
   for (Side side : {Side::kLeft, Side::kRight}) {
     SCOPED_TRACE(side == Side::kLeft ? "left" : "right");
