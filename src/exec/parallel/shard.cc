@@ -124,11 +124,10 @@ void JoinShard::RunBuildPhase(uint64_t from_seq, uint64_t end_seq) {
 }
 
 void JoinShard::RunCrossProbePhase(const std::vector<JoinShard*>& shards,
-                                   uint64_t from_seq, uint64_t end_seq) {
+                                   uint64_t from_seq) {
   if (shards.size() <= 1) return;
   AQP_FAILPOINT_THROW(fail::site::kShardPhaseB);
-  for (auto it = FirstRowAt(from_seq);
-       it != epoch_meta_.end() && it->seq < end_seq; ++it) {
+  for (auto it = FirstRowAt(from_seq); it != epoch_meta_.end(); ++it) {
     const RoutedRow& routed = *it;
     if (core_.probe_mode(routed.side) != join::ProbeMode::kApproximate) {
       continue;

@@ -124,10 +124,10 @@ class JoinShard {
 
   /// \name Phase runners (worker threads).
   ///
-  /// Both run over the epoch rows whose global sequence is in
-  /// [`from_seq`, `end_seq`): the whole epoch by default, or the part a
-  /// state transition inside the epoch makes the shard run (again,
-  /// after RollbackTo and BeginEpoch).
+  /// Both run over the epoch rows whose global sequence is at least
+  /// `from_seq` (phase A: and below `end_seq`): the whole epoch by
+  /// default, or the part a state transition inside the epoch makes
+  /// the shard run (again, after RollbackTo and BeginEpoch).
   /// @{
   /// Phase A: the existing symmetric-join step loop over the shard's
   /// partition — store, maintain live index, probe intra-shard, record
@@ -138,8 +138,7 @@ class JoinShard {
   /// *other* shard's opposite q-gram index, keeping only stored tuples
   /// with an earlier global sequence.
   void RunCrossProbePhase(const std::vector<JoinShard*>& shards,
-                          uint64_t from_seq = 0,
-                          uint64_t end_seq = UINT64_MAX);
+                          uint64_t from_seq = 0);
   /// @}
 
   /// Rolls the core back to the tuples that arrived before global step

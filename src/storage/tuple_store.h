@@ -79,11 +79,12 @@ class TupleStore {
   /// must equal Fnv1a64 of the tuple's join attribute.
   TupleId Add(Tuple tuple, uint64_t key_hash);
 
-  /// Drops tuples [n, size()): afterwards the store reads exactly as
-  /// if only the first `n` tuples had ever been added (payload, keys,
-  /// flags, gram cache), so re-adding the dropped rows gives them the
-  /// same ids again. JoinKey() views of the kept tuples stay valid.
-  /// Capacity is kept. No-op when n >= size().
+  /// Drops tuples [n, size()): afterwards the store's payload, keys and
+  /// gram cache read exactly as if only the first `n` tuples had ever
+  /// been added, so re-adding the dropped rows gives them the same ids
+  /// again. Matched flags the dropped tuples set on kept ones stay set.
+  /// JoinKey() views of the kept tuples stay valid. Capacity is kept.
+  /// No-op when n >= size().
   void Truncate(size_t n);
 
   /// Reserves room for `n` tuples across all per-tuple vectors
