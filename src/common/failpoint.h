@@ -85,7 +85,7 @@ inline constexpr char kServiceAdmit[] = "service.admit";
 /// LinkageService runner, at result finalization of a done query.
 inline constexpr char kServiceFinalize[] = "service.finalize";
 /// ParallelAdaptiveJoin::RefreshMemoryAccounting, evaluated at each
-/// epoch boundary when the join carries a budget node (a failed
+/// control point when the join carries a budget node (a failed
 /// charge degrades through the recoverable-fault path).
 inline constexpr char kBudgetCharge[] = "budget.charge";
 /// LinkageService::Govern, before the heartbeat-guarded control-point

@@ -36,10 +36,10 @@ struct BudgetLimits {
 /// locking and no tree walk.
 ///
 /// Refreshes are driven from the cheap quiescent points the engine
-/// already owns: epoch boundaries (coordinator refreshes its
+/// already owns: control points (coordinator refreshes its
 /// query's shard nodes from ApproximateMemoryUsage()) and ingest batch
 /// refills (the staging task reports the staged tier it just filled).
-/// The figures are therefore bounded-stale between epoch boundaries —
+/// The figures are therefore bounded-stale between control points —
 /// accounting, not malloc interception.
 ///
 /// Thread contract: Refresh() may be called on different nodes of the

@@ -255,17 +255,6 @@ Status ParallelAdaptiveJoin::PumpEpoch() {
   route_.clear();
   merged_ = 0;
   epoch_start_ = exchange_->steps();
-  // Epoch boundary: every shard is quiescent. Budgeted runs charge
-  // their accounting tree here, so every governor view until the next
-  // boundary sees this footprint.
-  if (options_.memory_budget != nullptr) {
-    Status charged = RefreshMemoryAccounting();
-    if (!charged.ok()) {
-      // An injected charge fault (`budget.charge`) degrades like any
-      // recoverable epoch fault; nothing is routed yet.
-      return HandleEpochFault(std::move(charged), /*shard=*/-1);
-    }
-  }
   // A control point due at the boundary runs before the epoch is
   // routed, so a transition there needs no redo.
   const bool at_control_point = epoch_start_ == next_control_step_;
@@ -396,6 +385,18 @@ Status ParallelAdaptiveJoin::PumpEpoch() {
 
 Status ParallelAdaptiveJoin::ControlPointAt(uint64_t step, bool* transitioned) {
   *transitioned = false;
+  // No phase runs while the merge does, so budgeted runs can charge
+  // their accounting tree here: the governor's view (and any budget
+  // decision it takes) sees this control point's footprint, stores
+  // grown by the phases' run-ahead included.
+  if (options_.memory_budget != nullptr) {
+    Status charged = RefreshMemoryAccounting();
+    if (!charged.ok()) {
+      // An injected charge fault (`budget.charge`) degrades like any
+      // recoverable epoch fault, cutting the output at this step.
+      return HandleEpochFault(std::move(charged), /*shard=*/-1);
+    }
+  }
   if (options_.governor) {
     EpochView view;
     view.steps = step;
@@ -575,7 +576,7 @@ void ParallelAdaptiveJoin::MaybeSubmitIngest() {
     ingest_status_ = staged.ok() ? Status::OK() : staged.status();
     if (coord_node_ != nullptr) {
       // Publish this task's tier sizes so the coordinator's next
-      // epoch-boundary charge can account the ingest side without
+      // control-point charge can account the ingest side without
       // touching buffers this task owns.
       ingest_side_bytes_.store(IngestSideMemoryUsage(),
                                std::memory_order_relaxed);
@@ -615,7 +616,7 @@ void ParallelAdaptiveJoin::AbandonStagedIngest() {
 Status ParallelAdaptiveJoin::RefreshMemoryAccounting() {
   // Injected charge failure: a backing allocator refusing the
   // accounting charge. Degrades through HandleEpochFault like any
-  // recoverable epoch-boundary fault.
+  // recoverable control-point fault.
   AQP_FAILPOINT(fail::site::kBudgetCharge);
   UpdateMemoryAccounting();
   return Status::OK();

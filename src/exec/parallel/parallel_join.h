@@ -47,9 +47,8 @@ struct EpochView {
   uint64_t steps = 0;
   uint64_t pairs_emitted = 0;
   adaptive::ProcessorState state = adaptive::ProcessorState::kLexRex;
-  /// Engine memory footprint as refreshed at the last epoch boundary
-  /// (control points inside an epoch see that figure); 0 when the join
-  /// carries no budget node (accounting off).
+  /// Engine memory footprint as refreshed at this control point; 0
+  /// when the join carries no budget node (accounting off).
   uint64_t memory_bytes = 0;
 };
 
@@ -169,7 +168,7 @@ struct ParallelJoinOptions {
   /// Per-query budget node of the hierarchical accounting tree
   /// (borrowed; must outlive the join). When set, the join creates one
   /// child node per shard plus a coordinator node under it at Open and
-  /// refreshes them at every epoch boundary, so the governor (and
+  /// refreshes them at every control point, so the governor (and
   /// the node's ancestors, up to a service-global root) observe the
   /// engine's footprint while it runs. Null = no accounting, no
   /// refresh work — byte-identical behavior AND identical hot-path
@@ -332,10 +331,10 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// Engine memory footprint right now: shard committed+staged tiers,
   /// exchange refill batches, and coordinator buffers. Call only when
   /// quiescent (between drive calls with no ingest task in flight, or
-  /// after the stream ended) — the per-epoch refresh uses the
+  /// after the stream ended) — the per-control-point refresh uses the
   /// race-free split internally.
   uint64_t ApproximateMemoryUsage() const;
-  /// Footprint as of the last epoch-boundary refresh (0 before any).
+  /// Footprint as of the last control-point refresh (0 before any).
   uint64_t memory_bytes() const { return memory_bytes_; }
   /// High-water of the refreshed footprint across the run. A final
   /// snapshot is folded in when the stream ends, so with accounting
@@ -366,8 +365,9 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// tier.
   Status PumpEpoch();
 
-  /// The governor and the MAR control point at global step `step`,
-  /// which every merged step before it has reached. Sets
+  /// The memory charge (budgeted runs), the governor and the MAR
+  /// control point at global step `step`, which every merged step
+  /// before it has reached. Sets
   /// `*transitioned` when the Controller changed state (the shards
   /// were rolled back to `step`, so the caller reruns the phases from
   /// there); ends the stream on kFinalize, fails sticky on kCancel or
@@ -412,7 +412,7 @@ class ParallelAdaptiveJoin : public exec::Operator,
 
   /// \name Memory accounting (tentpole PR 9).
   /// @{
-  /// Epoch-boundary refresh: recomputes the engine footprint (race-free
+  /// Control-point refresh: recomputes the engine footprint (race-free
   /// against an in-flight ingest task via the committed/ingest-side
   /// split), pushes it into the budget nodes, and updates
   /// memory_bytes_/peak_memory_bytes_. Evaluates the `budget.charge`

@@ -342,11 +342,10 @@ EpochDirective LinkageService::Govern(QueryRecord* q, const EpochView& view) {
       (d.hard_deadline.count() > 0 && elapsed >= d.hard_deadline);
   if (past_hard) return EpochDirective::kFinalize;
   if (q->memory.any()) {
-    // Budget charge: view.memory_bytes is the footprint the engine
-    // refreshed at the last epoch boundary (control points inside an
-    // epoch see the same figure, so their growth reads 0). Growth
-    // since the previous charge feeds the predictive hard bound —
-    // finalize *before* the next epoch would overshoot.
+    // Budget charge: the engine refreshed the accounting tree right
+    // before this hook, so view.memory_bytes is this control point's
+    // footprint. Growth since the previous charge feeds the predictive
+    // hard bound — finalize *before* the next epoch would overshoot.
     const uint64_t used = view.memory_bytes;
     const uint64_t growth =
         used > q->prev_charge_bytes ? used - q->prev_charge_bytes : 0;
