@@ -255,6 +255,98 @@ TEST(RadixExchangeTest, ReplaysTheSingleThreadedSchedule) {
   ASSERT_TRUE(parent.Close().ok());
 }
 
+/// Two shards fed by one exchange over the small case.
+struct ShardRig {
+  explicit ShardRig(const datagen::TestCase& tc)
+      : child(&tc.child),
+        parent(&tc.parent),
+        exchange(&child, &parent, Spec(), exec::InterleavePolicy::kAlternate,
+                 0, 0, 16, 2) {
+    EXPECT_TRUE(child.Open().ok());
+    EXPECT_TRUE(parent.Open().ok());
+    for (uint32_t i = 0; i < 2; ++i) {
+      shards.push_back(std::make_unique<JoinShard>(
+          i, Spec(), join::ApproxProbeOptions{},
+          adaptive::ProcessorState::kLexRex));
+      shards.back()->BindSchemas(&child.output_schema(),
+                                 &parent.output_schema());
+      ptrs.push_back(shards.back().get());
+    }
+    exchange.Reset();
+  }
+  /// Routes and builds one epoch of up to `steps` steps.
+  void Epoch(uint64_t steps) {
+    std::vector<RouteEntry> route;
+    ASSERT_TRUE(exchange.RouteEpoch(steps, ptrs, &route).ok());
+    for (JoinShard* shard : ptrs) {
+      shard->BeginEpoch();
+      shard->RunBuildPhase();
+    }
+  }
+  exec::RelationScan child;
+  exec::RelationScan parent;
+  RadixExchange exchange;
+  std::vector<std::unique_ptr<JoinShard>> shards;
+  std::vector<JoinShard*> ptrs;
+};
+
+TEST(JoinShardRollbackTest, RollbackToAStepMatchesAShardThatStoppedThere) {
+  // `rolled` builds a 300-step epoch, rolls back to step 170 and enters
+  // lap/rap there; `prefix` builds 170 steps, enters lap/rap, and then
+  // builds the remaining 130. Both must catch up the same tuples, hold
+  // the same indexes, and then produce the same matches for the rest.
+  const datagen::TestCase tc = SmallCase();
+  ShardRig rolled(tc);
+  ShardRig prefix(tc);
+  rolled.Epoch(300);
+  prefix.Epoch(170);
+  for (size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(testing::Message() << "shard " << i);
+    rolled.ptrs[i]->RollbackTo(170);
+    const auto caught_up =
+        prefix.ptrs[i]->ApplyState(adaptive::ProcessorState::kLapRap);
+    EXPECT_GT(caught_up.first + caught_up.second, 0u);
+    EXPECT_EQ(rolled.ptrs[i]->ApplyState(adaptive::ProcessorState::kLapRap),
+              caught_up);
+    for (exec::Side side : {exec::Side::kLeft, exec::Side::kRight}) {
+      const join::HybridJoinCore& a = rolled.ptrs[i]->core();
+      const join::HybridJoinCore& b = prefix.ptrs[i]->core();
+      ASSERT_EQ(a.store(side).size(), b.store(side).size());
+      EXPECT_EQ(a.exact_index(side).watermark(),
+                b.exact_index(side).watermark());
+      EXPECT_EQ(a.qgram_index(side).watermark(),
+                b.qgram_index(side).watermark());
+      EXPECT_EQ(a.qgram_index(side).distinct_grams(),
+                b.qgram_index(side).distinct_grams());
+      for (storage::TupleId id = 0; id < b.store(side).size(); ++id) {
+        const std::string_view key = b.store(side).JoinKey(id);
+        ASSERT_EQ(a.store(side).JoinKey(id), key);
+        EXPECT_EQ(a.exact_index(side).Lookup(key),
+                  b.exact_index(side).Lookup(key));
+      }
+    }
+  }
+  // The rest of the input: the rolled shards rerun their epoch from
+  // step 170, the prefix shards build a new epoch.
+  for (JoinShard* shard : rolled.ptrs) {
+    shard->BeginEpoch();
+    shard->RunBuildPhase(170);
+  }
+  prefix.Epoch(130);
+  for (size_t i = 0; i < 2; ++i) {
+    const JoinShard& a = *rolled.ptrs[i];
+    const JoinShard& b = *prefix.ptrs[i];
+    ASSERT_EQ(a.step_outputs().size(), b.step_outputs().size());
+    ASSERT_GT(b.matches().size(), 0u);
+    ASSERT_EQ(a.matches().size(), b.matches().size());
+    for (size_t m = 0; m < b.matches().size(); ++m) {
+      EXPECT_EQ(a.matches()[m].probe_id, b.matches()[m].probe_id);
+      EXPECT_EQ(a.matches()[m].stored_id, b.matches()[m].stored_id);
+      EXPECT_EQ(a.matches()[m].kind, b.matches()[m].kind);
+    }
+  }
+}
+
 TEST(RadixExchangeTest, EqualKeysAlwaysLandOnTheSameShard) {
   // The radix invariant behind intra-shard exact matching.
   const datagen::TestCase tc = SmallCase();
