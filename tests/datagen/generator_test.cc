@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <unordered_set>
 
+#include "common/hash.h"
 #include "text/similarity.h"
 
 namespace aqp {
@@ -135,6 +137,76 @@ TEST(GeneratorTest, DeterministicUnderSeed) {
   for (size_t i = 0; i < a->child.size(); ++i) {
     EXPECT_EQ(a->child.row(i), b->child.row(i));
   }
+}
+
+/// Hashes every cell of both tables (type-tagged, NULLs included) and
+/// the ground truth, so any change to the generated bytes shows.
+uint64_t CaseDigest(const TestCase& tc) {
+  uint64_t h = 0;
+  for (const storage::Relation* table : {&tc.parent, &tc.child}) {
+    h = HashCombine(h, table->size());
+    for (const storage::Tuple& row : table->rows()) {
+      for (size_t c = 0; c < row.size(); ++c) {
+        const storage::Value& v = row.at(c);
+        h = HashCombine(h, static_cast<uint64_t>(v.type()));
+        switch (v.type()) {
+          case storage::ValueType::kInt64:
+            h = HashCombine(h, static_cast<uint64_t>(v.AsInt64()));
+            break;
+          case storage::ValueType::kDouble: {
+            const double d = v.AsDouble();
+            uint64_t bits = 0;
+            std::memcpy(&bits, &d, sizeof(bits));
+            h = HashCombine(h, bits);
+            break;
+          }
+          case storage::ValueType::kString:
+            h = HashCombine(h, Fnv1a64(v.AsStringView()));
+            break;
+          default:
+            break;
+        }
+      }
+    }
+  }
+  for (size_t parent : tc.child_true_parent) h = HashCombine(h, parent);
+  for (uint8_t v : tc.child_is_variant) h = HashCombine(h, v);
+  for (uint8_t v : tc.parent_is_variant) h = HashCombine(h, v);
+  return h;
+}
+
+// Pins the generated bytes of the benchmark's inputs: the eight paper
+// cases at paper scale and the clean 250k-row feed, all at seed 7. A
+// change to how datagen builds its tables must reproduce them exactly.
+TEST(GeneratorTest, PaperScaleCasesAreByteStable) {
+  TestCaseOptions base;
+  base.atlas.size = 8082;
+  base.accidents.size = 10000;
+  base.variant_rate = 0.10;
+  base.seed = 7;
+  const std::vector<TestCaseOptions> cases = PaperTestMatrix(base);
+  const uint64_t expected[] = {
+      882317258225139915ULL,   16737389288181902808ULL,
+      5596170586282881510ULL,  14818544482307989118ULL,
+      8351126527608588883ULL,  8257747647749523124ULL,
+      12910467944651173998ULL, 12642203338097034068ULL};
+  ASSERT_EQ(cases.size(), std::size(expected));
+  for (size_t i = 0; i < cases.size(); ++i) {
+    auto tc = GenerateTestCase(cases[i]);
+    ASSERT_TRUE(tc.ok()) << tc.status().ToString();
+    EXPECT_EQ(CaseDigest(*tc), expected[i]) << cases[i].Label();
+  }
+}
+
+TEST(GeneratorTest, FeedCaseIsByteStable) {
+  TestCaseOptions options;
+  options.atlas.size = 8082;
+  options.accidents.size = 250000;
+  options.variant_rate = 0.0;
+  options.seed = 7;
+  auto tc = GenerateTestCase(options);
+  ASSERT_TRUE(tc.ok()) << tc.status().ToString();
+  EXPECT_EQ(CaseDigest(*tc), 5611217182583867522ULL);
 }
 
 TEST(GeneratorTest, PaperTestMatrixHasEightCases) {
