@@ -9,7 +9,9 @@ namespace aqp {
 void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
   for (size_t i = 0; i < fields.size(); ++i) {
     if (i > 0) (*out_) << ',';
-    (*out_) << Escape(fields[i]);
+    const bool plain =
+        fields[i].find_first_of(",\"\n\r") == std::string::npos;
+    (*out_) << (plain ? fields[i] : Escape(fields[i]));
   }
   (*out_) << '\n';
 }
@@ -27,8 +29,6 @@ std::string CsvWriter::Field(int64_t value) { return std::to_string(value); }
 std::string CsvWriter::Field(uint64_t value) { return std::to_string(value); }
 
 std::string CsvWriter::Escape(const std::string& field) {
-  bool needs_quotes = field.find_first_of(",\"\n\r") != std::string::npos;
-  if (!needs_quotes) return field;
   std::string out = "\"";
   for (char c : field) {
     if (c == '"') out += "\"\"";

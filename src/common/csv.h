@@ -20,7 +20,8 @@ class CsvWriter {
   /// Writes a header or data row, quoting fields as needed.
   void WriteRow(const std::vector<std::string>& fields);
 
-  /// Convenience: formats doubles with 6 significant digits.
+  /// Convenience: formats doubles with the shortest representation
+  /// that round-trips.
   static std::string Field(double value);
   static std::string Field(int64_t value);
   static std::string Field(uint64_t value);

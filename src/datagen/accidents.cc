@@ -23,7 +23,6 @@ Result<AccidentsData> GenerateAccidents(const storage::Relation& atlas,
                           {"day", storage::ValueType::kInt64}});
   AccidentsData data;
   data.table = storage::Relation(schema);
-  data.table.Reserve(options.size);
   data.true_parent_row.reserve(options.size);
 
   Rng rng(options.seed);
@@ -52,12 +51,12 @@ Result<AccidentsData> GenerateAccidents(const storage::Relation& atlas,
   for (size_t i = 0; i < options.size; ++i) {
     const size_t parent_row = draw_parent();
     data.true_parent_row.push_back(parent_row);
-    const std::string& location =
-        atlas.row(parent_row).at(atlas_location_column).AsString();
-    data.table.AppendUnchecked(storage::Tuple(
-        {storage::Value(static_cast<int64_t>(i)), storage::Value(location),
-         storage::Value(rng.Uniform(1, 5)),
-         storage::Value(rng.Uniform(19000, 20500))}));  // epoch days
+    storage::ColumnBatch* out = data.table.TailForAppend();
+    out->AppendInt64(0, static_cast<int64_t>(i));
+    out->AppendString(1, atlas.StringAt(atlas_location_column, parent_row));
+    out->AppendInt64(2, rng.Uniform(1, 5));
+    out->AppendInt64(3, rng.Uniform(19000, 20500));  // epoch days
+    out->CommitRow();
   }
   return data;
 }

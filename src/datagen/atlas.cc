@@ -17,7 +17,6 @@ Result<storage::Relation> GenerateAtlas(const AtlasOptions& options) {
                           {"lat", storage::ValueType::kDouble},
                           {"lon", storage::ValueType::kDouble}});
   storage::Relation atlas(schema);
-  atlas.Reserve(options.size);
 
   Rng rng(options.seed);
   LocationNameGenerator names(options.min_name_length);
@@ -40,9 +39,12 @@ Result<storage::Relation> GenerateAtlas(const AtlasOptions& options) {
     // Synthetic coordinates roughly within Italy's bounding box.
     const double lat = 36.0 + rng.NextDouble() * 11.0;
     const double lon = 6.6 + rng.NextDouble() * 12.0;
-    atlas.AppendUnchecked(storage::Tuple(
-        {storage::Value(std::move(location)), storage::Value(id),
-         storage::Value(lat), storage::Value(lon)}));
+    storage::ColumnBatch* out = atlas.TailForAppend();
+    out->AppendString(0, location);
+    out->AppendInt64(1, id);
+    out->AppendDouble(2, lat);
+    out->AppendDouble(3, lon);
+    out->CommitRow();
   }
   return atlas;
 }

@@ -8,6 +8,44 @@
 namespace aqp {
 namespace datagen {
 
+namespace {
+
+/// Copies a string column out of `table`: the datagen-local buffer the
+/// perturbation edits in place.
+std::vector<std::string> StringColumn(const storage::Relation& table,
+                                      size_t col) {
+  std::vector<std::string> strings;
+  strings.reserve(table.size());
+  for (size_t row = 0; row < table.size(); ++row) {
+    strings.emplace_back(table.StringAt(col, row));
+  }
+  return strings;
+}
+
+/// Seals an edited buffer: `table` with string column `col` replaced
+/// by `strings`.
+storage::Relation Seal(const storage::Relation& table, size_t col,
+                       const std::vector<std::string>& strings) {
+  storage::Relation sealed(table.schema());
+  size_t i = 0;
+  for (const storage::ColumnBatch& batch : table.batches()) {
+    for (size_t row = 0; row < batch.size(); ++row, ++i) {
+      storage::ColumnBatch* out = sealed.TailForAppend();
+      for (size_t c = 0; c < batch.num_columns(); ++c) {
+        if (c == col) {
+          out->AppendString(c, strings[i]);
+        } else {
+          out->AppendCellFrom(batch, c, row);
+        }
+      }
+      out->CommitRow();
+    }
+  }
+  return sealed;
+}
+
+}  // namespace
+
 std::string TestCaseOptions::Label() const {
   std::string label = PerturbationPatternName(pattern);
   label += perturb_parent ? "/both" : "/child";
@@ -60,13 +98,10 @@ Result<TestCase> GenerateTestCase(const TestCaseOptions& options) {
   tc.child_is_variant.assign(tc.child.size(), 0);
   tc.parent_is_variant.assign(tc.parent.size(), 0);
 
-  // The canonical location set; no variant may ever equal a member,
-  // otherwise exact matches would silently reappear.
-  std::unordered_set<std::string> canonical;
-  canonical.reserve(tc.parent.size() * 2);
-  for (size_t r = 0; r < tc.parent.size(); ++r) {
-    canonical.insert(tc.parent.row(r).at(kAtlasLocationColumn).AsString());
-  }
+  // Perturbation edits datagen-local copies of the location columns,
+  // sealed back into the tables at the end.
+  std::vector<std::string> parent_locations =
+      StringColumn(tc.parent, kAtlasLocationColumn);
 
   // 2. Perturb the parent (only for the "/both" cases).
   AQP_ASSIGN_OR_RETURN(
@@ -74,22 +109,24 @@ Result<TestCase> GenerateTestCase(const TestCaseOptions& options) {
       MakePattern(options.pattern, tc.parent.size(),
                   options.perturb_parent ? options.variant_rate : 0.0));
   if (options.perturb_parent) {
-    std::unordered_set<std::string> forbidden = canonical;
+    // The canonical location set; no variant may ever equal a member,
+    // otherwise exact matches would silently reappear.
+    std::unordered_set<std::string> forbidden;
+    forbidden.reserve(parent_locations.size() * 2);
+    forbidden.insert(parent_locations.begin(), parent_locations.end());
     const std::vector<size_t> rows = SampleVariantPositions(
         tc.parent_pattern, options.variant_rate, &parent_perturb_rng);
     for (size_t row : rows) {
-      storage::Relation& parent = tc.parent;
-      const std::string original =
-          parent.row(row).at(kAtlasLocationColumn).AsString();
       std::string variant;
       AQP_ASSIGN_OR_RETURN(
-          variant, MakeNonCollidingVariant(original, forbidden,
-                                           options.variant, &parent_perturb_rng));
+          variant,
+          MakeNonCollidingVariant(parent_locations[row], forbidden,
+                                  options.variant, &parent_perturb_rng));
       forbidden.insert(variant);
-      parent.mutable_row(row)->at(kAtlasLocationColumn) =
-          storage::Value(std::move(variant));
+      parent_locations[row] = std::move(variant);
       tc.parent_is_variant[row] = 1;
     }
+    tc.parent = Seal(tc.parent, kAtlasLocationColumn, parent_locations);
   }
 
   // 3. Perturb the child. Forbidden set: every *final* parent string
@@ -100,22 +137,23 @@ Result<TestCase> GenerateTestCase(const TestCaseOptions& options) {
                                    options.variant_rate));
   {
     std::unordered_set<std::string> forbidden;
-    forbidden.reserve(tc.parent.size() * 2);
-    for (size_t r = 0; r < tc.parent.size(); ++r) {
-      forbidden.insert(tc.parent.row(r).at(kAtlasLocationColumn).AsString());
-    }
+    forbidden.reserve(parent_locations.size() * 2);
+    forbidden.insert(parent_locations.begin(), parent_locations.end());
     const std::vector<size_t> rows = SampleVariantPositions(
         tc.child_pattern, options.variant_rate, &child_perturb_rng);
-    for (size_t row : rows) {
-      const std::string original =
-          tc.child.row(row).at(kAccidentsLocationColumn).AsString();
-      std::string variant;
-      AQP_ASSIGN_OR_RETURN(
-          variant, MakeNonCollidingVariant(original, forbidden,
-                                           options.variant, &child_perturb_rng));
-      tc.child.mutable_row(row)->at(kAccidentsLocationColumn) =
-          storage::Value(std::move(variant));
-      tc.child_is_variant[row] = 1;
+    if (!rows.empty()) {
+      std::vector<std::string> child_locations =
+          StringColumn(tc.child, kAccidentsLocationColumn);
+      for (size_t row : rows) {
+        std::string variant;
+        AQP_ASSIGN_OR_RETURN(
+            variant,
+            MakeNonCollidingVariant(child_locations[row], forbidden,
+                                    options.variant, &child_perturb_rng));
+        child_locations[row] = std::move(variant);
+        tc.child_is_variant[row] = 1;
+      }
+      tc.child = Seal(tc.child, kAccidentsLocationColumn, child_locations);
     }
   }
   return tc;

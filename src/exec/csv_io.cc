@@ -101,9 +101,8 @@ Status CsvSource::ScanField(std::string_view* field, bool* end_of_record) {
 }
 
 bool CsvSource::SkipBlankLines() {
-  // ParseCsv's dialect (which ReadRelationCsv inherits) skips blank
-  // lines anywhere in the input; match it so feeds load identically
-  // through both readers.
+  // ParseCsv's dialect skips blank lines anywhere in the input; match
+  // it so text loads alike through both parsers.
   while (pos_ < text_.size()) {
     if (text_[pos_] == '\n') {
       ++pos_;

@@ -43,10 +43,8 @@ struct QuarantinedRow {
 /// `capacity()` records, writing unquoted string fields as views
 /// copied text→arena, int64/double fields parsed into the typed
 /// vectors, and empty non-string cells as NULL. The header row is
-/// validated against the schema at Open, exactly as
-/// storage::ReadRelationCsv does — but where ReadRelationCsv
-/// materializes a row Relation, this source feeds the columnar
-/// pipeline directly (e.g. as a join child).
+/// validated against the schema at Open. storage::ReadRelationCsv
+/// drains this source, so both readers accept and reject alike.
 ///
 /// Malformed input is a hard error by default; with
 /// CsvSourceOptions::max_bad_rows > 0 the scanner instead quarantines

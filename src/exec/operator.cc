@@ -1,5 +1,7 @@
 #include "exec/operator.h"
 
+#include <utility>
+
 #include "common/macros.h"
 
 namespace aqp {
@@ -21,7 +23,8 @@ Result<storage::Relation> CollectAll(Operator* op, const ExecOptions& options) {
       return s;
     }
     if (batch.empty()) break;
-    out.AppendColumnBatchUnchecked(batch);
+    // The next pull re-stamps the moved-from batch.
+    out.AppendBatch(std::move(batch));
   }
   AQP_RETURN_IF_ERROR(op->Close());
   return out;

@@ -127,10 +127,9 @@ struct ExecOptions {
 };
 
 /// Drains `op` (Open/NextColumnBatch*/Close) into a materialized
-/// relation. The pipeline moves columns; row payloads are constructed
-/// exactly once, at this sink (late-materializing operators write
-/// their stored columns into the batches, which are converted to rows
-/// only because Relation is row-backed).
+/// relation. The pipeline moves columns end to end: each pulled batch
+/// is appended whole to the columnar relation, and no row payload is
+/// constructed.
 Result<storage::Relation> CollectAll(Operator* op,
                                      const ExecOptions& options = {});
 

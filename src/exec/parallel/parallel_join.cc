@@ -831,23 +831,6 @@ Status ParallelAdaptiveJoin::EnsureOutput(bool* have_output) {
   return Status::OK();
 }
 
-storage::Tuple ParallelAdaptiveJoin::MaterializeRow(
-    const ParallelMatchRef& ref) const {
-  const storage::TupleStore& l =
-      shards_[ref.left_shard]->core().store(exec::Side::kLeft);
-  const storage::TupleStore& r =
-      shards_[ref.right_shard]->core().store(exec::Side::kRight);
-  std::vector<storage::Value> values;
-  const bool with_sim = options_.base.join.emit_similarity;
-  values.reserve(l.num_columns() + r.num_columns() + (with_sim ? 1 : 0));
-  l.AppendValuesTo(ref.left_id, &values);
-  r.AppendValuesTo(ref.right_id, &values);
-  if (with_sim) {
-    values.emplace_back(ref.similarity);
-  }
-  return storage::Tuple(std::move(values));
-}
-
 void ParallelAdaptiveJoin::MaterializeRefInto(
     const ParallelMatchRef& ref, storage::ColumnBatch* out) const {
   shards_[ref.left_shard]->core().store(exec::Side::kLeft).AppendCellsTo(

@@ -228,7 +228,7 @@ struct ParallelMatchRef {
 ///
 /// Three drive modes are supported, all producing identical streams:
 /// column batches (NextColumnBatch, materialized at delivery), match
-/// refs (NextMatchRefs + MaterializeRefInto or MaterializeRow), and the
+/// refs (NextMatchRefs + MaterializeRefInto), and the
 /// counting drain (AdvanceUnmaterialized; never builds a row).
 class ParallelAdaptiveJoin : public exec::Operator,
                              public exec::UnmaterializedCounter {
@@ -256,13 +256,10 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// An empty result after an OK return signals end-of-stream.
   Status NextMatchRefs(size_t max_refs, std::vector<ParallelMatchRef>* out);
 
-  /// Concatenates the stored tuples of `ref` (left fields, right
-  /// fields, optional similarity column).
-  storage::Tuple MaterializeRow(const ParallelMatchRef& ref) const;
-
-  /// Columnar materialization of one ref: writes the output cells
-  /// straight from the shard stores' columns into `out` (no row
-  /// payload constructed).
+  /// Columnar materialization of one ref: writes the stored tuples'
+  /// cells (left fields, right fields, optional similarity column)
+  /// straight from the shard stores' columns into `out` as one row (no
+  /// row payload constructed).
   void MaterializeRefInto(const ParallelMatchRef& ref,
                           storage::ColumnBatch* out) const;
   /// @}

@@ -20,12 +20,10 @@ Status RelationScan::NextColumnBatch(storage::ColumnBatch* out) {
   out->Reset(&relation_->schema());
   const size_t end =
       std::min(relation_->size(), position_ + out->capacity());
-  // Unchecked row access: position_ < end <= size() by construction,
-  // and this copy feeds every join's input path. Cells go straight
-  // into the column vectors — no Tuple/Value construction — with one
-  // type dispatch per column for the whole range.
-  const std::vector<storage::Tuple>& rows = relation_->rows();
-  out->AppendTupleRows(rows.data() + position_, end - position_);
+  // This copy feeds every join's input path: column ranges go
+  // straight from the relation's batches into the output columns, with
+  // one type dispatch per column per range and no Tuple/Value built.
+  relation_->CopyRows(position_, end - position_, out);
   position_ = end;
   return Status::OK();
 }

@@ -14,9 +14,10 @@ namespace exec {
 /// Non-owning: the relation must outlive the scan. Scans are always
 /// quiescent (they hold no cross-call per-tuple state).
 ///
-/// Cells are written straight into the batch's column vectors/string
-/// arena, so no Tuple copy (one `vector<Value>` plus one heap string
-/// per row on this schema) ever happens on the scan→join hot path.
+/// Column ranges are copied straight from the relation's batches into
+/// the output batch, so no Tuple (one `vector<Value>` plus one heap
+/// string per row on this schema) ever exists on the scan→join hot
+/// path.
 class RelationScan : public Operator {
  public:
   /// Scans `relation` front to back.

@@ -12,7 +12,6 @@ using exec::parallel::EpochDirective;
 using exec::parallel::EpochView;
 using exec::parallel::ParallelAdaptiveJoin;
 using exec::parallel::ParallelJoinOptions;
-using exec::parallel::ParallelMatchRef;
 
 namespace {
 
@@ -561,9 +560,12 @@ LinkageService::AttemptOutcome LinkageService::RunAttempt(QueryRecord* q) {
     return outcome;
   }
 
+  // The result is columnar: each drained batch moves into it whole, so
+  // no row is built on the served path. The batch borrows the engine's
+  // schema only until the relation re-points it at its own.
   storage::Relation collected(q->join->output_schema());
-  std::vector<ParallelMatchRef> refs;
-  const size_t drain_batch = std::max<size_t>(1, q->options.drain_batch);
+  storage::ColumnBatch batch(&q->join->output_schema(),
+                             std::max<size_t>(1, q->options.drain_batch));
   bool draining_reported = false;
   while (true) {
     // Liveness: the watchdog must not fire on a healthy query that is
@@ -576,11 +578,10 @@ LinkageService::AttemptOutcome LinkageService::RunAttempt(QueryRecord* q) {
       status = Status::Cancelled("query cancelled while draining");
       break;
     }
-    status = q->join->NextMatchRefs(drain_batch, &refs);
-    if (!status.ok() || refs.empty()) break;
-    for (const ParallelMatchRef& ref : refs) {
-      collected.AppendUnchecked(q->join->MaterializeRow(ref));
-    }
+    status = q->join->NextColumnBatch(&batch);
+    if (!status.ok() || batch.empty()) break;
+    // The next pull re-stamps the moved-from batch.
+    collected.AppendBatch(std::move(batch));
     if (!draining_reported && q->join->stream_done()) {
       // Input side finished (exhausted or deadline-finalized); what
       // remains is delivering buffered output.

@@ -109,7 +109,7 @@ struct QueryOptions {
   std::chrono::nanoseconds stall_timeout{0};
   /// Whole-query retry of recoverably failed attempts; default none.
   QueryRetryOptions retry;
-  /// Match refs materialized per drain call of the runner.
+  /// Result rows the runner drains per call (one columnar batch).
   size_t drain_batch = 256;
 
   /// Fault policy shorthand: `join.on_fault` selects what a recoverable

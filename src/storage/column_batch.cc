@@ -111,51 +111,33 @@ void ColumnBatch::AppendTupleRow(const Tuple& tuple) {
   CommitRow();
 }
 
-void ColumnBatch::AppendTupleRows(const Tuple* rows, size_t count) {
+void ColumnBatch::AppendRows(const ColumnBatch& src, size_t begin,
+                             size_t count) {
+  assert(src.num_columns() == num_columns() &&
+         "range copy between different layouts");
+  const size_t end = begin + count;
   for (size_t col = 0; col < columns_.size(); ++col) {
-    Column& c = columns_[col];
-    switch (c.type) {
+    const Column& from = src.columns_[col];
+    Column& to = columns_[col];
+    to.nulls.insert(to.nulls.end(), from.nulls.begin() + begin,
+                    from.nulls.begin() + end);
+    switch (to.type) {
       case ValueType::kInt64:
-        for (size_t i = 0; i < count; ++i) {
-          const Value& v = rows[i][col];
-          if (v.is_null()) {
-            c.nulls.push_back(1);
-            c.i64.push_back(0);
-          } else {
-            c.nulls.push_back(0);
-            c.i64.push_back(v.AsInt64());
-          }
-        }
+        to.i64.insert(to.i64.end(), from.i64.begin() + begin,
+                      from.i64.begin() + end);
         break;
       case ValueType::kDouble:
-        for (size_t i = 0; i < count; ++i) {
-          const Value& v = rows[i][col];
-          if (v.is_null()) {
-            c.nulls.push_back(1);
-            c.f64.push_back(0.0);
-          } else {
-            c.nulls.push_back(0);
-            c.f64.push_back(v.AsDouble());
-          }
-        }
+        to.f64.insert(to.f64.end(), from.f64.begin() + begin,
+                      from.f64.begin() + end);
         break;
       default:
-        for (size_t i = 0; i < count; ++i) {
-          const Value& v = rows[i][col];
-          if (v.is_null()) {
-            c.nulls.push_back(1);
-            c.offset.push_back(0);
-            c.len.push_back(0);
-          } else {
-            const std::string_view bytes = v.AsStringView();
-            if (arena_.size() + bytes.size() > UINT32_MAX) {
-              DieArenaOverflow();
-            }
-            c.nulls.push_back(0);
-            c.offset.push_back(static_cast<uint32_t>(arena_.size()));
-            c.len.push_back(static_cast<uint32_t>(bytes.size()));
-            arena_.insert(arena_.end(), bytes.begin(), bytes.end());
-          }
+        for (size_t row = begin; row < end; ++row) {
+          const uint32_t len = from.len[row];
+          if (arena_.size() + len > UINT32_MAX) DieArenaOverflow();
+          to.offset.push_back(static_cast<uint32_t>(arena_.size()));
+          to.len.push_back(len);
+          const char* bytes = src.arena_.data() + from.offset[row];
+          arena_.insert(arena_.end(), bytes, bytes + len);
         }
         break;
     }
@@ -168,26 +150,31 @@ void ColumnBatch::AppendRowFrom(const ColumnBatch& src, size_t row) {
   assert(src.num_columns() == num_columns() &&
          "column scatter between different layouts");
   for (size_t col = 0; col < columns_.size(); ++col) {
-    if (src.IsNull(col, row)) {
-      AppendNull(col);
-      continue;
-    }
-    switch (columns_[col].type) {
-      case ValueType::kInt64:
-        AppendInt64(col, src.Int64At(col, row));
-        break;
-      case ValueType::kDouble:
-        AppendDouble(col, src.DoubleAt(col, row));
-        break;
-      default:
-        AppendString(col, src.StringAt(col, row));
-        break;
-    }
+    AppendCellFrom(src, col, row);
   }
   if (!src.key_hashes_.empty()) {
     key_hashes_.push_back(src.key_hashes_[row]);
   }
   CommitRow();
+}
+
+void ColumnBatch::AppendCellFrom(const ColumnBatch& src, size_t col,
+                                 size_t row) {
+  if (src.IsNull(col, row)) {
+    AppendNull(col);
+    return;
+  }
+  switch (columns_[col].type) {
+    case ValueType::kInt64:
+      AppendInt64(col, src.Int64At(col, row));
+      break;
+    case ValueType::kDouble:
+      AppendDouble(col, src.DoubleAt(col, row));
+      break;
+    default:
+      AppendString(col, src.StringAt(col, row));
+      break;
+  }
 }
 
 Value ColumnBatch::ValueAt(size_t col, size_t row) const {
@@ -202,17 +189,12 @@ Value ColumnBatch::ValueAt(size_t col, size_t row) const {
   }
 }
 
-void ColumnBatch::MaterializeRowInto(size_t row,
-                                     std::vector<Value>* out) const {
-  for (size_t col = 0; col < columns_.size(); ++col) {
-    out->push_back(ValueAt(col, row));
-  }
-}
-
 Tuple ColumnBatch::MaterializeRow(size_t row) const {
   std::vector<Value> values;
   values.reserve(columns_.size());
-  MaterializeRowInto(row, &values);
+  for (size_t col = 0; col < columns_.size(); ++col) {
+    values.push_back(ValueAt(col, row));
+  }
   return Tuple(std::move(values));
 }
 

@@ -24,9 +24,11 @@ namespace storage {
 /// contiguous arena, so filling a batch performs no per-cell heap
 /// allocation — arena growth is amortized, and a recycled batch
 /// (Reset with the same schema) reaches an allocation-free steady
-/// state. Rows of variants would cost a `std::vector<Value>` and a
-/// `std::string` per tuple; that construction once dominated the
-/// exact-join loop.
+/// state. The batch is also the storage of a Relation (a chain of
+/// batches), so results, scans and generated tables never hold rows
+/// of variants: a Tuple costs a `std::vector<Value>` and a
+/// `std::string` per row, and is built only where a consumer asks for
+/// one (MaterializeRow).
 ///
 /// An optional *join-key hash lane* carries one precomputed FNV-1a
 /// hash per row (ComputeKeyHashes over the join column); consumers
@@ -36,7 +38,9 @@ namespace storage {
 /// an intermediate Tuple.
 ///
 /// A batch borrows its schema from the producing operator (the schema
-/// must outlive the batch, which holds in the pull model). Capacity is
+/// must outlive the batch, which holds in the pull model); a Relation
+/// re-points the batches it stores at its own schema (RebindSchema).
+/// Capacity is
 /// a soft contract: appends past capacity degrade to growth, not
 /// corruption.
 ///
@@ -153,15 +157,19 @@ class ColumnBatch {
   /// Cell types must match the schema; NULL cells are allowed anywhere.
   void AppendTupleRow(const Tuple& tuple);
 
-  /// Bulk-appends `count` tuples starting at `rows`, column-major: one
-  /// type dispatch per column instead of per cell (relation scans feed
-  /// whole row ranges through this).
-  void AppendTupleRows(const Tuple* rows, size_t count);
+  /// Appends `src`'s rows [begin, begin + count) (identical schema
+  /// layout required), column-major: one type dispatch per column
+  /// instead of per cell (relation scans copy whole ranges this way).
+  void AppendRows(const ColumnBatch& src, size_t begin, size_t count);
 
   /// Appends `src`'s row `row` (identical schema layout required) —
   /// the unit of the parallel exchange's per-shard column scatter.
   /// Carries the row's key hash along when both batches have a lane.
   void AppendRowFrom(const ColumnBatch& src, size_t row);
+
+  /// Appends `src`'s cell (col, row) to column `col` (same type
+  /// required); the caller commits the row.
+  void AppendCellFrom(const ColumnBatch& src, size_t col, size_t row);
 
   /// \name Typed cell access.
   /// @{
@@ -184,11 +192,19 @@ class ColumnBatch {
   /// Cell as a Value (adapter paths; allocates for strings).
   Value ValueAt(size_t col, size_t row) const;
 
-  /// Appends row `row`'s cells as Values (row materialization).
-  void MaterializeRowInto(size_t row, std::vector<Value>* out) const;
-
-  /// Row as a Tuple (adapter paths).
+  /// Row as a Tuple (consumers that want rows: Relation::row, sinks).
   Tuple MaterializeRow(size_t row) const;
+
+  /// Bytes held in the shared string arena.
+  size_t arena_bytes() const { return arena_.size(); }
+
+  /// Re-points the batch, rows kept, at `schema` of the same layout (a
+  /// Relation stamps the batches it stores with the schema it owns).
+  void RebindSchema(const Schema* schema) {
+    assert(schema->num_fields() == columns_.size() &&
+           "rebind to a schema of another layout");
+    schema_ = schema;
+  }
 
   /// \name Join-key hash lane.
   /// @{

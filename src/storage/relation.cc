@@ -1,6 +1,9 @@
 #include "storage/relation.h"
 
+#include <algorithm>
+#include <cassert>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "common/macros.h"
@@ -9,36 +12,88 @@
 namespace aqp {
 namespace storage {
 
-Status Relation::Append(Tuple tuple) {
-  AQP_RETURN_IF_ERROR(tuple.ValidateAgainst(schema_));
-  rows_.push_back(std::move(tuple));
+Tuple Relation::row(size_t i) const {
+  if (i >= size()) throw std::out_of_range("Relation::row");
+  const ColumnBatch& batch = BatchOf(&i);
+  return batch.MaterializeRow(i);
+}
+
+Status Relation::Append(const Tuple& tuple) {
+  AQP_RETURN_IF_ERROR(tuple.ValidateAgainst(*schema_));
+  TailForAppend()->AppendTupleRow(tuple);
   return Status::OK();
+}
+
+ColumnBatch* Relation::TailForAppend() {
+  if (batches_.empty() ||
+      batches_.back().size() >= ColumnBatch::kDefaultCapacity ||
+      batches_.back().arena_bytes() >= kArenaSoftLimit) {
+    starts_.push_back(size());
+    batches_.emplace_back(schema_.get());
+  }
+  return &batches_.back();
+}
+
+void Relation::AppendBatch(ColumnBatch&& batch) {
+  if (batch.size() >= ColumnBatch::kDefaultCapacity / 4) {
+    batch.RebindSchema(schema_.get());
+    starts_.push_back(size());
+    batches_.push_back(std::move(batch));
+    batch.Clear();
+    return;
+  }
+  for (size_t row = 0; row < batch.size(); ++row) {
+    TailForAppend()->AppendRowFrom(batch, row);
+  }
+}
+
+void Relation::CopyRows(size_t begin, size_t count, ColumnBatch* out) const {
+  assert(begin + count <= size() && "row range past the relation's end");
+  while (count > 0) {
+    size_t offset = begin;
+    const ColumnBatch& batch = BatchOf(&offset);
+    const size_t take = std::min(count, batch.size() - offset);
+    out->AppendRows(batch, offset, take);
+    begin += take;
+    count -= take;
+  }
+}
+
+const ColumnBatch& Relation::BatchOf(size_t* row) const {
+  const size_t b = static_cast<size_t>(
+      std::upper_bound(starts_.begin(), starts_.end(), *row) -
+      starts_.begin() - 1);
+  *row -= starts_[b];
+  return batches_[b];
 }
 
 std::vector<std::string> Relation::DistinctStrings(size_t column) const {
   std::vector<std::string> out;
-  std::unordered_set<std::string> seen;
-  seen.reserve(rows_.size());
-  for (const Tuple& t : rows_) {
-    const std::string& s = t[column].AsString();
-    if (seen.insert(s).second) out.push_back(s);
+  std::unordered_set<std::string_view> seen;
+  seen.reserve(size());
+  for (const ColumnBatch& batch : batches_) {
+    for (size_t row = 0; row < batch.size(); ++row) {
+      const std::string_view s = batch.StringAt(column, row);
+      if (seen.insert(s).second) out.emplace_back(s);
+    }
   }
   return out;
 }
 
 std::string Relation::ToString(size_t limit) const {
   std::vector<std::string> headers;
-  for (const Field& f : schema_.fields()) headers.push_back(f.name);
+  for (const Field& f : schema_->fields()) headers.push_back(f.name);
   TablePrinter printer(headers);
-  for (size_t i = 0; i < rows_.size() && i < limit; ++i) {
+  for (size_t i = 0; i < size() && i < limit; ++i) {
     std::vector<std::string> cells;
-    for (const Value& v : rows_[i].values()) cells.push_back(v.ToString());
+    const Tuple tuple = row(i);
+    for (const Value& v : tuple.values()) cells.push_back(v.ToString());
     printer.AddRow(std::move(cells));
   }
   std::ostringstream os;
   printer.Print(os);
-  if (rows_.size() > limit) {
-    os << "... (" << rows_.size() - limit << " more rows)\n";
+  if (size() > limit) {
+    os << "... (" << size() - limit << " more rows)\n";
   }
   return os.str();
 }

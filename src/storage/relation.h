@@ -1,7 +1,10 @@
 #ifndef AQP_STORAGE_RELATION_H_
 #define AQP_STORAGE_RELATION_H_
 
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -12,49 +15,108 @@
 namespace aqp {
 namespace storage {
 
-/// \brief An in-memory table: a schema plus a row vector.
+/// \brief An in-memory table: a schema plus a chain of ColumnBatches.
 ///
 /// Relations are the materialized endpoints of the system — generator
-/// output, scan input, and collected join results. The streaming path
+/// output, scan input, and collected join results. Rows live only in
+/// columns: producers append cells (TailForAppend) or whole batches
+/// (AppendBatch), and consumers read typed cells (Int64At, StringAt,
+/// ...) or copy column ranges (CopyRows). A Tuple is built only when a
+/// consumer asks for one through row() or rows(). The streaming path
 /// (exec/stream.h) feeds tuples without materializing a Relation.
+///
+/// The schema is owned through a shared pointer that every batch
+/// borrows, so copies and moves keep the batches' schema pointers
+/// valid. Each batch holds at most ColumnBatch::kDefaultCapacity rows
+/// appended here, and a new batch opens before a string arena passes
+/// kArenaSoftLimit, far under the batch's 32-bit offset bound.
 class Relation {
  public:
-  Relation() = default;
-  explicit Relation(Schema schema) : schema_(std::move(schema)) {}
+  /// Bytes of string data after which appends open a new batch.
+  static constexpr size_t kArenaSoftLimit = size_t{1} << 30;
+
+  /// Read-only range over the rows (range-for); each dereference
+  /// builds the row as a Tuple.
+  struct RowRange {
+    struct iterator {
+      const Relation* relation;
+      size_t row;
+      Tuple operator*() const { return relation->row(row); }
+      iterator& operator++() {
+        ++row;
+        return *this;
+      }
+      bool operator!=(const iterator& other) const {
+        return row != other.row;
+      }
+    };
+    iterator begin() const { return {relation, 0}; }
+    iterator end() const { return {relation, relation->size()}; }
+
+    const Relation* relation;
+  };
+
+  Relation() : Relation(Schema()) {}
+  explicit Relation(Schema schema)
+      : schema_(std::make_shared<const Schema>(std::move(schema))) {}
 
   /// The relation's schema.
-  const Schema& schema() const { return schema_; }
+  const Schema& schema() const { return *schema_; }
 
   /// Number of rows.
-  size_t size() const { return rows_.size(); }
-  bool empty() const { return rows_.empty(); }
+  size_t size() const {
+    return batches_.empty() ? 0 : starts_.back() + batches_.back().size();
+  }
+  bool empty() const { return size() == 0; }
 
-  /// Row access.
-  const Tuple& row(size_t i) const { return rows_.at(i); }
-  const std::vector<Tuple>& rows() const { return rows_; }
+  /// \name Typed cell access (column, row), as on ColumnBatch. Views
+  /// returned by StringAt stay valid until the relation is mutated.
+  /// @{
+  bool IsNull(size_t col, size_t row) const {
+    const ColumnBatch& batch = BatchOf(&row);
+    return batch.IsNull(col, row);
+  }
+  int64_t Int64At(size_t col, size_t row) const {
+    const ColumnBatch& batch = BatchOf(&row);
+    return batch.Int64At(col, row);
+  }
+  double DoubleAt(size_t col, size_t row) const {
+    const ColumnBatch& batch = BatchOf(&row);
+    return batch.DoubleAt(col, row);
+  }
+  std::string_view StringAt(size_t col, size_t row) const {
+    const ColumnBatch& batch = BatchOf(&row);
+    return batch.StringAt(col, row);
+  }
+  /// @}
 
-  /// Mutable row access (in-place perturbation by the data generator).
-  Tuple* mutable_row(size_t i) { return &rows_.at(i); }
+  /// Row `i` built as a Tuple (bounds-checked; throws
+  /// std::out_of_range). Returned by value: bind it before holding a
+  /// reference into its cells.
+  Tuple row(size_t i) const;
+  /// Every row, each built as a Tuple when dereferenced.
+  RowRange rows() const { return RowRange{this}; }
+
+  /// The batches, in row order; none is empty.
+  const std::vector<ColumnBatch>& batches() const { return batches_; }
 
   /// Appends a row after validating it against the schema.
-  Status Append(Tuple tuple);
+  Status Append(const Tuple& tuple);
 
-  /// Appends without validation (hot generator path; caller guarantees
-  /// conformance).
-  void AppendUnchecked(Tuple tuple) { rows_.push_back(std::move(tuple)); }
+  /// The batch the next row goes into, opening a new one when the last
+  /// is full: append one cell per column to it, then CommitRow().
+  ColumnBatch* TailForAppend();
 
-  /// Materializes a columnar batch's rows onto the relation without
-  /// validation (batched CollectAll sink: the only place the columnar
-  /// pipeline constructs row payloads).
-  void AppendColumnBatchUnchecked(const ColumnBatch& batch) {
-    rows_.reserve(rows_.size() + batch.size());
-    for (size_t row = 0; row < batch.size(); ++row) {
-      rows_.push_back(batch.MaterializeRow(row));
-    }
-  }
+  /// Appends a batch's rows; its layout must match the schema. A large
+  /// batch (at least a quarter of ColumnBatch::kDefaultCapacity rows)
+  /// is moved in whole, re-pointed at this relation's schema, and
+  /// `batch` is left empty. A smaller one is copied into the last
+  /// batch and left intact, so tiny batches do not multiply batches.
+  void AppendBatch(ColumnBatch&& batch);
 
-  /// Reserves row capacity.
-  void Reserve(size_t n) { rows_.reserve(n); }
+  /// Appends rows [begin, begin + count) to `out`, whose layout must
+  /// match, copying column ranges batch by batch.
+  void CopyRows(size_t begin, size_t count, ColumnBatch* out) const;
 
   /// Returns the distinct values of a string column, in first-seen
   /// order.
@@ -64,8 +126,14 @@ class Relation {
   std::string ToString(size_t limit = 10) const;
 
  private:
-  Schema schema_;
-  std::vector<Tuple> rows_;
+  /// The batch holding row `*row` (< size()); rebases `*row` to an
+  /// index into that batch.
+  const ColumnBatch& BatchOf(size_t* row) const;
+
+  std::shared_ptr<const Schema> schema_;
+  std::vector<ColumnBatch> batches_;
+  /// First row of each batch.
+  std::vector<size_t> starts_;
 };
 
 }  // namespace storage

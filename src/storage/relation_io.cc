@@ -1,130 +1,30 @@
 #include "storage/relation_io.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
-#include "common/csv.h"
-#include "common/macros.h"
+#include "exec/csv_io.h"
+#include "exec/operator.h"
+#include "exec/scan.h"
 
 namespace aqp {
 namespace storage {
 
 void WriteRelationCsv(const Relation& relation, std::ostream* out) {
-  CsvWriter csv(out);
-  std::vector<std::string> header;
-  header.reserve(relation.schema().num_fields());
-  for (const Field& f : relation.schema().fields()) header.push_back(f.name);
-  csv.WriteRow(header);
-
-  std::vector<std::string> row(relation.schema().num_fields());
-  for (const Tuple& tuple : relation.rows()) {
-    for (size_t c = 0; c < tuple.size(); ++c) {
-      const Value& v = tuple.at(c);
-      switch (v.type()) {
-        case ValueType::kNull:
-          row[c].clear();
-          break;
-        case ValueType::kInt64:
-          row[c] = std::to_string(v.AsInt64());
-          break;
-        case ValueType::kDouble: {
-          std::ostringstream os;
-          os.precision(17);  // round-trippable
-          os << v.AsDouble();
-          row[c] = os.str();
-          break;
-        }
-        case ValueType::kString:
-          row[c] = v.AsString();
-          break;
-      }
-    }
-    csv.WriteRow(row);
-  }
+  // One writer for relations and operators: the scan copies column
+  // ranges and the sink formats cells straight from them. A relation
+  // scan fails only under an armed scan.next failpoint.
+  exec::RelationScan scan(&relation);
+  (void)exec::WriteOperatorCsv(&scan, out);
 }
-
-namespace {
-
-Result<Value> ParseCell(const std::string& text, const Field& field,
-                        size_t line) {
-  if (text.empty() && field.type != ValueType::kString) {
-    return Value();  // NULL
-  }
-  switch (field.type) {
-    case ValueType::kNull:
-      return Value();
-    case ValueType::kInt64: {
-      char* end = nullptr;
-      const long long v = std::strtoll(text.c_str(), &end, 10);
-      if (end == text.c_str() || *end != '\0') {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line) + ", column '" + field.name +
-            "': not an integer: '" + text + "'");
-      }
-      return Value(static_cast<int64_t>(v));
-    }
-    case ValueType::kDouble: {
-      char* end = nullptr;
-      const double v = std::strtod(text.c_str(), &end);
-      if (end == text.c_str() || *end != '\0') {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line) + ", column '" + field.name +
-            "': not a number: '" + text + "'");
-      }
-      return Value(v);
-    }
-    case ValueType::kString:
-      return Value(text);
-  }
-  return Status::Internal("unreachable value type");
-}
-
-}  // namespace
 
 Result<Relation> ReadRelationCsv(const Schema& schema, std::istream* in) {
   std::stringstream buffer;
   buffer << in->rdbuf();
-  std::vector<std::vector<std::string>> rows;
-  AQP_RETURN_IF_ERROR(ParseCsv(buffer.str(), &rows));
-  if (rows.empty()) {
-    return Status::InvalidArgument("CSV input is empty (no header row)");
-  }
-  // Validate the header against the schema.
-  const std::vector<std::string>& header = rows.front();
-  if (header.size() != schema.num_fields()) {
-    return Status::InvalidArgument(
-        "CSV header has " + std::to_string(header.size()) +
-        " columns but the schema expects " +
-        std::to_string(schema.num_fields()));
-  }
-  for (size_t c = 0; c < header.size(); ++c) {
-    if (header[c] != schema.field(c).name) {
-      return Status::InvalidArgument(
-          "CSV header column " + std::to_string(c) + " is '" + header[c] +
-          "' but the schema expects '" + schema.field(c).name + "'");
-    }
-  }
-
-  Relation relation(schema);
-  relation.Reserve(rows.size() - 1);
-  for (size_t r = 1; r < rows.size(); ++r) {
-    const auto& cells = rows[r];
-    if (cells.size() != schema.num_fields()) {
-      return Status::InvalidArgument(
-          "line " + std::to_string(r + 1) + " has " +
-          std::to_string(cells.size()) + " cells, expected " +
-          std::to_string(schema.num_fields()));
-    }
-    Tuple tuple;
-    for (size_t c = 0; c < cells.size(); ++c) {
-      Value value;
-      AQP_ASSIGN_OR_RETURN(value, ParseCell(cells[c], schema.field(c), r + 1));
-      tuple.Append(std::move(value));
-    }
-    relation.AppendUnchecked(std::move(tuple));
-  }
-  return relation;
+  // One parser for both readers: the relation is CsvSource's batches,
+  // so a file loads alike whichever way it enters the engine.
+  exec::CsvSource source(schema, std::move(buffer).str());
+  return exec::CollectAll(&source);
 }
 
 Status WriteRelationCsvFile(const Relation& relation,

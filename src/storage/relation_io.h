@@ -15,14 +15,16 @@ namespace storage {
 /// leave the engine outside of the synthetic generators.
 /// @{
 
-/// Writes `relation` as CSV with a header row of column names.
-/// Doubles are written with enough digits to round-trip.
+/// Writes `relation` as CSV with a header row of column names, as
+/// exec::WriteOperatorCsv does (shortest round-trip doubles).
 void WriteRelationCsv(const Relation& relation, std::ostream* out);
 
-/// Reads a CSV with a header row into a relation typed by `schema`.
-/// The header must match the schema's column names in order. Cells are
-/// parsed per column type; empty cells become NULL. Fails with
-/// InvalidArgument on header/type mismatches (line number included).
+/// Reads a CSV with a header row into a relation typed by `schema`, by
+/// draining an exec::CsvSource: a file loads the same through either
+/// reader. The header must match the schema's column names in order.
+/// Cells are parsed per column type; empty cells become NULL. Fails
+/// with InvalidArgument on header/type mismatches (line number
+/// included).
 Result<Relation> ReadRelationCsv(const Schema& schema, std::istream* in);
 
 /// Convenience: file-path variants.

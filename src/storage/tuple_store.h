@@ -50,8 +50,7 @@ using TupleId = uint32_t;
 /// JoinKey() views and cached hashes are stable across store growth
 /// (the key arena never relocates bytes); Grams() references are
 /// stable until the next add. Payload accessors (AppendCellsTo /
-/// AppendValuesTo / GetTuple) copy bytes out, so they are unaffected
-/// by growth.
+/// GetTuple) copy bytes out, so they are unaffected by growth.
 class TupleStore {
  public:
   /// Constructs a store whose join attribute is at `join_column`.
@@ -70,9 +69,8 @@ class TupleStore {
   /// slice is copied column-to-column.
   TupleId AddRow(const ColumnBatch& batch, size_t row, uint64_t key_hash);
 
-  /// Appends a tuple (the tuple ingest path of tests and benches:
-  /// decomposes the tuple into the columnar payload). Interns the join key and
-  /// caches its hash.
+  /// Appends a tuple (tests and benches) through a one-row batch and
+  /// AddRow. Interns the join key and caches its hash.
   TupleId Add(Tuple tuple);
 
   /// Same, with the key hash already computed by the caller. `key_hash`
@@ -107,11 +105,8 @@ class TupleStore {
   void AppendCellsTo(TupleId id, ColumnBatch* out,
                      size_t first_out_col) const;
 
-  /// Appends tuple `id`'s cells as Values (row materialization).
-  void AppendValuesTo(TupleId id, std::vector<Value>* out) const;
-
-  /// Materializes tuple `id` as a row (compatibility/debug paths; the
-  /// columnar sinks use AppendCellsTo instead).
+  /// Materializes tuple `id` as a row through a one-row batch
+  /// (debug paths; the columnar sinks use AppendCellsTo instead).
   Tuple GetTuple(TupleId id) const;
   /// @}
 

@@ -48,14 +48,13 @@ TEST(GeneratorTest, VariantsNeverMatchAnyParentExactly) {
   ASSERT_TRUE(tc.ok());
   std::unordered_set<std::string> parent_locations;
   for (size_t r = 0; r < tc->parent.size(); ++r) {
-    parent_locations.insert(
-        tc->parent.row(r).at(kAtlasLocationColumn).AsString());
+    parent_locations.emplace(tc->parent.StringAt(kAtlasLocationColumn, r));
   }
   for (size_t i = 0; i < tc->child.size(); ++i) {
     if (!tc->child_is_variant[i]) continue;
-    const std::string& loc =
-        tc->child.row(i).at(kAccidentsLocationColumn).AsString();
-    EXPECT_EQ(parent_locations.count(loc), 0u) << loc;
+    const std::string_view loc =
+        tc->child.StringAt(kAccidentsLocationColumn, i);
+    EXPECT_EQ(parent_locations.count(std::string(loc)), 0u) << loc;
   }
 }
 
@@ -64,12 +63,11 @@ TEST(GeneratorTest, VariantsHaveEditDistanceOneFromTruth) {
   auto tc = GenerateTestCase(options);
   ASSERT_TRUE(tc.ok());
   for (size_t i = 0; i < tc->child.size(); ++i) {
-    const std::string& loc =
-        tc->child.row(i).at(kAccidentsLocationColumn).AsString();
+    const std::string_view loc =
+        tc->child.StringAt(kAccidentsLocationColumn, i);
     // Truth string: the (unperturbed, child-only case) parent value.
-    const std::string& truth = tc->parent.row(tc->child_true_parent[i])
-                                   .at(kAtlasLocationColumn)
-                                   .AsString();
+    const std::string_view truth =
+        tc->parent.StringAt(kAtlasLocationColumn, tc->child_true_parent[i]);
     if (tc->child_is_variant[i]) {
       EXPECT_EQ(text::Levenshtein(loc, truth), 1u);
     } else {
@@ -87,11 +85,10 @@ TEST(GeneratorTest, VariantsPassPaperSimilarityThreshold) {
   text::QGramOptions q3;
   for (size_t i = 0; i < tc->child.size(); ++i) {
     if (!tc->child_is_variant[i]) continue;
-    const std::string& loc =
-        tc->child.row(i).at(kAccidentsLocationColumn).AsString();
-    const std::string& truth = tc->parent.row(tc->child_true_parent[i])
-                                   .at(kAtlasLocationColumn)
-                                   .AsString();
+    const std::string_view loc =
+        tc->child.StringAt(kAccidentsLocationColumn, i);
+    const std::string_view truth =
+        tc->parent.StringAt(kAtlasLocationColumn, tc->child_true_parent[i]);
     const double sim = text::Jaccard(text::GramSet::Of(loc, q3),
                                      text::GramSet::Of(truth, q3));
     EXPECT_GE(sim, 0.85) << loc << " vs " << truth;

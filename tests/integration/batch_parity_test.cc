@@ -63,7 +63,7 @@ ParityRun RunParity(const datagen::TestCase& tc, size_t join_batch_size,
     EXPECT_TRUE(status.ok()) << status.ToString();
     if (!status.ok() || batch.empty()) break;
     EXPECT_TRUE(batch.Validate().ok());
-    run.result.AppendColumnBatchUnchecked(batch);
+    run.result.AppendBatch(std::move(batch));
   }
   EXPECT_TRUE(join.Close().ok());
   run.trace = join.trace();
@@ -192,7 +192,7 @@ TEST(BatchParityTest, LateMaterializedPathsMatchColumnBatches) {
     if (refs.empty()) break;
     storage::ColumnBatch batch(&match_join.output_schema(), refs.size());
     match_join.MaterializeInto(refs, &batch);
-    collected.AppendColumnBatchUnchecked(batch);
+    collected.AppendBatch(std::move(batch));
   }
   ASSERT_TRUE(match_join.Close().ok());
   ASSERT_EQ(collected.size(), rows.result.size());

@@ -140,6 +140,38 @@ TEST(ParallelParityTest, EveryShardCountMatchesSingleThreadedAdaptive) {
   }
 }
 
+// The served drain (LinkageService::RunAttempt): NextColumnBatch at
+// the query's drain_batch, each batch moved into a columnar Relation.
+// Rows and the adaptation trace must not depend on the batch size.
+TEST(ParallelParityTest, ServedDrainBatchSizesKeepRowsAndTraces) {
+  const datagen::TestCase tc = PaperCase();
+  const ReferenceRun reference = RunSingleThreaded(tc, BaseOptions(tc));
+  for (size_t drain : {size_t{1}, size_t{16}, size_t{256}}) {
+    SCOPED_TRACE(testing::Message() << "drain " << drain);
+    exec::RelationScan child(&tc.child);
+    exec::RelationScan parent(&tc.parent);
+    ParallelJoinOptions options;
+    options.base = BaseOptions(tc);
+    options.num_shards = 4;
+    ParallelAdaptiveJoin join(&child, &parent, options);
+    ASSERT_TRUE(join.Open().ok());
+    storage::Relation collected(join.output_schema());
+    storage::ColumnBatch batch(&join.output_schema(), drain);
+    while (true) {
+      Status status = join.NextColumnBatch(&batch);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      if (batch.empty()) break;
+      ASSERT_LE(batch.size(), drain);
+      collected.AppendBatch(std::move(batch));
+    }
+    ASSERT_TRUE(join.Close().ok());
+    EXPECT_EQ(join.steps(), reference.steps);
+    EXPECT_EQ(join.cost().total_transitions(), reference.transitions);
+    ExpectSameRows(collected, reference.result);
+    ExpectSameTrace(join.trace(), reference.trace);
+  }
+}
+
 TEST(ParallelParityTest, DriveModesAgreeAtFourShards) {
   const datagen::TestCase tc = PaperCase();
   const ReferenceRun reference = RunSingleThreaded(tc, BaseOptions(tc));
@@ -159,7 +191,7 @@ TEST(ParallelParityTest, DriveModesAgreeAtFourShards) {
       Status status = join.NextColumnBatch(&batch);
       ASSERT_TRUE(status.ok()) << status.ToString();
       if (batch.empty()) break;
-      collected.AppendColumnBatchUnchecked(batch);
+      collected.AppendBatch(std::move(batch));
     }
     ASSERT_TRUE(join.Close().ok());
     ExpectSameRows(collected, reference.result);
@@ -180,9 +212,11 @@ TEST(ParallelParityTest, DriveModesAgreeAtFourShards) {
     while (true) {
       ASSERT_TRUE(join.NextMatchRefs(97, &refs).ok());
       if (refs.empty()) break;
+      storage::ColumnBatch batch(&join.output_schema(), refs.size());
       for (const ParallelMatchRef& ref : refs) {
-        collected.AppendUnchecked(join.MaterializeRow(ref));
+        join.MaterializeRefInto(ref, &batch);
       }
+      collected.AppendBatch(std::move(batch));
     }
     ASSERT_TRUE(join.Close().ok());
     ExpectSameRows(collected, reference.result);
@@ -226,7 +260,7 @@ TEST(ParallelParityTest, ColumnarProtocolMatchesRowAdapterEveryShardCount) {
       ASSERT_TRUE(join.NextColumnBatch(&batch).ok());
       if (batch.empty()) break;
       ASSERT_TRUE(batch.Validate().ok());
-      collected.AppendColumnBatchUnchecked(batch);
+      collected.AppendBatch(std::move(batch));
     }
     ASSERT_TRUE(join.Close().ok());
     SCOPED_TRACE(testing::Message() << "shards=" << shards);

@@ -234,7 +234,7 @@ TEST(PipelineParityTest, AllDriveModesAgreeWhenPipelined) {
       Status status = join.NextColumnBatch(&batch);
       ASSERT_TRUE(status.ok()) << status.ToString();
       if (batch.empty()) break;
-      collected.AppendColumnBatchUnchecked(batch);
+      collected.AppendBatch(std::move(batch));
     }
     EXPECT_GT(join.ingest_stats().epochs_staged, 0u);
     ASSERT_TRUE(join.Close().ok());
@@ -253,9 +253,11 @@ TEST(PipelineParityTest, AllDriveModesAgreeWhenPipelined) {
     while (true) {
       ASSERT_TRUE(join.NextMatchRefs(97, &refs).ok());
       if (refs.empty()) break;
+      storage::ColumnBatch batch(&join.output_schema(), refs.size());
       for (const ParallelMatchRef& ref : refs) {
-        collected.AppendUnchecked(join.MaterializeRow(ref));
+        join.MaterializeRefInto(ref, &batch);
       }
+      collected.AppendBatch(std::move(batch));
     }
     ASSERT_TRUE(join.Close().ok());
     ExpectSameRows(collected, reference.result);

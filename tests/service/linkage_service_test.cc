@@ -98,6 +98,77 @@ std::vector<ParallelJoinOptions> PolicyMix(const datagen::TestCase& tc) {
   return mix;
 }
 
+/// Every cell of `actual` equals `expected`'s, read through the typed
+/// accessors of the columnar result.
+void ExpectSameCells(const storage::Relation& actual,
+                     const storage::Relation& expected) {
+  ASSERT_EQ(actual.schema(), expected.schema());
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t c = 0; c < expected.schema().num_fields(); ++c) {
+    const storage::ValueType type = expected.schema().field(c).type;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "cell " << i << "," << c);
+      ASSERT_EQ(actual.IsNull(c, i), expected.IsNull(c, i));
+      if (expected.IsNull(c, i)) continue;
+      if (type == storage::ValueType::kInt64) {
+        ASSERT_EQ(actual.Int64At(c, i), expected.Int64At(c, i));
+      } else if (type == storage::ValueType::kDouble) {
+        ASSERT_EQ(actual.DoubleAt(c, i), expected.DoubleAt(c, i));
+      } else {
+        ASSERT_EQ(actual.StringAt(c, i), expected.StringAt(c, i));
+      }
+    }
+  }
+}
+
+// The served result is columnar: drained batches move into it and are
+// re-pointed at its own schema. It must stay readable after the query's
+// engine (and the whole service) is gone, and every drain batch size
+// must deliver the same cells and the same run.
+TEST(LinkageServiceTest, ResultOutlivesTheEngineAtEveryDrainBatch) {
+  const datagen::TestCase& tc = PaperCase();
+  ParallelJoinOptions join_options = BaseJoinOptions(tc);
+  join_options.base.join.emit_similarity = true;
+  const storage::Relation reference = SoloRun(tc, join_options);
+  ASSERT_GT(reference.size(), 300u);
+
+  std::vector<QueryStats> runs;
+  for (size_t drain : {size_t{1}, size_t{16}, size_t{256}}) {
+    SCOPED_TRACE(testing::Message() << "drain_batch " << drain);
+    storage::Relation result;
+    {
+      LinkageService service(ServiceOptions{});
+      exec::RelationScan child(&tc.child);
+      exec::RelationScan parent(&tc.parent);
+      QueryOptions qo;
+      qo.join = join_options;
+      qo.drain_batch = drain;
+      auto id = service.Submit(&child, &parent, qo);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      auto stats = service.Wait(*id);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      ASSERT_EQ(stats->state, QueryState::kDone) << stats->status.ToString();
+      runs.push_back(*stats);
+      auto taken = service.TakeResult(*id);
+      ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+      result = std::move(*taken);
+    }
+    for (const storage::ColumnBatch& batch : result.batches()) {
+      ASSERT_EQ(batch.schema(), &result.schema());
+    }
+    ExpectSameCells(result, reference);
+    ExpectSameRows(result, reference);
+  }
+  for (const QueryStats& run : runs) {
+    EXPECT_EQ(run.steps, runs[0].steps);
+    EXPECT_EQ(run.pairs_emitted, runs[0].pairs_emitted);
+    EXPECT_EQ(run.final_state, runs[0].final_state);
+    EXPECT_EQ(run.completeness.observed_matches,
+              runs[0].completeness.observed_matches);
+    EXPECT_EQ(run.ingest.epochs_staged, runs[0].ingest.epochs_staged);
+  }
+}
+
 // ---------------------------------------------------------------------
 // The acceptance-criteria test: >= 4 concurrent queries, one shared
 // pool, admission capping active concurrency at 2, every query's

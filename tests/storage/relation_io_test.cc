@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
+
+#include "exec/csv_io.h"
+#include "exec/operator.h"
 
 namespace aqp {
 namespace storage {
@@ -114,6 +119,65 @@ TEST(RelationIoTest, DoubleRoundTripPrecision) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_DOUBLE_EQ(loaded->row(0).at(0).AsDouble(), 0.1);
   EXPECT_DOUBLE_EQ(loaded->row(1).at(0).AsDouble(), 1.0 / 3.0);
+}
+
+// One file must load the same through ReadRelationCsv and a drained
+// CsvSource: same acceptance, same error, same cells.
+TEST(RelationIoTest, ReadersAcceptAndRejectAlike) {
+  const std::string header = "id,location,score\n";
+  const std::vector<std::string> bodies = {
+      "1,x,0.5\n",
+      "-7,x,\n",
+      "99999999999999999999,x,0.5\n",
+      " 12,x,0.5\n",
+      "+7,x,0.5\n",
+      "12 ,x,0.5\n",
+      "0x10,x,0.5\n",
+      "1,x,nope\n",
+      "1,x,1e3\n",
+      "1,\"quoted, comma\",2\n",
+      "1,x\n",
+      "1,x,0.5,extra\n",
+      "\n1,x,0.5\n\n",
+  };
+  for (const std::string& body : bodies) {
+    SCOPED_TRACE(body);
+    std::stringstream in(header + body);
+    auto read = ReadRelationCsv(MixedSchema(), &in);
+    exec::CsvSource source(MixedSchema(), header + body);
+    auto drained = exec::CollectAll(&source);
+    ASSERT_EQ(read.ok(), drained.ok()) << read.status().ToString() << " vs "
+                                       << drained.status().ToString();
+    if (!read.ok()) {
+      EXPECT_EQ(read.status().ToString(), drained.status().ToString());
+      continue;
+    }
+    ASSERT_EQ(read->size(), drained->size());
+    for (size_t i = 0; i < read->size(); ++i) {
+      EXPECT_EQ(read->row(i), drained->row(i)) << "row " << i;
+    }
+  }
+}
+
+TEST(RelationIoTest, RejectsIntegersOutOfRangeOrPadded) {
+  for (const std::string cell : {"99999999999999999999", " 12", "+7"}) {
+    std::stringstream in("id,location,score\n" + cell + ",x,0.5\n");
+    auto loaded = ReadRelationCsv(MixedSchema(), &in);
+    ASSERT_TRUE(loaded.status().IsInvalidArgument()) << cell;
+    EXPECT_NE(loaded.status().message().find("not an integer"),
+              std::string::npos)
+        << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find("line 2"), std::string::npos);
+  }
+}
+
+TEST(RelationIoTest, WritesDoublesAsShortestRoundTrip) {
+  Relation r(Schema({{"x", ValueType::kDouble}}));
+  ASSERT_TRUE(r.Append(Tuple{Value(0.1)}).ok());
+  ASSERT_TRUE(r.Append(Tuple{Value(1e-9)}).ok());
+  std::stringstream buffer;
+  WriteRelationCsv(r, &buffer);
+  EXPECT_EQ(buffer.str(), "x\n0.1\n1e-09\n");
 }
 
 }  // namespace
