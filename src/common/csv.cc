@@ -9,8 +9,7 @@ namespace aqp {
 void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
   for (size_t i = 0; i < fields.size(); ++i) {
     if (i > 0) (*out_) << ',';
-    const bool plain =
-        fields[i].find_first_of(",\"\n\r") == std::string::npos;
+    const bool plain = fields[i].find_first_of(",\"\n\r") == std::string::npos;
     (*out_) << (plain ? fields[i] : Escape(fields[i]));
   }
   (*out_) << '\n';

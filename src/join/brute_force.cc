@@ -1,37 +1,20 @@
 #include "join/brute_force.h"
 
 #include <string_view>
-#include <vector>
 
 #include "text/similarity.h"
 
 namespace aqp {
 namespace join {
 
-namespace {
-
-/// The join column's keys, viewed in row order.
-std::vector<std::string_view> Keys(const storage::Relation& relation,
-                                   size_t column) {
-  std::vector<std::string_view> keys;
-  keys.reserve(relation.size());
-  for (size_t row = 0; row < relation.size(); ++row) {
-    keys.push_back(relation.StringAt(column, row));
-  }
-  return keys;
-}
-
-}  // namespace
-
 std::vector<BrutePair> BruteForceExactJoin(const storage::Relation& left,
                                            const storage::Relation& right,
                                            const JoinSpec& spec) {
   std::vector<BrutePair> out;
-  const std::vector<std::string_view> rkeys = Keys(right, spec.right_column);
   for (size_t i = 0; i < left.size(); ++i) {
     const std::string_view lkey = left.StringAt(spec.left_column, i);
-    for (size_t j = 0; j < rkeys.size(); ++j) {
-      if (lkey == rkeys[j]) {
+    for (size_t j = 0; j < right.size(); ++j) {
+      if (lkey == right.StringAt(spec.right_column, j)) {
         out.push_back(BrutePair{i, j, 1.0});
       }
     }
@@ -44,21 +27,21 @@ std::vector<BrutePair> BruteForceSimilarityJoin(const storage::Relation& left,
                                                 const JoinSpec& spec) {
   std::vector<BrutePair> out;
   // Precompute right-side gram sets once.
-  const std::vector<std::string_view> rkeys = Keys(right, spec.right_column);
   std::vector<text::GramSet> right_grams;
-  right_grams.reserve(rkeys.size());
-  for (std::string_view rkey : rkeys) {
-    right_grams.push_back(text::GramSet::Of(rkey, spec.qgram));
+  right_grams.reserve(right.size());
+  for (size_t j = 0; j < right.size(); ++j) {
+    right_grams.push_back(
+        text::GramSet::Of(right.StringAt(spec.right_column, j), spec.qgram));
   }
   for (size_t i = 0; i < left.size(); ++i) {
     const std::string_view lkey = left.StringAt(spec.left_column, i);
     const text::GramSet lgrams = text::GramSet::Of(lkey, spec.qgram);
-    for (size_t j = 0; j < rkeys.size(); ++j) {
+    for (size_t j = 0; j < right.size(); ++j) {
       double sim;
       if (lgrams.empty() && right_grams[j].empty()) {
         // Mirror the engine's degenerate-probe rule: gram-less strings
         // match only by equality.
-        sim = lkey == rkeys[j] ? 1.0 : 0.0;
+        sim = lkey == right.StringAt(spec.right_column, j) ? 1.0 : 0.0;
       } else {
         sim = text::SetSimilarity(spec.measure, lgrams, right_grams[j]);
       }

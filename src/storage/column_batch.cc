@@ -177,23 +177,19 @@ void ColumnBatch::AppendCellFrom(const ColumnBatch& src, size_t col,
   }
 }
 
-Value ColumnBatch::ValueAt(size_t col, size_t row) const {
-  if (IsNull(col, row)) return Value();
-  switch (columns_[col].type) {
-    case ValueType::kInt64:
-      return Value(Int64At(col, row));
-    case ValueType::kDouble:
-      return Value(DoubleAt(col, row));
-    default:
-      return Value(std::string(StringAt(col, row)));
-  }
-}
-
 Tuple ColumnBatch::MaterializeRow(size_t row) const {
   std::vector<Value> values;
   values.reserve(columns_.size());
   for (size_t col = 0; col < columns_.size(); ++col) {
-    values.push_back(ValueAt(col, row));
+    if (IsNull(col, row)) {
+      values.emplace_back();
+    } else if (columns_[col].type == ValueType::kInt64) {
+      values.emplace_back(Int64At(col, row));
+    } else if (columns_[col].type == ValueType::kDouble) {
+      values.emplace_back(DoubleAt(col, row));
+    } else {
+      values.emplace_back(std::string(StringAt(col, row)));
+    }
   }
   return Tuple(std::move(values));
 }

@@ -24,11 +24,9 @@ namespace storage {
 /// contiguous arena, so filling a batch performs no per-cell heap
 /// allocation — arena growth is amortized, and a recycled batch
 /// (Reset with the same schema) reaches an allocation-free steady
-/// state. The batch is also the storage of a Relation (a chain of
-/// batches), so results, scans and generated tables never hold rows
-/// of variants: a Tuple costs a `std::vector<Value>` and a
-/// `std::string` per row, and is built only where a consumer asks for
-/// one (MaterializeRow).
+/// state. Batches are also the storage of a Relation, so no table
+/// holds rows of variants (a `std::vector<Value>` and a `std::string`
+/// per row); a Tuple is built only where a consumer asks for one.
 ///
 /// An optional *join-key hash lane* carries one precomputed FNV-1a
 /// hash per row (ComputeKeyHashes over the join column); consumers
@@ -39,9 +37,8 @@ namespace storage {
 ///
 /// A batch borrows its schema from the producing operator (the schema
 /// must outlive the batch, which holds in the pull model); a Relation
-/// re-points the batches it stores at its own schema (RebindSchema).
-/// Capacity is
-/// a soft contract: appends past capacity degrade to growth, not
+/// re-points the batches it stores at its own schema. Capacity is a
+/// soft contract: appends past capacity degrade to growth, not
 /// corruption.
 ///
 /// Views returned by StringAt() alias the arena and are invalidated by
@@ -189,22 +186,8 @@ class ColumnBatch {
   ValueType column_type(size_t col) const { return columns_[col].type; }
   /// @}
 
-  /// Cell as a Value (adapter paths; allocates for strings).
-  Value ValueAt(size_t col, size_t row) const;
-
   /// Row as a Tuple (consumers that want rows: Relation::row, sinks).
   Tuple MaterializeRow(size_t row) const;
-
-  /// Bytes held in the shared string arena.
-  size_t arena_bytes() const { return arena_.size(); }
-
-  /// Re-points the batch, rows kept, at `schema` of the same layout (a
-  /// Relation stamps the batches it stores with the schema it owns).
-  void RebindSchema(const Schema* schema) {
-    assert(schema->num_fields() == columns_.size() &&
-           "rebind to a schema of another layout");
-    schema_ = schema;
-  }
 
   /// \name Join-key hash lane.
   /// @{
@@ -231,6 +214,10 @@ class ColumnBatch {
   std::string ToString(size_t limit = 5) const;
 
  private:
+  /// A Relation is a chain of batches: it re-points the batches it
+  /// stores at the schema it owns and reads their arena sizes.
+  friend class Relation;
+
   /// Aborts with a diagnostic when a batch's string arena would
   /// outgrow its 32-bit offsets (cold; see AppendString).
   [[noreturn]] static void DieArenaOverflow();

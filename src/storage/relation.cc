@@ -27,7 +27,7 @@ Status Relation::Append(const Tuple& tuple) {
 ColumnBatch* Relation::TailForAppend() {
   if (batches_.empty() ||
       batches_.back().size() >= ColumnBatch::kDefaultCapacity ||
-      batches_.back().arena_bytes() >= kArenaSoftLimit) {
+      batches_.back().arena_.size() >= kArenaSoftLimit) {
     starts_.push_back(size());
     batches_.emplace_back(schema_.get());
   }
@@ -36,7 +36,9 @@ ColumnBatch* Relation::TailForAppend() {
 
 void Relation::AppendBatch(ColumnBatch&& batch) {
   if (batch.size() >= ColumnBatch::kDefaultCapacity / 4) {
-    batch.RebindSchema(schema_.get());
+    assert(batch.num_columns() == schema_->num_fields() &&
+           "appended batch has another layout");
+    batch.schema_ = schema_.get();
     starts_.push_back(size());
     batches_.push_back(std::move(batch));
     batch.Clear();

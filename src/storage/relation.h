@@ -18,21 +18,17 @@ namespace storage {
 /// \brief An in-memory table: a schema plus a chain of ColumnBatches.
 ///
 /// Relations are the materialized endpoints of the system — generator
-/// output, scan input, and collected join results. Rows live only in
-/// columns: producers append cells (TailForAppend) or whole batches
-/// (AppendBatch), and consumers read typed cells (Int64At, StringAt,
-/// ...) or copy column ranges (CopyRows). A Tuple is built only when a
-/// consumer asks for one through row() or rows(). The streaming path
-/// (exec/stream.h) feeds tuples without materializing a Relation.
+/// output, scan input, and collected join results. Producers append
+/// cells (TailForAppend) or whole batches (AppendBatch); consumers read
+/// typed cells or copy column ranges (CopyRows). A Tuple is built only
+/// for a consumer that asks through row() or rows().
 ///
 /// The schema is owned through a shared pointer that every batch
 /// borrows, so copies and moves keep the batches' schema pointers
-/// valid. Each batch holds at most ColumnBatch::kDefaultCapacity rows
-/// appended here, and a new batch opens before a string arena passes
-/// kArenaSoftLimit, far under the batch's 32-bit offset bound.
+/// valid. A batch filled here holds at most kDefaultCapacity rows and
+/// kArenaSoftLimit string bytes, far under its 32-bit offset bound.
 class Relation {
  public:
-  /// Bytes of string data after which appends open a new batch.
   static constexpr size_t kArenaSoftLimit = size_t{1} << 30;
 
   /// Read-only range over the rows (range-for); each dereference

@@ -158,16 +158,51 @@ TupleId TupleStore::Add(Tuple tuple) {
 }
 
 TupleId TupleStore::Add(Tuple tuple, uint64_t key_hash) {
-  // One ingest path: the row enters through a one-row batch typed by
-  // its own cells.
-  std::vector<Field> fields;
-  for (const Value& v : tuple.values()) {
-    fields.push_back(Field{"", v.type()});
+  const TupleId id = static_cast<TupleId>(keys_.size());
+  EnsureArity(tuple.size());
+
+  const std::string& key = tuple[join_column_].AsString();
+  assert(key_hash == Fnv1a64(key) &&
+         "precomputed key hash does not match the join attribute");
+  KeyRecord record;
+  record.len = static_cast<uint32_t>(key.size());
+  record.offset = arena_.Intern(key);
+  record.hash = key_hash;
+  keys_.push_back(record);
+
+  for (size_t col = 0; col < columns_.size(); ++col) {
+    PayloadColumn& dst = columns_[col];
+    const Value& v = tuple[col];
+    if (col == join_column_) {
+      dst.nulls.push_back(v.is_null() ? 1 : 0);
+      continue;
+    }
+    if (v.is_null()) {
+      AppendNullSlot(&dst);
+      continue;
+    }
+    LatchColumnType(&dst, v.type());
+    dst.nulls.push_back(0);
+    switch (v.type()) {
+      case ValueType::kInt64:
+        dst.i64.push_back(v.AsInt64());
+        break;
+      case ValueType::kDouble:
+        dst.f64.push_back(v.AsDouble());
+        break;
+      default: {
+        const std::string_view bytes = v.AsStringView();
+        dst.str_offset.push_back(payload_arena_.size());
+        dst.str_len.push_back(static_cast<uint32_t>(bytes.size()));
+        payload_arena_.insert(payload_arena_.end(), bytes.begin(),
+                              bytes.end());
+        break;
+      }
+    }
   }
-  const Schema schema(std::move(fields));
-  ColumnBatch row(&schema, 1);
-  row.AppendTupleRow(tuple);
-  return AddRow(row, 0, key_hash);
+
+  AppendTupleLanes();
+  return id;
 }
 
 void TupleStore::Truncate(size_t n) {

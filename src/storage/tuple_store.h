@@ -69,8 +69,9 @@ class TupleStore {
   /// slice is copied column-to-column.
   TupleId AddRow(const ColumnBatch& batch, size_t row, uint64_t key_hash);
 
-  /// Appends a tuple (tests and benches) through a one-row batch and
-  /// AddRow. Interns the join key and caches its hash.
+  /// Appends a tuple (the tuple ingest path of tests and benches:
+  /// decomposes the tuple into the columnar payload). Interns the join key and
+  /// caches its hash.
   TupleId Add(Tuple tuple);
 
   /// Same, with the key hash already computed by the caller. `key_hash`

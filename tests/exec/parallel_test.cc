@@ -353,8 +353,7 @@ TEST(RadixExchangeTest, EqualKeysAlwaysLandOnTheSameShard) {
   const size_t num_shards = 5;
   std::map<std::string, uint32_t> assigned;
   for (size_t i = 0; i < tc.parent.size(); ++i) {
-    const std::string key(
-        tc.parent.StringAt(datagen::kAtlasLocationColumn, i));
+    const std::string key(tc.parent.StringAt(datagen::kAtlasLocationColumn, i));
     const uint32_t shard =
         static_cast<uint32_t>(Mix64(Fnv1a64(key)) % num_shards);
     auto [it, inserted] = assigned.emplace(key, shard);

@@ -121,42 +121,37 @@ TEST(RelationIoTest, DoubleRoundTripPrecision) {
   EXPECT_DOUBLE_EQ(loaded->row(1).at(0).AsDouble(), 1.0 / 3.0);
 }
 
-// One file must load the same through ReadRelationCsv and a drained
-// CsvSource: same acceptance, same error, same cells.
-TEST(RelationIoTest, ReadersAcceptAndRejectAlike) {
-  const std::string header = "id,location,score\n";
-  const std::vector<std::string> bodies = {
-      "1,x,0.5\n",
-      "-7,x,\n",
-      "99999999999999999999,x,0.5\n",
-      " 12,x,0.5\n",
-      "+7,x,0.5\n",
-      "12 ,x,0.5\n",
-      "0x10,x,0.5\n",
-      "1,x,nope\n",
-      "1,x,1e3\n",
-      "1,\"quoted, comma\",2\n",
-      "1,x\n",
-      "1,x,0.5,extra\n",
-      "\n1,x,0.5\n\n",
-  };
-  for (const std::string& body : bodies) {
-    SCOPED_TRACE(body);
-    std::stringstream in(header + body);
-    auto read = ReadRelationCsv(MixedSchema(), &in);
-    exec::CsvSource source(MixedSchema(), header + body);
-    auto drained = exec::CollectAll(&source);
-    ASSERT_EQ(read.ok(), drained.ok()) << read.status().ToString() << " vs "
-                                       << drained.status().ToString();
-    if (!read.ok()) {
-      EXPECT_EQ(read.status().ToString(), drained.status().ToString());
-      continue;
-    }
-    ASSERT_EQ(read->size(), drained->size());
-    for (size_t i = 0; i < read->size(); ++i) {
-      EXPECT_EQ(read->row(i), drained->row(i)) << "row " << i;
-    }
+/// Feeds one body under the mixed header to ReadRelationCsv and to a
+/// drained CsvSource: same acceptance, same error, same cells.
+void ExpectReadersAgree(const std::string& body) {
+  SCOPED_TRACE(body);
+  const std::string text = "id,location,score\n" + body;
+  std::stringstream in(text);
+  auto read = ReadRelationCsv(MixedSchema(), &in);
+  exec::CsvSource source(MixedSchema(), text);
+  auto drained = exec::CollectAll(&source);
+  ASSERT_EQ(read.status().ToString(), drained.status().ToString());
+  if (!read.ok()) return;
+  ASSERT_EQ(read->size(), drained->size());
+  for (size_t i = 0; i < read->size(); ++i) {
+    EXPECT_EQ(read->row(i), drained->row(i)) << "row " << i;
   }
+}
+
+TEST(RelationIoTest, ReadersAcceptAndRejectAlike) {
+  ExpectReadersAgree("1,x,0.5\n");
+  ExpectReadersAgree("-7,x,\n");
+  ExpectReadersAgree("99999999999999999999,x,0.5\n");
+  ExpectReadersAgree(" 12,x,0.5\n");
+  ExpectReadersAgree("+7,x,0.5\n");
+  ExpectReadersAgree("12 ,x,0.5\n");
+  ExpectReadersAgree("0x10,x,0.5\n");
+  ExpectReadersAgree("1,x,nope\n");
+  ExpectReadersAgree("1,x,1e3\n");
+  ExpectReadersAgree("1,\"quoted, comma\",2\n");
+  ExpectReadersAgree("1,x\n");
+  ExpectReadersAgree("1,x,0.5,extra\n");
+  ExpectReadersAgree("\n1,x,0.5\n\n2,y,\n");
 }
 
 TEST(RelationIoTest, RejectsIntegersOutOfRangeOrPadded) {

@@ -54,10 +54,10 @@ Schema MixedSchema() {
 /// (staggered), names empty on every fifth row.
 Tuple MixedRow(size_t i) {
   const auto n = static_cast<int64_t>(i);
+  const std::string name = i % 5 == 0 ? "" : "n" + std::to_string(i);
   return Tuple{i % 3 == 0 ? Value() : Value(n),
                i % 3 == 1 ? Value() : Value(0.5 * static_cast<double>(n)),
-               i % 3 == 2 ? Value()
-                          : Value(i % 5 == 0 ? "" : "n" + std::to_string(i))};
+               i % 3 == 2 ? Value() : Value(name)};
 }
 
 /// Every cell of `r` read through the typed accessors equals row(i),
@@ -123,8 +123,7 @@ TEST(RelationTest, AppendsCrossBatchBoundaries) {
     EXPECT_LE(batch.size(), ColumnBatch::kDefaultCapacity);
     EXPECT_EQ(batch.schema(), &r.schema());
   }
-  for (size_t i : {size_t{1023}, size_t{1024}, size_t{1025}, size_t{2047},
-                   size_t{2048}, n - 1}) {
+  for (size_t i : {1023u, 1024u, 1025u, 2047u, 2048u, 2052u}) {
     EXPECT_EQ(r.row(i), MixedRow(i)) << "row " << i;
   }
   EXPECT_THROW(r.row(n), std::out_of_range);
