@@ -252,8 +252,16 @@ TEST(WriteOperatorCsvTest, MatchesWriteRelationCsv) {
   auto written = WriteOperatorCsv(&scan, &actual);
   ASSERT_TRUE(written.ok()) << written.status().ToString();
   EXPECT_EQ(*written, relation.size());
-  // WriteRelationCsv is this sink over a relation scan: same bytes.
+  // WriteRelationCsv is this sink over a relation scan: same bytes,
+  // and they parse back to the same rows.
   EXPECT_EQ(actual.str(), expected.str());
+  CsvSource reparse(TestSchema(), actual.str());
+  auto round_trip = CollectAll(&reparse);
+  ASSERT_TRUE(round_trip.ok()) << round_trip.status().ToString();
+  ASSERT_EQ(round_trip->size(), relation.size());
+  for (size_t i = 0; i < relation.size(); ++i) {
+    EXPECT_EQ(round_trip->row(i), relation.row(i)) << "row " << i;
+  }
 }
 
 }  // namespace
