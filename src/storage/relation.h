@@ -93,7 +93,7 @@ class Relation {
   /// Every row, each built as a Tuple when dereferenced.
   RowRange rows() const { return RowRange{this}; }
 
-  /// The batches, in row order; none is empty.
+  /// The batches, in row order.
   const std::vector<ColumnBatch>& batches() const { return batches_; }
 
   /// Appends a row after validating it against the schema.
