@@ -97,19 +97,14 @@ class HybridJoinCore {
   /// and pair counters keep counting the dropped steps.
   void RollbackTo(size_t left_size, size_t right_size);
 
-  /// Reserves store and q-gram-index capacity for the expected input
-  /// cardinalities (0 = unknown); the operator wrappers pass their
-  /// size hints so steady ingest never reallocates the per-tuple
-  /// vectors or rehashes the posting maps.
+  /// Reserves store capacity for the expected input cardinalities
+  /// (0 = unknown); the operator wrappers pass their size hints so
+  /// steady ingest never reallocates the per-tuple vectors. The q-gram
+  /// indexes reserve nothing: their gram tables grow by load factor,
+  /// and an exact-only run never builds them.
   void ReserveStores(size_t left_hint, size_t right_hint) {
-    if (left_hint > 0) {
-      stores_[Idx(Side::kLeft)].Reserve(left_hint);
-      qgram_[Idx(Side::kLeft)].Reserve(left_hint);
-    }
-    if (right_hint > 0) {
-      stores_[Idx(Side::kRight)].Reserve(right_hint);
-      qgram_[Idx(Side::kRight)].Reserve(right_hint);
-    }
+    if (left_hint > 0) stores_[Idx(Side::kLeft)].Reserve(left_hint);
+    if (right_hint > 0) stores_[Idx(Side::kRight)].Reserve(right_hint);
   }
 
   /// \name Introspection.

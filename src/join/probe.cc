@@ -73,28 +73,28 @@ size_t BoundedOverlap(const std::vector<text::GramKey>& a,
 /// counting kernels compute it. A candidate's overlap is at most its
 /// T(t) count plus `unseen`, the shared grams its count cannot have
 /// seen; candidates that cannot reach the bound that way are dropped
-/// before their gram sets are merged.
+/// before their gram sets are merged. Everything up to that merge reads
+/// only the index's gram-count lane, the memo and T(t); a candidate's
+/// gram set is touched only once it survives the count prune.
 void VerifyCandidates(const QGramIndex& index,
                       const storage::TupleStore& store,
                       std::string_view probe_key,
                       const text::GramSet& probe_grams, const JoinSpec& spec,
                       size_t k, const GramCountBand& band, size_t unseen,
                       Side probe_side, storage::TupleId probe_id,
-                      const ApproxProbeScratch& work, ApproxProbeStats* stats,
+                      ApproxProbeScratch& work, ApproxProbeStats* stats,
                       std::vector<JoinMatch>* out) {
   const size_t g = probe_grams.size();
   for (storage::TupleId candidate : work.candidates) {
-    const text::GramSet& candidate_grams = index.GramSetOf(candidate);
-    const size_t candidate_size = candidate_grams.size();
+    const size_t candidate_size = index.GramSetSize(candidate);
     if (!band.Contains(candidate_size)) continue;
     if (stats != nullptr) ++stats->candidates;
-    const std::optional<size_t> required = MinPairOverlap(
-        spec.measure, g, candidate_size, spec.sim_threshold);
-    if (!required.has_value()) continue;
-    const size_t bound = std::max(k, *required);
+    const size_t required = work.pair_overlaps.Required(candidate_size);
+    if (required == 0) continue;
+    const size_t bound = std::max(k, required);
     if (work.Count(candidate) + unseen < bound) continue;
-    const size_t overlap =
-        BoundedOverlap(probe_grams.grams(), candidate_grams.grams(), bound);
+    const size_t overlap = BoundedOverlap(
+        probe_grams.grams(), index.GramSetOf(candidate).grams(), bound);
     if (overlap < bound) continue;
     if (stats != nullptr) ++stats->verified;
     EmitMatch(store, probe_key, probe_side, probe_id, candidate,
@@ -219,11 +219,11 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
         // have been scanned and posted — see filter.h), so the
         // remaining-suffix bound on the total overlap is valid here
         // and *stays* valid: rejection is permanent.
-        const std::optional<size_t> required = MinPairOverlap(
-            spec.measure, g, posting.gram_count, spec.sim_threshold);
-        if (!required.has_value() ||
+        const size_t required =
+            work.pair_overlaps.Required(posting.gram_count);
+        if (required == 0 ||
             !PositionalCompatible(g, i, posting.gram_count, posting.position,
-                                  *required)) {
+                                  required)) {
           work.Add(posting.id, kRejectedSentinel);
           if (stats != nullptr) ++stats->position_rejected;
           continue;
@@ -269,7 +269,42 @@ void ApproxProbeScratch::BeginProbe(size_t tuples) {
 size_t ApproxProbeScratch::ApproximateMemoryUsage() const {
   return ordered.capacity() * sizeof(ProbeGram) +
          candidates.capacity() * sizeof(storage::TupleId) +
-         table.capacity() * sizeof(Slot);
+         table.capacity() * sizeof(Slot) +
+         pair_overlaps.ApproximateMemoryUsage();
+}
+
+void PairOverlapMemo::Select(text::SimilarityMeasure measure,
+                             double threshold, size_t probe_size) {
+  if (!keyed_ || measure != measure_ || threshold != threshold_) {
+    rows_.clear();
+    measure_ = measure;
+    threshold_ = threshold;
+    keyed_ = true;
+  }
+  if (rows_.size() <= probe_size) rows_.resize(probe_size + 1);
+  Row& row = rows_[probe_size];
+  if (row.first_size == 0) {
+    row.first_size =
+        std::max<size_t>(1, LengthBandFor(measure, probe_size, threshold).lo);
+  }
+  probe_size_ = probe_size;
+}
+
+void PairOverlapMemo::Fill(Row* row, size_t stored_size) const {
+  for (size_t size = row->first_size + row->required.size();
+       size <= stored_size; ++size) {
+    const std::optional<size_t> required =
+        MinPairOverlap(measure_, probe_size_, size, threshold_);
+    row->required.push_back(static_cast<uint32_t>(required.value_or(0)));
+  }
+}
+
+size_t PairOverlapMemo::ApproximateMemoryUsage() const {
+  size_t bytes = rows_.capacity() * sizeof(Row);
+  for (const Row& row : rows_) {
+    bytes += row.required.capacity() * sizeof(uint32_t);
+  }
+  return bytes;
 }
 
 void ApproxProbeStats::MergeFrom(const ApproxProbeStats& other) {
@@ -338,6 +373,8 @@ size_t ProbeApproximateInto(const QGramIndex& index,
   // (steady-state probes allocate nothing), else probe-local.
   ApproxProbeScratch local;
   ApproxProbeScratch& work = scratch != nullptr ? *scratch : local;
+  work.pair_overlaps.Select(spec.measure, spec.sim_threshold,
+                            probe_grams.size());
 
   if (spec.filter.any()) {
     FilteredProbe(index, store, probe_key, probe_grams, spec, probe_side,

@@ -46,9 +46,58 @@ struct ProbeGram {
   }
 };
 
+/// \brief Memo of MinPairOverlap for one measure and threshold.
+///
+/// One row per probe gram count g, indexed by the stored tuple's gram
+/// count, holding the pair's required overlap — or 0 when the pair
+/// cannot reach the threshold at all (a real requirement is at least 1,
+/// since stored tuples in postings have grams). A row starts at the
+/// lower end of g's length band, below which every pair fails the same
+/// best-case test MinPairOverlap applies, and is filled lazily, only up
+/// to the largest stored size asked for: never to the band's upper end,
+/// which is unbounded for kOverlap or with the length filter off.
+class PairOverlapMemo {
+ public:
+  /// Selects the row for probes of `probe_size` grams. A measure or
+  /// threshold other than the previous call's clears every row.
+  void Select(text::SimilarityMeasure measure, double threshold,
+              size_t probe_size);
+
+  /// MinPairOverlap(measure, probe_size, stored_size, threshold) for the
+  /// selected row, or 0 if the pair is infeasible.
+  size_t Required(size_t stored_size) {
+    Row& row = rows_[probe_size_];
+    if (stored_size < row.first_size) return 0;
+    const size_t at = stored_size - row.first_size;
+    if (at >= row.required.size()) Fill(&row, stored_size);
+    return row.required[at];
+  }
+
+  /// Heap bytes held (capacity-based).
+  size_t ApproximateMemoryUsage() const;
+
+ private:
+  struct Row {
+    /// Stored size of required[0]; 0 until the row is first selected.
+    size_t first_size = 0;
+    std::vector<uint32_t> required;
+  };
+
+  /// Extends `row` (the selected one) to cover `stored_size`.
+  void Fill(Row* row, size_t stored_size) const;
+
+  std::vector<Row> rows_;
+  text::SimilarityMeasure measure_ = text::SimilarityMeasure::kJaccard;
+  double threshold_ = 0.0;
+  bool keyed_ = false;
+  size_t probe_size_ = 0;
+};
+
 /// \brief Reusable per-probe working memory.
 ///
-/// Holds the probe's ordered grams and T(t), the candidate table. T(t)
+/// Holds the probe's ordered grams, the pair-overlap memo (keyed by the
+/// spec's measure and threshold, cleared when either changes, so one
+/// scratch may serve specs in turn) and T(t), the candidate table. T(t)
 /// is dense: one slot per TupleId of the probed index, holding a
 /// generation stamp and the number of scanned posting lists the tuple
 /// appeared in. A slot belongs to the current probe iff it carries the
@@ -75,6 +124,8 @@ struct ApproxProbeScratch {
   std::vector<storage::TupleId> candidates;
   /// T(t), indexed by TupleId.
   std::vector<Slot> table;
+  /// Required overlaps of (probe, stored) gram-count pairs.
+  PairOverlapMemo pair_overlaps;
   /// The current probe's stamp.
   uint32_t stamp = 0;
 
@@ -96,7 +147,8 @@ struct ApproxProbeScratch {
   uint32_t& Count(storage::TupleId id) { return table[id].count; }
   uint32_t Count(storage::TupleId id) const { return table[id].count; }
 
-  /// Heap bytes held (capacity-based, like the indexes' figures).
+  /// Heap bytes held (capacity-based, like the indexes' figures),
+  /// the memo included.
   size_t ApproximateMemoryUsage() const;
 };
 

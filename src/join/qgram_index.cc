@@ -13,11 +13,24 @@ namespace {
 /// the 1→2→4 reallocation churn every new gram would otherwise pay.
 constexpr size_t kInitialPostingCapacity = 4;
 
-/// Reserve() cap: distinct grams saturate around the alphabet^q corpus
-/// vocabulary, far below million-row tuple counts — reserving one
-/// bucket per expected tuple beyond this would only waste bucket
-/// array memory.
-constexpr size_t kMaxReservedBuckets = size_t{1} << 20;
+/// log2 of the first gram table's slot count.
+constexpr int kInitialSlotBits = 6;
+
+/// Fibonacci hashing multiplier (2^64 / golden ratio): the top bits of
+/// key * kHashMultiplier spread packed gram keys, whose low bytes are
+/// often zero, over the whole table.
+constexpr uint64_t kHashMultiplier = 0x9E3779B97F4A7C15ull;
+
+/// Makes room for `n` elements in `v`, growing its capacity by a
+/// quarter at a time (or straight to `n`, for a bulk catch-up). Index
+/// memory is charged by capacity, and doubling would leave up to half
+/// of the gram-count lane or the list vector idle.
+template <typename T>
+void ReserveForAppend(std::vector<T>* v, size_t n) {
+  if (n > v->capacity()) {
+    v->reserve(std::max(n, v->capacity() + v->capacity() / 4 + 1));
+  }
+}
 
 }  // namespace
 
@@ -32,6 +45,7 @@ size_t QGramIndex::CatchUpWith(const storage::TupleStore& store) {
   const size_t target = store.size();
   size_t inserted = 0;
   if (!store_backed_) local_gram_sets_.reserve(target);
+  ReserveForAppend(&gram_counts_, target);
   const bool payload = payload_mode();
   for (size_t i = watermark_; i < target; ++i) {
     const auto id = static_cast<storage::TupleId>(i);
@@ -40,15 +54,12 @@ size_t QGramIndex::CatchUpWith(const storage::TupleStore& store) {
           text::GramSet::Of(store.JoinKey(id), options_));
     }
     const text::GramSet& set = GramSetOf(id);
+    gram_counts_.push_back(static_cast<uint32_t>(set.size()));
     if (set.empty()) {
       empty_gram_tuples_.push_back(id);
     } else if (!payload) {
       for (text::GramKey key : set.grams()) {
-        std::vector<storage::TupleId>& postings = postings_[key];
-        if (postings.capacity() == 0) {
-          postings.reserve(kInitialPostingCapacity);
-        }
-        postings.push_back(id);
+        postings_.Append(key, id);
         ++total_postings_;
       }
     } else {
@@ -58,13 +69,10 @@ size_t QGramIndex::CatchUpWith(const storage::TupleStore& store) {
       const size_t g = set.size();
       const size_t posted = OrderPostedGrams(set);
       for (size_t j = 0; j < posted; ++j) {
-        std::vector<GramPosting>& postings =
-            payload_postings_[order_scratch_[j].second];
-        if (postings.capacity() == 0) {
-          postings.reserve(kInitialPostingCapacity);
-        }
-        postings.push_back(GramPosting{id, static_cast<uint32_t>(g),
-                                       static_cast<uint32_t>(j)});
+        payload_postings_.Append(
+            order_scratch_[j].second,
+            GramPosting{id, static_cast<uint32_t>(g),
+                        static_cast<uint32_t>(j)});
         ++total_postings_;
       }
     }
@@ -100,48 +108,46 @@ void QGramIndex::RollbackTo(size_t n) {
       empty_gram_tuples_.pop_back();
     } else if (!payload_mode()) {
       for (text::GramKey key : set.grams()) {
-        auto it = postings_.find(key);
-        assert(it != postings_.end() && it->second.back() == id);
-        it->second.pop_back();
-        if (it->second.empty()) postings_.erase(it);
+        assert(postings_.Find(key) != nullptr &&
+               postings_.Find(key)->back() == id);
+        postings_.PopBack(key);
         --total_postings_;
       }
     } else {
       const size_t posted = OrderPostedGrams(set);
       for (size_t j = 0; j < posted; ++j) {
-        auto it = payload_postings_.find(order_scratch_[j].second);
-        assert(it != payload_postings_.end() && it->second.back().id == id);
-        it->second.pop_back();
-        if (it->second.empty()) payload_postings_.erase(it);
+        const text::GramKey key = order_scratch_[j].second;
+        assert(payload_postings_.Find(key) != nullptr &&
+               payload_postings_.Find(key)->back().id == id);
+        payload_postings_.PopBack(key);
         --total_postings_;
       }
     }
   }
   if (!store_backed_) local_gram_sets_.resize(n);
+  gram_counts_.resize(n);
   watermark_ = n;
 }
 
 const std::vector<storage::TupleId>* QGramIndex::Postings(
     text::GramKey key) const {
   assert(!payload_mode() && "plain postings unavailable in payload mode");
-  auto it = postings_.find(key);
-  return it == postings_.end() ? nullptr : &it->second;
+  return postings_.Find(key);
 }
 
 const std::vector<GramPosting>* QGramIndex::PayloadPostings(
     text::GramKey key) const {
   assert(payload_mode() && "payload postings require an enabled filter");
-  auto it = payload_postings_.find(key);
-  return it == payload_postings_.end() ? nullptr : &it->second;
+  return payload_postings_.Find(key);
 }
 
 size_t QGramIndex::Frequency(text::GramKey key) const {
   if (payload_mode()) {
-    auto it = payload_postings_.find(key);
-    return it == payload_postings_.end() ? 0 : it->second.size();
+    const std::vector<GramPosting>* postings = payload_postings_.Find(key);
+    return postings == nullptr ? 0 : postings->size();
   }
-  auto it = postings_.find(key);
-  return it == postings_.end() ? 0 : it->second.size();
+  const std::vector<storage::TupleId>* postings = postings_.Find(key);
+  return postings == nullptr ? 0 : postings->size();
 }
 
 double QGramIndex::AveragePostingLength() const {
@@ -151,35 +157,83 @@ double QGramIndex::AveragePostingLength() const {
          static_cast<double>(distinct);
 }
 
-void QGramIndex::Reserve(size_t expected_tuples) {
-  const size_t buckets = std::min(expected_tuples, kMaxReservedBuckets);
-  if (buckets == 0) return;
-  if (payload_mode()) {
-    payload_postings_.reserve(buckets);
-  } else {
-    postings_.reserve(buckets);
-  }
-}
-
 size_t QGramIndex::ApproximateMemoryUsage() const {
-  size_t bytes = 0;
-  for (const auto& [key, postings] : postings_) {
-    bytes += sizeof(key);
-    bytes += postings.capacity() * sizeof(storage::TupleId) +
-             sizeof(postings);
-  }
-  for (const auto& [key, postings] : payload_postings_) {
-    bytes += sizeof(key);
-    bytes += postings.capacity() * sizeof(GramPosting) + sizeof(postings);
-  }
-  // Bucket arrays: reserved capacity is real memory even before any
-  // posting lands in it.
-  bytes += postings_.bucket_count() * sizeof(void*);
-  bytes += payload_postings_.bucket_count() * sizeof(void*);
+  size_t bytes = postings_.ApproximateMemoryUsage() +
+                 payload_postings_.ApproximateMemoryUsage();
+  bytes += gram_counts_.capacity() * sizeof(uint32_t);
   for (const text::GramSet& set : local_gram_sets_) {
     bytes += set.grams().capacity() * sizeof(text::GramKey) + sizeof(set);
   }
   bytes += empty_gram_tuples_.capacity() * sizeof(storage::TupleId);
+  return bytes;
+}
+
+template <typename Posting>
+size_t QGramIndex::PostingTable<Posting>::SlotOf(text::GramKey key) const {
+  const size_t mask = slots_.size() - 1;
+  // The load factor stays at or below 3/4, so a free slot ends every
+  // probe sequence.
+  for (size_t i = (key * kHashMultiplier) >> shift_;; i = (i + 1) & mask) {
+    const uint32_t list = slots_[i];
+    if (list == kFree || lists_[list].key == key) return i;
+  }
+}
+
+template <typename Posting>
+uint32_t QGramIndex::PostingTable<Posting>::ListOf(text::GramKey key) const {
+  return slots_.empty() ? kFree : slots_[SlotOf(key)];
+}
+
+template <typename Posting>
+const std::vector<Posting>* QGramIndex::PostingTable<Posting>::Find(
+    text::GramKey key) const {
+  const uint32_t list = ListOf(key);
+  if (list == kFree || lists_[list].postings.empty()) return nullptr;
+  return &lists_[list].postings;
+}
+
+template <typename Posting>
+void QGramIndex::PostingTable<Posting>::Append(text::GramKey key,
+                                               const Posting& posting) {
+  uint32_t list = ListOf(key);
+  if (list == kFree) {
+    if ((lists_.size() + 1) * 4 > slots_.size() * 3) Grow();
+    list = static_cast<uint32_t>(lists_.size());
+    slots_[SlotOf(key)] = list;
+    ReserveForAppend(&lists_, lists_.size() + 1);
+    lists_.push_back(List{key, {}});
+  }
+  std::vector<Posting>& postings = lists_[list].postings;
+  if (postings.empty()) {
+    ++live_lists_;
+    if (postings.capacity() == 0) postings.reserve(kInitialPostingCapacity);
+  }
+  postings.push_back(posting);
+}
+
+template <typename Posting>
+void QGramIndex::PostingTable<Posting>::PopBack(text::GramKey key) {
+  std::vector<Posting>& postings = lists_[ListOf(key)].postings;
+  postings.pop_back();
+  if (postings.empty()) --live_lists_;
+}
+
+template <typename Posting>
+void QGramIndex::PostingTable<Posting>::Grow() {
+  shift_ = slots_.empty() ? 64 - kInitialSlotBits : shift_ - 1;
+  slots_.assign(size_t{1} << (64 - shift_), kFree);
+  for (size_t list = 0; list < lists_.size(); ++list) {
+    slots_[SlotOf(lists_[list].key)] = static_cast<uint32_t>(list);
+  }
+}
+
+template <typename Posting>
+size_t QGramIndex::PostingTable<Posting>::ApproximateMemoryUsage() const {
+  size_t bytes =
+      slots_.capacity() * sizeof(uint32_t) + lists_.capacity() * sizeof(List);
+  for (const List& list : lists_) {
+    bytes += list.postings.capacity() * sizeof(Posting);
+  }
   return bytes;
 }
 

@@ -2,7 +2,7 @@
 #define AQP_JOIN_QGRAM_INDEX_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -36,9 +36,19 @@ struct GramPosting {
 /// has one with matching options (the engine's stores always do), so
 /// the index, the candidate verifier, and switch catch-up all share
 /// one extraction per tuple. Stores without a compatible cache fall
-/// back to a local copy (tests, ad-hoc tooling).
+/// back to a local copy (tests, ad-hoc tooling). Gram-set *sizes* live
+/// in a dense per-tuple lane of the index itself, so the probe's band
+/// check and count prune never touch a gram set.
 ///
-/// Two posting layouts exist:
+/// Posting storage is one flat open-addressing table: a power-of-two
+/// slot array maps a gram (multiplicative hash of its 64-bit key,
+/// linear probing) to the index of its posting list, and the lists sit
+/// in one dense vector in first-posting order. The table grows by load
+/// factor only; there is no size-hint reservation, so an index that is
+/// never caught up (an exact-only query) holds no table at all. A list
+/// emptied by RollbackTo() keeps its slot but reads as absent.
+///
+/// Two posting layouts share that table:
 ///  - *plain* (no filters): every gram of every tuple is posted as a
 ///    bare TupleId — the paper's structure, unchanged;
 ///  - *payload* (any filter on): postings carry GramPosting entries,
@@ -79,11 +89,11 @@ class QGramIndex {
   void RollbackTo(size_t n);
 
   /// Posting list of a gram (tuples whose join attribute contains it),
-  /// or nullptr if the gram is unknown. Plain layout only.
+  /// or nullptr if no indexed tuple has the gram. Plain layout only.
   const std::vector<storage::TupleId>* Postings(text::GramKey key) const;
 
-  /// Payload posting list of a gram, or nullptr if the gram is
-  /// unknown. Payload layout only.
+  /// Payload posting list of a gram, or nullptr if no indexed tuple
+  /// posts the gram. Payload layout only.
   const std::vector<GramPosting>* PayloadPostings(text::GramKey key) const;
 
   /// True iff the index stores payload postings (some filter enabled).
@@ -97,10 +107,9 @@ class QGramIndex {
   /// is what probe cost accounting observes.
   size_t Frequency(text::GramKey key) const;
 
-  /// Gram-set size of an indexed tuple (id < watermark()).
-  size_t GramSetSize(storage::TupleId id) const {
-    return GramSetOf(id).size();
-  }
+  /// Gram-set size of an indexed tuple (id < watermark()), read from
+  /// the gram-count lane.
+  size_t GramSetSize(storage::TupleId id) const { return gram_counts_[id]; }
 
   /// Gram set of an indexed tuple — the store's cached set when the
   /// bound store serves it, otherwise the local fallback copy.
@@ -117,9 +126,10 @@ class QGramIndex {
   /// Number of store tuples indexed so far.
   size_t watermark() const { return watermark_; }
 
-  /// Number of distinct grams in the index.
+  /// Number of distinct grams with at least one posting.
   size_t distinct_grams() const {
-    return payload_mode() ? payload_postings_.size() : postings_.size();
+    return payload_mode() ? payload_postings_.live_lists()
+                          : postings_.live_lists();
   }
 
   /// Average posting-list length B_ap (Table 1's cost parameter).
@@ -128,19 +138,59 @@ class QGramIndex {
   /// Extraction options.
   const text::QGramOptions& options() const { return options_; }
 
-  /// Reserves hash-table capacity for the expected tuple count (the
-  /// store's size hint), so steady catch-up does not rehash the
-  /// posting map. Distinct grams saturate well below the tuple count
-  /// on natural text, so the reservation is capped.
-  void Reserve(size_t expected_tuples);
-
-  /// Rough heap footprint in bytes (§2.3: n · (|jA|+q-1) · p), covering
-  /// whichever posting layout is active — payload entries included.
-  /// Gram sets served by the store's cache are accounted there, not
-  /// here.
+  /// Rough heap footprint in bytes (§2.3: n · (|jA|+q-1) · p): the
+  /// slot array, the posting lists of whichever layout is active
+  /// (payload entries included) and the gram-count lane. Gram sets
+  /// served by the store's cache are accounted there, not here.
   size_t ApproximateMemoryUsage() const;
 
  private:
+  /// \brief The flat gram → posting-list table, instantiated once per
+  /// posting layout (only the active layout's instance is ever filled).
+  ///
+  /// A power-of-two array of 32-bit slots, probed linearly from a
+  /// multiplicative hash of the 64-bit gram key, holds list indices; the
+  /// lists, each stored with its gram, sit in one dense vector in
+  /// first-posting order, so a hit reads the slot and then the list it
+  /// needs anyway. The slot array doubles when the list count would
+  /// pass 3/4 of it. A list emptied by PopBack() keeps its slot and
+  /// index but reads as absent.
+  template <typename Posting>
+  class PostingTable {
+   public:
+    /// The gram's postings, or nullptr if it has none.
+    const std::vector<Posting>* Find(text::GramKey key) const;
+    /// Appends `posting` to the gram's list, creating the list if new.
+    void Append(text::GramKey key, const Posting& posting);
+    /// Removes the last posting of the gram's (non-empty) list.
+    void PopBack(text::GramKey key);
+    /// Grams with at least one posting.
+    size_t live_lists() const { return live_lists_; }
+    /// Heap bytes: slots, list headers and posting capacity.
+    size_t ApproximateMemoryUsage() const;
+
+   private:
+    static constexpr uint32_t kFree = std::numeric_limits<uint32_t>::max();
+    struct List {
+      text::GramKey key = 0;
+      std::vector<Posting> postings;
+    };
+    /// Slot holding `key`'s list, or the free slot where it would go
+    /// (slots_ must be non-empty).
+    size_t SlotOf(text::GramKey key) const;
+    /// Index of `key`'s list, or kFree if the gram was never posted.
+    uint32_t ListOf(text::GramKey key) const;
+    /// Doubles the slot array (allocates the first one) and reinserts
+    /// every list.
+    void Grow();
+
+    std::vector<uint32_t> slots_;
+    /// 64 - log2(slots_.size()): the hash keeps the product's top bits.
+    int shift_ = 64;
+    std::vector<List> lists_;
+    size_t live_lists_ = 0;
+  };
+
   /// Payload layout: fills order_scratch_ with `set`'s grams under the
   /// global gram order and returns how many of them are posted.
   size_t OrderPostedGrams(const text::GramSet& set);
@@ -150,10 +200,11 @@ class QGramIndex {
   text::SimilarityMeasure measure_ = text::SimilarityMeasure::kJaccard;
   double sim_threshold_ = 0.85;
   /// Plain layout postings (filter_.any() == false).
-  std::unordered_map<text::GramKey, std::vector<storage::TupleId>> postings_;
+  PostingTable<storage::TupleId> postings_;
   /// Payload layout postings (filter_.any() == true).
-  std::unordered_map<text::GramKey, std::vector<GramPosting>>
-      payload_postings_;
+  PostingTable<GramPosting> payload_postings_;
+  /// Gram-set size of each indexed tuple, by TupleId.
+  std::vector<uint32_t> gram_counts_;
   /// Scratch for ordering a tuple's grams during payload catch-up.
   std::vector<std::pair<uint64_t, text::GramKey>> order_scratch_;
   /// Bound store (set by the first CatchUpWith); store_backed_ records

@@ -9,6 +9,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "join/brute_force.h"
@@ -608,6 +609,130 @@ TEST(ProbeEquivalenceTest, NoFeasibleOverlapRejectsCandidate) {
   EXPECT_EQ(matches[0].kind, MatchKind::kExact);
   EXPECT_GT(stats.candidates, stats.verified);
   EXPECT_EQ(stats.verified, 1u);
+}
+
+/// A gram-cached store plus an index laid out for `spec` (payload
+/// postings when spec.filter enables any filter).
+struct SpecIndexedSide {
+  TupleStore store;
+  QGramIndex qgrams;
+
+  SpecIndexedSide(const std::vector<std::string>& values, const JoinSpec& spec)
+      : store(0, spec.qgram),
+        qgrams(spec.qgram, spec.filter, spec.measure, spec.sim_threshold) {
+    for (const auto& v : values) store.Add(Tuple{Value(v)});
+    qgrams.CatchUpWith(store);
+  }
+};
+
+void ExpectSameStats(const ApproxProbeStats& a, const ApproxProbeStats& b,
+                     const std::string& context) {
+  EXPECT_EQ(a.grams, b.grams) << context;
+  EXPECT_EQ(a.postings_scanned, b.postings_scanned) << context;
+  EXPECT_EQ(a.candidates, b.candidates) << context;
+  EXPECT_EQ(a.verified, b.verified) << context;
+  EXPECT_EQ(a.matches, b.matches) << context;
+  EXPECT_EQ(a.length_skipped, b.length_skipped) << context;
+  EXPECT_EQ(a.position_rejected, b.position_rejected) << context;
+}
+
+TEST(ProbeScratchTest, PairOverlapMemoServesSpecsInTurn) {
+  // One scratch probes under four specs in turn, twice over; the memo
+  // is keyed by measure and threshold, so every probe must see exactly
+  // what a fresh scratch sees. The last spec filters without the length
+  // filter: its band is unbounded.
+  const std::vector<std::string> stored = RandomCorpus(51, 50);
+  std::vector<std::string> probes = RandomCorpus(52, 15);
+  probes.insert(probes.end(), stored.begin() + 4, stored.begin() + 8);
+  JoinSpec jaccard = Spec(0.85);
+  JoinSpec cosine = Spec(0.6);
+  cosine.measure = text::SimilarityMeasure::kCosine;
+  JoinSpec overlap = Spec(0.9);
+  overlap.measure = text::SimilarityMeasure::kOverlap;
+  JoinSpec unbounded = Spec(0.7);
+  unbounded.filter.prefix = true;
+  unbounded.filter.positional = true;
+  const std::vector<std::pair<std::string, JoinSpec>> specs = {
+      {"jaccard 0.85", jaccard},
+      {"cosine 0.6", cosine},
+      {"overlap 0.9", overlap},
+      {"prefix+positional 0.7", unbounded}};
+  std::vector<std::unique_ptr<SpecIndexedSide>> sides;
+  for (const auto& entry : specs) {
+    sides.push_back(std::make_unique<SpecIndexedSide>(stored, entry.second));
+  }
+  ApproxProbeScratch shared;
+  for (int round = 0; round < 2; ++round) {
+    for (size_t s = 0; s < specs.size(); ++s) {
+      const JoinSpec& spec = specs[s].second;
+      const SpecIndexedSide& side = *sides[s];
+      for (size_t p = 0; p < probes.size(); ++p) {
+        const std::string context = specs[s].first + " round " +
+                                    std::to_string(round) + " probe=\"" +
+                                    probes[p] + "\"";
+        const text::GramSet grams = text::GramSet::Of(probes[p], spec.qgram);
+        ApproxProbeScratch fresh;
+        ApproxProbeStats want_stats;
+        ApproxProbeStats got_stats;
+        std::vector<JoinMatch> want;
+        std::vector<JoinMatch> got;
+        ProbeApproximateInto(side.qgrams, side.store, probes[p], grams, spec,
+                             exec::Side::kLeft, static_cast<TupleId>(p),
+                             ApproxProbeOptions{}, &fresh, &want_stats,
+                             &want);
+        ProbeApproximateInto(side.qgrams, side.store, probes[p], grams, spec,
+                             exec::Side::kLeft, static_cast<TupleId>(p),
+                             ApproxProbeOptions{}, &shared, &got_stats, &got);
+        ASSERT_EQ(got.size(), want.size()) << context;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].stored_id, want[i].stored_id) << context;
+          EXPECT_EQ(got[i].similarity, want[i].similarity) << context;
+          EXPECT_EQ(got[i].kind, want[i].kind) << context;
+        }
+        ExpectSameStats(got_stats, want_stats, context);
+      }
+    }
+  }
+}
+
+TEST(ProbeScratchTest, PairOverlapMemoGrowsWithCandidateSizesNotBand) {
+  // Overlap coefficient: every length band is unbounded above. A long
+  // string (g >= 500) is both a probe and a candidate of short probes;
+  // the memo must stay proportional to the gram counts it was asked
+  // about.
+  std::mt19937 rng(61);
+  std::uniform_int_distribution<int> letter('A', 'Z');
+  std::string long_value;
+  for (int i = 0; i < 600; ++i) {
+    long_value += static_cast<char>(letter(rng));
+  }
+  std::vector<std::string> stored = RandomCorpus(62, 20);
+  stored.push_back(long_value);
+  stored.push_back(long_value.substr(0, 24));
+  const std::vector<std::string> probes = {
+      long_value, long_value.substr(0, 12), long_value.substr(0, 24),
+      long_value.substr(100, 40), "ABCDE ABCDE"};
+  JoinSpec spec = Spec(0.9);
+  spec.measure = text::SimilarityMeasure::kOverlap;
+  const IndexedSide side(stored, spec.qgram);
+  size_t max_grams = 0;
+  for (const std::string& v : stored) {
+    max_grams = std::max(max_grams, text::GramSet::Of(v, spec.qgram).size());
+  }
+  ASSERT_GE(max_grams, 500u);
+  ApproxProbeScratch scratch;
+  ExpectMatchesBruteForce(probes, stored, side, spec, ApproxProbeOptions{},
+                          &scratch, "overlap 0.9");
+  // One row per probe gram count up to the largest, each row at most
+  // the largest candidate gram count long (with slack for growth).
+  const size_t memo = scratch.pair_overlaps.ApproximateMemoryUsage();
+  EXPECT_GT(memo, 0u);
+  EXPECT_LE(memo, (max_grams + 1) * 64 +
+                      probes.size() * 2 * (max_grams + 1) * sizeof(uint32_t));
+  // The scratch's reported footprint includes the memo.
+  EXPECT_GE(scratch.ApproximateMemoryUsage(),
+            memo + scratch.table.capacity() *
+                       sizeof(ApproxProbeScratch::Slot));
 }
 
 TEST(ProbeStatsTest, MergeAccumulates) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -304,20 +306,222 @@ TEST(QGramIndexPayloadTest, PrefixIndexingShrinksMemory) {
             full.ApproximateMemoryUsage());
 }
 
-TEST(QGramIndexTest, ReservePreallocatesBuckets) {
+/// Every gram of `values` (ids in insertion order) mapped to the ids
+/// whose gram set holds it — the reference the flat table must equal.
+std::map<text::GramKey, std::vector<storage::TupleId>> ReferencePostings(
+    const std::vector<std::string>& values, const text::QGramOptions& q) {
+  std::map<text::GramKey, std::vector<storage::TupleId>> reference;
+  for (size_t i = 0; i < values.size(); ++i) {
+    const text::GramSet set = text::GramSet::Of(values[i], q);
+    for (text::GramKey key : set.grams()) {
+      reference[key].push_back(static_cast<storage::TupleId>(i));
+    }
+  }
+  return reference;
+}
+
+TEST(QGramIndexTest, GrowthAcrossRehashesKeepsEveryListInIdOrder) {
+  // Thousands of distinct grams, caught up in uneven steps: the slot
+  // array doubles many times while lists are being appended to.
+  std::vector<std::string> values;
+  for (int i = 0; i < 600; ++i) {
+    values.push_back("ROW " + std::to_string(i * 7919) + " VIA " +
+                     std::to_string(i % 37) + std::string(1, 'A' + i % 26));
+  }
   TupleStore store(0);
   QGramIndex index(Q3());
-  index.Reserve(5000);
-  const size_t reserved_footprint = index.ApproximateMemoryUsage();
-  store.Add(Tuple{Value("SANTA CRISTINA VALGARDENA")});
-  index.CatchUpWith(store);
-  // The bucket array was charged up front; indexing one tuple must not
-  // have rehashed below it, and lookups behave normally.
-  EXPECT_GE(index.ApproximateMemoryUsage(), reserved_footprint);
-  const auto set = text::GramSet::Of("SANTA CRISTINA VALGARDENA", Q3());
-  for (text::GramKey key : set.grams()) {
-    EXPECT_EQ(index.Frequency(key), 1u);
+  size_t added = 0;
+  for (size_t step = 1; added < values.size(); step = step * 2 + 1) {
+    for (size_t i = 0; i < step && added < values.size(); ++i) {
+      store.Add(Tuple{Value(values[added++])});
+    }
+    index.CatchUpWith(store);
   }
+  const auto reference = ReferencePostings(values, Q3());
+  ASSERT_GT(reference.size(), 1000u);
+  EXPECT_EQ(index.distinct_grams(), reference.size());
+  for (const auto& [key, ids] : reference) {
+    const auto* postings = index.Postings(key);
+    ASSERT_NE(postings, nullptr) << "gram " << key;
+    EXPECT_EQ(*postings, ids) << "gram " << key;
+    EXPECT_EQ(index.Frequency(key), ids.size());
+  }
+}
+
+TEST(QGramIndexTest, KeysDifferingOnlyInHighOrLowBitsStayDistinct) {
+  // q = 8 packs a whole unpadded 8-byte string into one 64-bit key, the
+  // first byte in the top bits: these keys differ only in their top
+  // byte (or, for the second family, only in their bottom byte).
+  text::QGramOptions q8;
+  q8.q = 8;
+  q8.pad = false;
+  std::vector<std::string> values;
+  for (int c = 1; c < 256; ++c) {
+    values.push_back(std::string(1, static_cast<char>(c)) + "BCDEFGH");
+  }
+  for (int c = 1; c < 256; ++c) {
+    if (c == 'H') continue;  // "ABCDEFGH" is in the first family
+    values.push_back("ABCDEFG" + std::string(1, static_cast<char>(c)));
+  }
+  TupleStore store(0);
+  for (const std::string& v : values) store.Add(Tuple{Value(v)});
+  QGramIndex index(q8);
+  index.CatchUpWith(store);
+  EXPECT_EQ(index.distinct_grams(), values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    const text::GramSet set = text::GramSet::Of(values[i], q8);
+    ASSERT_EQ(set.size(), 1u);
+    const auto* postings = index.Postings(set.grams()[0]);
+    ASSERT_NE(postings, nullptr) << "value " << i;
+    EXPECT_EQ(*postings, std::vector<storage::TupleId>{
+                             static_cast<storage::TupleId>(i)});
+  }
+}
+
+/// A plain or payload (all filters) index over `q3` grams.
+QGramIndex MakeIndex(bool payload) {
+  return payload ? QGramIndex(Q3(), AllFilters(),
+                              text::SimilarityMeasure::kJaccard, 0.85)
+                 : QGramIndex(Q3());
+}
+
+/// Frequency of every gram of `values` in `index`, keyed by gram.
+std::map<text::GramKey, size_t> Frequencies(
+    const QGramIndex& index, const std::vector<std::string>& values) {
+  std::map<text::GramKey, size_t> out;
+  for (const std::string& v : values) {
+    const text::GramSet set = text::GramSet::Of(v, Q3());
+    for (text::GramKey key : set.grams()) out[key] = index.Frequency(key);
+  }
+  return out;
+}
+
+TEST(QGramIndexTest, RollbackEmptiedListReadsAsAbsent) {
+  for (bool payload : {false, true}) {
+    SCOPED_TRACE(payload ? "payload" : "plain");
+    TupleStore store(0);
+    store.Add(Tuple{Value("SANTA CRISTINA")});
+    store.Add(Tuple{Value("MONTE BIANCO")});
+    QGramIndex index = MakeIndex(payload);
+    index.CatchUpWith(store);
+    index.RollbackTo(1);
+
+    TupleStore prefix_store(0);
+    prefix_store.Add(Tuple{Value("SANTA CRISTINA")});
+    QGramIndex fresh = MakeIndex(payload);
+    fresh.CatchUpWith(prefix_store);
+
+    // "ONT" occurs only in the rolled-back tuple: its list is empty now.
+    const text::GramKey only_dropped =
+        text::ExtractGramSequence("ONT", Q3())[2];
+    EXPECT_EQ(index.Frequency(only_dropped), 0u);
+    if (payload) {
+      EXPECT_EQ(index.PayloadPostings(only_dropped), nullptr);
+    } else {
+      EXPECT_EQ(index.Postings(only_dropped), nullptr);
+    }
+    EXPECT_EQ(index.watermark(), 1u);
+    EXPECT_EQ(index.distinct_grams(), fresh.distinct_grams());
+    EXPECT_DOUBLE_EQ(index.AveragePostingLength(),
+                     fresh.AveragePostingLength());
+    EXPECT_EQ(Frequencies(index, {"SANTA CRISTINA", "MONTE BIANCO"}),
+              Frequencies(fresh, {"SANTA CRISTINA", "MONTE BIANCO"}));
+  }
+}
+
+TEST(QGramIndexTest, RollbackThenReinsertEqualsFreshBuild) {
+  const std::vector<std::string> first = {
+      "SANTA CRISTINA", "MONTE BIANCO", "VILLA ROSSA", "SANTA LUCIA",
+      "BORGO SAN LORENZO", "CASTEL NUOVO"};
+  const std::vector<std::string> second = {"SANTA MARIA", "VALLE VERDE",
+                                           "MONTE ROSA"};
+  for (bool payload : {false, true}) {
+    SCOPED_TRACE(payload ? "payload" : "plain");
+    TupleStore store(0);
+    QGramIndex index = MakeIndex(payload);
+    for (const std::string& v : first) store.Add(Tuple{Value(v)});
+    index.CatchUpWith(store);
+    index.RollbackTo(2);
+    store.Truncate(2);
+    for (const std::string& v : second) store.Add(Tuple{Value(v)});
+    index.CatchUpWith(store);
+
+    std::vector<std::string> final_values(first.begin(), first.begin() + 2);
+    final_values.insert(final_values.end(), second.begin(), second.end());
+    TupleStore fresh_store(0);
+    for (const std::string& v : final_values) {
+      fresh_store.Add(Tuple{Value(v)});
+    }
+    QGramIndex fresh = MakeIndex(payload);
+    fresh.CatchUpWith(fresh_store);
+
+    EXPECT_EQ(index.watermark(), fresh.watermark());
+    EXPECT_EQ(index.distinct_grams(), fresh.distinct_grams());
+    EXPECT_DOUBLE_EQ(index.AveragePostingLength(),
+                     fresh.AveragePostingLength());
+    std::vector<std::string> every_value = first;
+    every_value.insert(every_value.end(), second.begin(), second.end());
+    for (const std::string& v : every_value) {
+      const text::GramSet set = text::GramSet::Of(v, Q3());
+      for (text::GramKey key : set.grams()) {
+        EXPECT_EQ(index.Frequency(key), fresh.Frequency(key));
+        if (!payload) {
+          const auto* a = index.Postings(key);
+          const auto* b = fresh.Postings(key);
+          ASSERT_EQ(a == nullptr, b == nullptr);
+          if (a != nullptr) EXPECT_EQ(*a, *b);
+          continue;
+        }
+        const auto* a = index.PayloadPostings(key);
+        const auto* b = fresh.PayloadPostings(key);
+        ASSERT_EQ(a == nullptr, b == nullptr);
+        if (a == nullptr) continue;
+        ASSERT_EQ(a->size(), b->size());
+        for (size_t j = 0; j < a->size(); ++j) {
+          EXPECT_EQ((*a)[j].id, (*b)[j].id);
+          EXPECT_EQ((*a)[j].gram_count, (*b)[j].gram_count);
+          EXPECT_EQ((*a)[j].position, (*b)[j].position);
+        }
+      }
+    }
+    for (storage::TupleId id = 0; id < fresh.watermark(); ++id) {
+      EXPECT_EQ(index.GramSetSize(id), fresh.GramSetSize(id));
+    }
+  }
+}
+
+TEST(QGramIndexTest, MemoryCountsSlotsListsAndGramCountLane) {
+  std::vector<std::string> values;
+  for (int i = 0; i < 200; ++i) {
+    values.push_back("PLACE " + std::to_string(i * 31) + " NORD");
+  }
+  TupleStore store(0, Q3());  // gram sets charged to the store
+  for (const std::string& v : values) store.Add(Tuple{Value(v)});
+  QGramIndex index(Q3());
+  index.CatchUpWith(store);
+  size_t postings = 0;
+  const auto reference = ReferencePostings(values, Q3());
+  for (const auto& entry : reference) postings += entry.second.size();
+  const size_t distinct = reference.size();
+  // Slots stay at most 3/4 full; each list holds its gram and a vector
+  // header; each tuple has one lane entry.
+  const size_t floor = distinct * 4 / 3 * sizeof(uint32_t) +
+                       distinct * (sizeof(text::GramKey) +
+                                   sizeof(std::vector<storage::TupleId>)) +
+                       postings * sizeof(storage::TupleId) +
+                       values.size() * sizeof(uint32_t);
+  EXPECT_GE(index.ApproximateMemoryUsage(), floor);
+
+  // Gram-less tuples post nothing, yet each takes a lane entry.
+  text::QGramOptions unpadded = Q3();
+  unpadded.pad = false;
+  TupleStore short_store(0);
+  for (int i = 0; i < 1000; ++i) short_store.Add(Tuple{Value("AB")});
+  QGramIndex empty_grams(unpadded);
+  empty_grams.CatchUpWith(short_store);
+  EXPECT_EQ(empty_grams.distinct_grams(), 0u);
+  EXPECT_GE(empty_grams.ApproximateMemoryUsage(),
+            1000 * (sizeof(uint32_t) + sizeof(storage::TupleId)));
 }
 
 }  // namespace
