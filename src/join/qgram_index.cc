@@ -16,9 +16,10 @@ constexpr size_t kInitialPostingCapacity = 4;
 /// log2 of the first gram table's slot count.
 constexpr int kInitialSlotBits = 6;
 
-/// Fibonacci hashing multiplier (2^64 / golden ratio): the top bits of
-/// key * kHashMultiplier spread packed gram keys, whose low bytes are
-/// often zero, over the whole table.
+/// Fibonacci hashing multiplier (2^64 / golden ratio). The top bits of
+/// key * kHashMultiplier depend on every bit of the key, so packed gram
+/// keys, which fill only their low 8·q bits, spread over the whole
+/// table.
 constexpr uint64_t kHashMultiplier = 0x9E3779B97F4A7C15ull;
 
 /// Makes room for `n` elements in `v`, growing its capacity by a

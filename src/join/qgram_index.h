@@ -40,15 +40,12 @@ struct GramPosting {
 /// in a dense per-tuple lane of the index itself, so the probe's band
 /// check and count prune never touch a gram set.
 ///
-/// Posting storage is one flat open-addressing table: a power-of-two
-/// slot array maps a gram (multiplicative hash of its 64-bit key,
-/// linear probing) to the index of its posting list, and the lists sit
-/// in one dense vector in first-posting order. The table grows by load
-/// factor only; there is no size-hint reservation, so an index that is
-/// never caught up (an exact-only query) holds no table at all. A list
-/// emptied by RollbackTo() keeps its slot but reads as absent.
+/// Postings live in a flat open-addressing gram table (PostingTable
+/// below) that grows by load factor only. There is no size-hint
+/// reservation, so an index that is never caught up (an exact-only
+/// query) holds no table at all.
 ///
-/// Two posting layouts share that table:
+/// Two posting layouts use that table:
 ///  - *plain* (no filters): every gram of every tuple is posted as a
 ///    bare TupleId — the paper's structure, unchanged;
 ///  - *payload* (any filter on): postings carry GramPosting entries,

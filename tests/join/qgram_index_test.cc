@@ -491,37 +491,50 @@ TEST(QGramIndexTest, RollbackThenReinsertEqualsFreshBuild) {
 }
 
 TEST(QGramIndexTest, MemoryCountsSlotsListsAndGramCountLane) {
-  std::vector<std::string> values;
-  for (int i = 0; i < 200; ++i) {
-    values.push_back("PLACE " + std::to_string(i * 31) + " NORD");
+  // Four copies each of 709 distinct unpadded 8-byte strings: one gram
+  // per tuple, so every list holds exactly four postings. The bound
+  // below takes each part at its least possible size, so it holds
+  // under any growth policy; with these counts it is tight enough that
+  // a figure leaving out the slots, the list headers or the lane falls
+  // under it.
+  text::QGramOptions q8;
+  q8.q = 8;
+  q8.pad = false;
+  constexpr size_t kDistinct = 709;
+  constexpr size_t kCopies = 4;
+  TupleStore store(0, q8);  // gram sets charged to the store
+  for (size_t copy = 0; copy < kCopies; ++copy) {
+    for (size_t i = 0; i < kDistinct; ++i) {
+      std::string value = "K0000000";
+      for (size_t at = 7, rest = i; rest > 0; --at, rest /= 10) {
+        value[at] = static_cast<char>('0' + rest % 10);
+      }
+      store.Add(Tuple{Value(value)});
+    }
   }
-  TupleStore store(0, Q3());  // gram sets charged to the store
-  for (const std::string& v : values) store.Add(Tuple{Value(v)});
-  QGramIndex index(Q3());
+  QGramIndex index(q8);
   index.CatchUpWith(store);
-  size_t postings = 0;
-  const auto reference = ReferencePostings(values, Q3());
-  for (const auto& entry : reference) postings += entry.second.size();
-  const size_t distinct = reference.size();
+  ASSERT_EQ(index.distinct_grams(), kDistinct);
+  const size_t tuples = kDistinct * kCopies;
   // Slots stay at most 3/4 full; each list holds its gram and a vector
-  // header; each tuple has one lane entry.
-  const size_t floor = distinct * 4 / 3 * sizeof(uint32_t) +
-                       distinct * (sizeof(text::GramKey) +
-                                   sizeof(std::vector<storage::TupleId>)) +
-                       postings * sizeof(storage::TupleId) +
-                       values.size() * sizeof(uint32_t);
+  // header; each posting is one id; each tuple has one lane entry.
+  const size_t floor =
+      (kDistinct * 4 + 2) / 3 * sizeof(uint32_t) +
+      kDistinct *
+          (sizeof(text::GramKey) + sizeof(std::vector<storage::TupleId>)) +
+      tuples * sizeof(storage::TupleId) + tuples * sizeof(uint32_t);
   EXPECT_GE(index.ApproximateMemoryUsage(), floor);
 
   // Gram-less tuples post nothing, yet each takes a lane entry.
   text::QGramOptions unpadded = Q3();
   unpadded.pad = false;
-  TupleStore short_store(0);
-  for (int i = 0; i < 1000; ++i) short_store.Add(Tuple{Value("AB")});
+  TupleStore short_store(0, unpadded);
+  for (int i = 0; i < 1024; ++i) short_store.Add(Tuple{Value("AB")});
   QGramIndex empty_grams(unpadded);
   empty_grams.CatchUpWith(short_store);
   EXPECT_EQ(empty_grams.distinct_grams(), 0u);
   EXPECT_GE(empty_grams.ApproximateMemoryUsage(),
-            1000 * (sizeof(uint32_t) + sizeof(storage::TupleId)));
+            1024 * (sizeof(uint32_t) + sizeof(storage::TupleId)));
 }
 
 }  // namespace
