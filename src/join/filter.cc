@@ -1,30 +1,10 @@
 #include "join/filter.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace aqp {
 namespace join {
-
-Status ApproxFilterOptions::Validate() const {
-  // Every combination of the three switches is sound on its own; the
-  // gram order is optional (null = gram-key order). Nothing to reject
-  // yet — the hook exists so future knobs fail loudly in JoinSpec
-  // validation rather than deep inside a probe.
-  return Status::OK();
-}
-
-std::string ApproxFilterOptions::Label() const {
-  if (!any()) return "none";
-  std::string label;
-  const auto append = [&label](const char* part) {
-    if (!label.empty()) label += '+';
-    label += part;
-  };
-  if (length) append("length");
-  if (prefix) append("prefix");
-  if (positional) append("positional");
-  return label;
-}
 
 bool LengthCompatible(text::SimilarityMeasure measure, size_t probe_size,
                       size_t stored_size, double threshold) {
@@ -91,16 +71,6 @@ GramCountBand LengthBandFor(text::SimilarityMeasure measure,
   return band;
 }
 
-size_t PrefixLengthFor(text::SimilarityMeasure measure, size_t set_size,
-                       double threshold) {
-  if (set_size == 0) return 0;
-  const size_t k = text::MinOverlapForThreshold(measure, set_size, threshold);
-  // k is in [1, set_size] for any threshold <= 1, so the result is in
-  // [1, set_size]; clamp anyway so a pathological threshold cannot
-  // underflow.
-  return k > set_size ? 1 : set_size - k + 1;
-}
-
 std::optional<size_t> MinPairOverlap(text::SimilarityMeasure measure,
                                      size_t probe_size, size_t stored_size,
                                      double threshold) {
@@ -123,14 +93,6 @@ std::optional<size_t> MinPairOverlap(text::SimilarityMeasure measure,
     }
   }
   return lo;
-}
-
-bool PositionalCompatible(size_t probe_size, size_t probe_pos,
-                          size_t stored_size, size_t stored_pos,
-                          size_t required_overlap) {
-  const size_t probe_remaining = probe_size - probe_pos - 1;
-  const size_t stored_remaining = stored_size - stored_pos - 1;
-  return 1 + std::min(probe_remaining, stored_remaining) >= required_overlap;
 }
 
 }  // namespace join

@@ -2,59 +2,29 @@
 #define AQP_JOIN_FILTER_H_
 
 #include <cstddef>
-#include <limits>
-#include <memory>
 #include <optional>
-#include <string>
 
-#include "common/status.h"
-#include "text/gram_order.h"
 #include "text/similarity.h"
 
 namespace aqp {
 namespace join {
 
-/// \brief The SSJoin-lineage filter stack in front of SSHJoin's
-/// counted-candidate walk.
-///
-/// Every filter is *exact*: a pruned pair provably cannot reach the
-/// similarity threshold, so the match set (and hence the adaptation
-/// trace) is byte-identical to the unfiltered join. The filters only
-/// change how much work candidate generation does:
-///
-///  - `length`: a stored tuple whose gram count is outside the
-///    feasible band for the probe's gram count is skipped before it is
-///    ever inserted into T(t);
-///  - `prefix`: the index posts each stored tuple only under its
-///    g-k+1 prefix grams in a fixed global gram order, shrinking
-///    posting lists and index memory (candidates are then verified by
-///    an exact gram-set intersection, since counters no longer see
-///    every shared gram);
-///  - `positional`: prefix postings carry the gram's position in the
-///    stored tuple's ordered gram list; a candidate whose position gap
-///    already caps the achievable overlap below the pair's required
-///    overlap is rejected at discovery time.
-struct ApproxFilterOptions {
-  bool length = false;
-  bool prefix = false;
-  bool positional = false;
-
-  /// The fixed global gram order shared by index and probes (prefix/
-  /// positional filtering). Null = plain gram-key order, which is
-  /// always sound; sampling real input into a text::GramOrder makes
-  /// the prefixes rare and the posting lists short.
-  std::shared_ptr<const text::GramOrder> gram_order;
-
-  /// True iff any filter is enabled (selects the filtered probe kernel
-  /// and the payload posting layout).
-  bool any() const { return length || prefix || positional; }
-
-  /// Validates the combination.
-  Status Validate() const;
-
-  /// "none", "length", "length+prefix+positional", ... (bench labels).
-  std::string Label() const;
-};
+// The gram-count bounds SSHJoin's approximate probe prunes on.
+//
+// Every bound is *exact*: a pruned pair provably cannot reach the
+// similarity threshold, so pruning changes how many candidates are
+// verified, never the match set. Each bound is evaluated through the
+// same SetSimilarityFromOverlap the verifier uses, so no hand-derived
+// closed form can drift from the verifier's floating-point rounding:
+//
+//  - LengthBandFor: the stored gram counts that can reach the
+//    threshold against a probe at all (the best case, overlap = the
+//    smaller size); candidates outside the band are dropped before
+//    any other check;
+//  - MinPairOverlap: the smallest overlap that reaches the threshold
+//    for one (probe, stored) gram-count pair; a candidate whose
+//    counted overlap cannot reach it is dropped before its gram set
+//    is merged.
 
 /// \brief Inclusive stored-side gram-count band [lo, hi] that can
 /// possibly reach the threshold against a probe with `probe_size`
@@ -69,51 +39,24 @@ struct GramCountBand {
 /// \brief True iff a stored tuple with `stored_size` grams can reach
 /// `threshold` against a probe with `probe_size` grams in the best
 /// case (overlap = min of the sizes).
-///
-/// Deliberately evaluated through the same SetSimilarityFromOverlap
-/// the verifier uses, so the filter is exactly as permissive as
-/// verification — no hand-derived closed form can drift from the
-/// verifier's floating-point rounding.
 bool LengthCompatible(text::SimilarityMeasure measure, size_t probe_size,
                       size_t stored_size, double threshold);
 
-/// The length filter band for one probe, by binary search over
+/// The length band for one probe, by binary search over
 /// LengthCompatible (best-case similarity is unimodal in the stored
 /// size: nondecreasing up to probe_size, nonincreasing after).
 GramCountBand LengthBandFor(text::SimilarityMeasure measure,
                             size_t probe_size, double threshold);
 
-/// \brief Number of prefix grams g - k + 1 of a gram set with
-/// `set_size` grams, where k = MinOverlapForThreshold(measure,
-/// set_size, threshold).
-///
-/// Any pair reaching the threshold overlaps in at least max of the two
-/// sides' k values, so the two prefixes must intersect (the standard
-/// prefix-overlap argument) — scanning or posting only prefix grams
-/// loses no match. Returns 0 for an empty set.
-size_t PrefixLengthFor(text::SimilarityMeasure measure, size_t set_size,
-                       double threshold);
-
 /// \brief Smallest overlap o with sim(probe_size, stored_size, o) >=
 /// threshold, or nullopt when even full overlap falls short. Binary
 /// search over SetSimilarityFromOverlap (monotone in o), again so the
-/// bound can never disagree with the verifier.
+/// bound can never disagree with the verifier. A pair inside the
+/// probe's length band is never nullopt: the band admits exactly the
+/// sizes whose full overlap passes.
 std::optional<size_t> MinPairOverlap(text::SimilarityMeasure measure,
                                      size_t probe_size, size_t stored_size,
                                      double threshold);
-
-/// \brief True iff a candidate discovered at probe-gram position
-/// `probe_pos` and stored-gram position `stored_pos` (0-based, both in
-/// the common global order) can still reach `required_overlap`.
-///
-/// At the *first* discovery of a candidate no earlier shared gram
-/// exists (the probe scans ascending in the order), so every other
-/// shared gram lies strictly after both positions:
-/// overlap <= 1 + min(probe_size - probe_pos - 1,
-///                    stored_size - stored_pos - 1).
-bool PositionalCompatible(size_t probe_size, size_t probe_pos,
-                          size_t stored_size, size_t stored_pos,
-                          size_t required_overlap);
 
 }  // namespace join
 }  // namespace aqp

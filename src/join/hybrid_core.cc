@@ -14,14 +14,7 @@ HybridJoinCore::HybridJoinCore(const JoinSpec& spec,
       stores_{storage::TupleStore(spec.left_column, spec.qgram),
               storage::TupleStore(spec.right_column, spec.qgram)},
       exact_{},
-      // The indexes adopt the spec's filter stack: with filters on they
-      // keep payload (prefix/positional) postings, and every probe —
-      // including the parallel shards' cross-probes, which route
-      // through the same spec — runs the filtered kernel against them.
-      qgram_{QGramIndex(spec.qgram, spec.filter, spec.measure,
-                        spec.sim_threshold),
-             QGramIndex(spec.qgram, spec.filter, spec.measure,
-                        spec.sim_threshold)} {}
+      qgram_{QGramIndex(spec.qgram), QGramIndex(spec.qgram)} {}
 
 void HybridJoinCore::MaintainLiveIndex(Side side) {
   const size_t s = Idx(side);

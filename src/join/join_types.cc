@@ -7,7 +7,6 @@ namespace join {
 
 Status JoinSpec::Validate() const {
   AQP_RETURN_IF_ERROR(qgram.Validate());
-  AQP_RETURN_IF_ERROR(filter.Validate());
   if (sim_threshold <= 0.0 || sim_threshold > 1.0) {
     // 0 is rejected deliberately: a gram-index join can only surface
     // pairs sharing at least one gram, so "similarity >= 0" (a cross

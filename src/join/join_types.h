@@ -6,7 +6,6 @@
 
 #include "common/status.h"
 #include "exec/operator.h"
-#include "join/filter.h"
 #include "storage/schema.h"
 #include "storage/tuple_store.h"
 #include "text/qgram.h"
@@ -34,12 +33,6 @@ struct JoinSpec {
   /// Similarity threshold θ_sim; a pair is an (approximate) match iff
   /// sim >= sim_threshold. The paper tunes this to 0.85.
   double sim_threshold = 0.85;
-
-  /// Candidate filter stack for approximate probes (length / prefix /
-  /// positional). All filters are exact — they change probe cost, not
-  /// the match set — and default off, reproducing the paper's plain
-  /// counted-candidate walk.
-  ApproxFilterOptions filter;
 
   /// Join column for a given side.
   size_t column(Side side) const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <optional>
 
 #include "join/filter.h"
@@ -13,16 +12,8 @@ namespace join {
 
 namespace {
 
-/// Sticky T(t) counter for a candidate the positional filter rejected:
-/// the rejection proved the pair's total overlap can never reach the
-/// required minimum, so the candidate must not be counted (or
-/// verified) by later grams. Real counters never get near this value —
-/// they are bounded by the probe's gram count.
-constexpr uint32_t kRejectedSentinel = std::numeric_limits<uint32_t>::max();
-
 /// Appends one verified match, deciding exact vs approximate by
-/// bytewise key equality — shared by both kernels so the emitted
-/// records are constructed identically.
+/// bytewise key equality.
 void EmitMatch(const storage::TupleStore& store, std::string_view probe_key,
                Side probe_side, storage::TupleId probe_id,
                storage::TupleId candidate, double sim,
@@ -63,19 +54,19 @@ size_t BoundedOverlap(const std::vector<text::GramKey>& a,
   return overlap;
 }
 
-/// Verification by gram-set intersection, shared by the plain kernel
-/// and the prefix-filtered one (whose counters undercount shared
-/// grams). T(t) entries outside `band` are dropped; each survivor must
-/// share at least max(k, MinPairOverlap) grams with the probe. That
-/// bound is the smallest overlap reaching the threshold — similarity is
-/// nondecreasing in the overlap — so every pair reaching it matches,
-/// with its similarity computed from the full overlap exactly as the
-/// counting kernels compute it. A candidate's overlap is at most its
-/// T(t) count plus `unseen`, the shared grams its count cannot have
-/// seen; candidates that cannot reach the bound that way are dropped
-/// before their gram sets are merged. Everything up to that merge reads
-/// only the index's gram-count lane, the memo and T(t); a candidate's
-/// gram set is touched only once it survives the count prune.
+/// Verification by gram-set intersection. T(t) entries outside `band`
+/// are dropped; each survivor must share at least max(k,
+/// MinPairOverlap) grams with the probe (an in-band pair always has a
+/// MinPairOverlap: the band admits exactly the sizes whose full overlap
+/// reaches the threshold). That bound is the smallest overlap reaching
+/// the threshold — similarity is nondecreasing in the overlap — so
+/// every pair reaching it matches, with its similarity computed from
+/// the full overlap. A candidate's overlap is at most its T(t) count
+/// plus `unseen`, the shared grams its count cannot have seen;
+/// candidates that cannot reach the bound that way are dropped before
+/// their gram sets are merged. Everything up to that merge reads only
+/// the index's gram-count lane, the memo and T(t); a candidate's gram
+/// set is touched only once it survives the count prune.
 void VerifyCandidates(const QGramIndex& index,
                       const storage::TupleStore& store,
                       std::string_view probe_key,
@@ -90,7 +81,7 @@ void VerifyCandidates(const QGramIndex& index,
     if (!band.Contains(candidate_size)) continue;
     if (stats != nullptr) ++stats->candidates;
     const size_t required = work.pair_overlaps.Required(candidate_size);
-    if (required == 0) continue;
+    assert(required != 0 && "an in-band pair has a feasible overlap");
     const size_t bound = std::max(k, required);
     if (work.Count(candidate) + unseen < bound) continue;
     const size_t overlap = BoundedOverlap(
@@ -101,157 +92,6 @@ void VerifyCandidates(const QGramIndex& index,
               text::SetSimilarityFromOverlap(spec.measure, g, candidate_size,
                                              overlap),
               stats, out);
-  }
-}
-
-/// The plain (unfiltered) probe kernel: rank the probe grams by
-/// posting-list length, scan the g-k+1 rarest lists into T(t), verify
-/// the survivors by intersection.
-void PlainProbe(const QGramIndex& index, const storage::TupleStore& store,
-                std::string_view probe_key, const text::GramSet& probe_grams,
-                const JoinSpec& spec, Side probe_side,
-                storage::TupleId probe_id, const ApproxProbeOptions& options,
-                ApproxProbeScratch& work, ApproxProbeStats* stats,
-                std::vector<JoinMatch>* out) {
-  const size_t g = probe_grams.size();
-  const size_t k =
-      text::MinOverlapForThreshold(spec.measure, g, spec.sim_threshold);
-
-  // One posting lookup per gram: its length ranks the gram ("reverse
-  // frequency order" = rarest first), its pointer feeds the scan.
-  auto& ordered = work.ordered;
-  ordered.clear();
-  for (text::GramKey key : probe_grams.grams()) {
-    const std::vector<storage::TupleId>* postings = index.Postings(key);
-    ordered.push_back(
-        ProbeGram{postings != nullptr ? postings->size() : 0, key, postings});
-  }
-  if (options.rare_grams_first) std::sort(ordered.begin(), ordered.end());
-
-  // Only the first g-k+1 lists can hold a match's first shared gram;
-  // the k-1 skipped ones are the longest.
-  const size_t scan_end =
-      options.insert_phase_optimization && k <= g ? g - k + 1 : g;
-  work.BeginProbe(index.watermark());
-  for (size_t i = 0; i < scan_end; ++i) {
-    const std::vector<storage::TupleId>* postings = ordered[i].postings;
-    if (postings == nullptr) continue;
-    if (stats != nullptr) stats->postings_scanned += postings->size();
-    for (storage::TupleId candidate : *postings) {
-      if (work.Contains(candidate)) {
-        ++work.Count(candidate);
-      } else {
-        work.Add(candidate, 1);
-        work.candidates.push_back(candidate);
-      }
-    }
-  }
-  // Each count is the tuple's shared grams among the scanned lists, so
-  // only the g - scan_end skipped ones can add to it.
-  VerifyCandidates(index, store, probe_key, probe_grams, spec, k,
-                   LengthBandFor(spec.measure, g, spec.sim_threshold),
-                   g - scan_end, probe_side, probe_id, work, stats, out);
-}
-
-/// The filtered probe kernel: length / prefix / positional filtering
-/// over payload postings, scanning probe grams ascending in the fixed
-/// global gram order. Exact — see join/filter.h for the per-filter
-/// soundness arguments.
-void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
-                   std::string_view probe_key,
-                   const text::GramSet& probe_grams, const JoinSpec& spec,
-                   Side probe_side, storage::TupleId probe_id,
-                   ApproxProbeScratch& work, ApproxProbeStats* stats,
-                   std::vector<JoinMatch>* out) {
-  const ApproxFilterOptions& filter = spec.filter;
-  const size_t g = probe_grams.size();
-  const size_t k =
-      text::MinOverlapForThreshold(spec.measure, g, spec.sim_threshold);
-
-  // Probe grams ascending in the global order (rarest first when the
-  // order was sampled; plain key order otherwise). Both sides of the
-  // prefix argument use this one order — the index posted under it.
-  auto& ordered = work.ordered;
-  ordered.clear();
-  const text::GramOrder* order = filter.gram_order.get();
-  for (text::GramKey key : probe_grams.grams()) {
-    ordered.push_back(
-        ProbeGram{order != nullptr ? order->FrequencyOf(key) : 0, key});
-  }
-  std::sort(ordered.begin(), ordered.end());
-
-  GramCountBand band;
-  if (filter.length) {
-    band = LengthBandFor(spec.measure, g, spec.sim_threshold);
-  } else {
-    band.lo = 0;
-    band.hi = std::numeric_limits<size_t>::max();
-  }
-
-  // Only the first g-k+1 grams may insert (§2.2's rule — identical to
-  // the probe-side prefix length); with prefix indexing the remaining
-  // grams are not even scanned, since the counter is no longer the
-  // verifier's overlap.
-  const size_t insert_end =
-      PrefixLengthFor(spec.measure, g, spec.sim_threshold);
-  const size_t scan_end = filter.prefix ? insert_end : g;
-  work.BeginProbe(index.watermark());
-  for (size_t i = 0; i < scan_end; ++i) {
-    const std::vector<GramPosting>* postings =
-        index.PayloadPostings(ordered[i].key);
-    if (postings == nullptr) continue;
-    if (stats != nullptr) stats->postings_scanned += postings->size();
-    const bool may_insert = i < insert_end;
-    for (const GramPosting& posting : *postings) {
-      if (work.Contains(posting.id)) {
-        uint32_t& count = work.Count(posting.id);
-        if (count != kRejectedSentinel) ++count;
-        continue;
-      }
-      if (!may_insert) continue;
-      if (filter.length && !band.Contains(posting.gram_count)) {
-        if (stats != nullptr) ++stats->length_skipped;
-        continue;
-      }
-      if (filter.positional) {
-        // First discovery of this candidate = the pair's smallest
-        // shared gram in the global order (earlier shared grams would
-        // have been scanned and posted — see filter.h), so the
-        // remaining-suffix bound on the total overlap is valid here
-        // and *stays* valid: rejection is permanent.
-        const size_t required =
-            work.pair_overlaps.Required(posting.gram_count);
-        if (required == 0 ||
-            !PositionalCompatible(g, i, posting.gram_count, posting.position,
-                                  required)) {
-          work.Add(posting.id, kRejectedSentinel);
-          if (stats != nullptr) ++stats->position_rejected;
-          continue;
-        }
-      }
-      work.Add(posting.id, 1);
-      work.candidates.push_back(posting.id);
-    }
-  }
-
-  if (filter.prefix) {
-    // A shared gram outside the stored tuple's posted prefix is never
-    // counted, so the counts bound nothing: every gram may be unseen.
-    VerifyCandidates(index, store, probe_key, probe_grams, spec, k, band, g,
-                     probe_side, probe_id, work, stats, out);
-    return;
-  }
-  // Every gram was scanned, so the counters hold the exact overlap.
-  if (stats != nullptr) stats->candidates += work.candidates.size();
-  for (storage::TupleId candidate : work.candidates) {
-    const uint32_t overlap = work.Count(candidate);
-    if (overlap == kRejectedSentinel || overlap < k) continue;
-    if (stats != nullptr) ++stats->verified;
-    const double sim = text::SetSimilarityFromOverlap(
-        spec.measure, g, index.GramSetSize(candidate), overlap);
-    if (sim < spec.sim_threshold) continue;
-    EmitMatch(store, probe_key, probe_side, probe_id, candidate, sim, stats,
-              out);
   }
 }
 
@@ -313,8 +153,6 @@ void ApproxProbeStats::MergeFrom(const ApproxProbeStats& other) {
   candidates += other.candidates;
   verified += other.verified;
   matches += other.matches;
-  length_skipped += other.length_skipped;
-  position_rejected += other.position_rejected;
 }
 
 size_t ProbeExactInto(const ExactIndex& index, std::string_view key,
@@ -351,12 +189,11 @@ size_t ProbeApproximateInto(const QGramIndex& index,
                             ApproxProbeScratch* scratch,
                             ApproxProbeStats* stats,
                             std::vector<JoinMatch>* out) {
-  assert(index.payload_mode() == spec.filter.any() &&
-         "index posting layout must match the spec's filter config");
   const size_t out_begin = out->size();
-  if (stats != nullptr) stats->grams += probe_grams.size();
+  const size_t g = probe_grams.size();
+  if (stats != nullptr) stats->grams += g;
 
-  if (probe_grams.empty()) {
+  if (g == 0) {
     // Degenerate probe (possible only without padding): it can only
     // match stored tuples that are also gram-less, by string equality.
     for (storage::TupleId stored : index.empty_gram_tuples()) {
@@ -373,16 +210,45 @@ size_t ProbeApproximateInto(const QGramIndex& index,
   // (steady-state probes allocate nothing), else probe-local.
   ApproxProbeScratch local;
   ApproxProbeScratch& work = scratch != nullptr ? *scratch : local;
-  work.pair_overlaps.Select(spec.measure, spec.sim_threshold,
-                            probe_grams.size());
+  work.pair_overlaps.Select(spec.measure, spec.sim_threshold, g);
 
-  if (spec.filter.any()) {
-    FilteredProbe(index, store, probe_key, probe_grams, spec, probe_side,
-                  probe_id, work, stats, out);
-  } else {
-    PlainProbe(index, store, probe_key, probe_grams, spec, probe_side,
-               probe_id, options, work, stats, out);
+  const size_t k =
+      text::MinOverlapForThreshold(spec.measure, g, spec.sim_threshold);
+
+  // One posting lookup per gram: its length ranks the gram ("reverse
+  // frequency order" = rarest first), its pointer feeds the scan.
+  auto& ordered = work.ordered;
+  ordered.clear();
+  for (text::GramKey key : probe_grams.grams()) {
+    const std::vector<storage::TupleId>* postings = index.Postings(key);
+    ordered.push_back(
+        ProbeGram{postings != nullptr ? postings->size() : 0, key, postings});
   }
+  if (options.rare_grams_first) std::sort(ordered.begin(), ordered.end());
+
+  // Only the first g-k+1 lists can hold a match's first shared gram;
+  // the k-1 skipped ones are the longest.
+  const size_t scan_end =
+      options.insert_phase_optimization && k <= g ? g - k + 1 : g;
+  work.BeginProbe(index.watermark());
+  for (size_t i = 0; i < scan_end; ++i) {
+    const std::vector<storage::TupleId>* postings = ordered[i].postings;
+    if (postings == nullptr) continue;
+    if (stats != nullptr) stats->postings_scanned += postings->size();
+    for (storage::TupleId candidate : *postings) {
+      if (work.Contains(candidate)) {
+        ++work.Count(candidate);
+      } else {
+        work.Add(candidate, 1);
+        work.candidates.push_back(candidate);
+      }
+    }
+  }
+  // Each count is the tuple's shared grams among the scanned lists, so
+  // only the g - scan_end skipped ones can add to it.
+  VerifyCandidates(index, store, probe_key, probe_grams, spec, k,
+                   LengthBandFor(spec.measure, g, spec.sim_threshold),
+                   g - scan_end, probe_side, probe_id, work, stats, out);
   // Deterministic output order (candidates come in discovery order);
   // only the region this probe appended is reordered.
   std::sort(out->begin() + static_cast<ptrdiff_t>(out_begin), out->end(),

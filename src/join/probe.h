@@ -31,14 +31,12 @@ struct ApproxProbeOptions {
 
 /// \brief One probe gram in scan order.
 struct ProbeGram {
-  /// Ordering rank: the gram's posting-list length in the plain kernel
-  /// ("reverse frequency order"), its fixed global-order frequency in
-  /// the filtered kernel. Ties break by key.
+  /// Ordering rank: the gram's posting-list length ("reverse frequency
+  /// order"). Ties break by key.
   size_t rank = 0;
   text::GramKey key = 0;
-  /// Plain layout: the posting list found while ranking (null for a
-  /// gram the index has never seen), so the scan does not look it up
-  /// again. Unused by the filtered kernel.
+  /// The posting list found while ranking (null for a gram the index
+  /// has never seen), so the scan does not look it up again.
   const std::vector<storage::TupleId>* postings = nullptr;
 
   friend bool operator<(const ProbeGram& a, const ProbeGram& b) {
@@ -55,7 +53,8 @@ struct ProbeGram {
 /// lower end of g's length band, below which every pair fails the same
 /// best-case test MinPairOverlap applies, and is filled lazily, only up
 /// to the largest stored size asked for: never to the band's upper end,
-/// which is unbounded for kOverlap or with the length filter off.
+/// which is unbounded for kOverlap. The verifier asks only for sizes
+/// inside the band, whose requirement is never 0.
 class PairOverlapMemo {
  public:
   /// Selects the row for probes of `probe_size` grams. A measure or
@@ -112,15 +111,13 @@ struct ApproxProbeScratch {
   struct Slot {
     /// Generation stamp; 0 is never a live stamp.
     uint32_t stamp = 0;
-    /// Scanned posting lists holding the tuple (or the filtered
-    /// kernel's positional-rejection sentinel).
+    /// Scanned posting lists holding the tuple.
     uint32_t count = 0;
   };
 
   /// The probe's grams, sorted ascending (ProbeGram::operator<).
   std::vector<ProbeGram> ordered;
-  /// The current probe's candidates in discovery order (positionally
-  /// rejected tuples excluded).
+  /// The current probe's candidates in discovery order.
   std::vector<storage::TupleId> candidates;
   /// T(t), indexed by TupleId.
   std::vector<Slot> table;
@@ -159,16 +156,11 @@ struct ApproxProbeStats {
   uint64_t postings_scanned = 0;     ///< Σ posting-list lengths touched
   uint64_t candidates = 0;           ///< distinct scanned tuples whose
                                      ///< gram count lies in the length
-                                     ///< band (positionally rejected
-                                     ///< entries excluded)
+                                     ///< band
   uint64_t verified = 0;             ///< candidates whose overlap with
                                      ///< the probe reached the pair's
                                      ///< required minimum
   uint64_t matches = 0;              ///< pairs passing the threshold
-  uint64_t length_skipped = 0;       ///< posting entries pruned by the
-                                     ///< length filter
-  uint64_t position_rejected = 0;    ///< candidates pruned by the
-                                     ///< positional filter
 
   void MergeFrom(const ApproxProbeStats& other);
 };
@@ -214,19 +206,9 @@ std::vector<JoinMatch> ProbeExact(const ExactIndex& index,
 /// tuples with sim(probe, stored) >= spec.sim_threshold; matches whose
 /// strings are bytewise equal are flagged kExact (similarity 1.0), the
 /// rest kApproximate. Soundness rests on the probe side alone, so the
-/// index posts every gram and no global gram order is needed.
-///
-/// When `spec.filter` enables any filter, the probe runs the filtered
-/// kernel instead: probe grams are scanned ascending in the filter's
-/// fixed global gram order, out-of-band candidates are length-skipped
-/// before touching T(t), positionally hopeless candidates are rejected
-/// at discovery, and with prefix indexing the index posts only each
-/// tuple's g-k+1 prefix grams (candidates are then verified like the
-/// plain kernel's). The index must have been built with the same
-/// filter configuration (checked by assert). The match set, match
-/// order, similarity values, and kinds are byte-identical to the
-/// unfiltered kernel — filters change cost, never results. The
-/// ablation knobs in `options` apply to the unfiltered kernel only.
+/// index posts every gram and no global gram order is needed. The
+/// ablation knobs in `options` change which lists are scanned, never
+/// the result.
 ///
 /// `probe_grams` is the probe key's gram set — for stored probing
 /// tuples it comes straight from the store's gram cache, so neither

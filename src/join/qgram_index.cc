@@ -47,7 +47,6 @@ size_t QGramIndex::CatchUpWith(const storage::TupleStore& store) {
   size_t inserted = 0;
   if (!store_backed_) local_gram_sets_.reserve(target);
   ReserveForAppend(&gram_counts_, target);
-  const bool payload = payload_mode();
   for (size_t i = watermark_; i < target; ++i) {
     const auto id = static_cast<storage::TupleId>(i);
     if (!store_backed_) {
@@ -58,22 +57,9 @@ size_t QGramIndex::CatchUpWith(const storage::TupleStore& store) {
     gram_counts_.push_back(static_cast<uint32_t>(set.size()));
     if (set.empty()) {
       empty_gram_tuples_.push_back(id);
-    } else if (!payload) {
+    } else {
       for (text::GramKey key : set.grams()) {
         postings_.Append(key, id);
-        ++total_postings_;
-      }
-    } else {
-      // Payload layout: post the first g-k+1 grams in the global gram
-      // order (all g without prefix filtering), each carrying the
-      // tuple's gram count and the gram's position in the ordered list.
-      const size_t g = set.size();
-      const size_t posted = OrderPostedGrams(set);
-      for (size_t j = 0; j < posted; ++j) {
-        payload_postings_.Append(
-            order_scratch_[j].second,
-            GramPosting{id, static_cast<uint32_t>(g),
-                        static_cast<uint32_t>(j)});
         ++total_postings_;
       }
     }
@@ -81,20 +67,6 @@ size_t QGramIndex::CatchUpWith(const storage::TupleStore& store) {
   }
   watermark_ = target;
   return inserted;
-}
-
-size_t QGramIndex::OrderPostedGrams(const text::GramSet& set) {
-  const text::GramOrder* order = filter_.gram_order.get();
-  const size_t g = set.size();
-  order_scratch_.clear();
-  order_scratch_.reserve(g);
-  for (text::GramKey key : set.grams()) {
-    order_scratch_.emplace_back(order ? order->FrequencyOf(key) : 0, key);
-  }
-  // grams() is already key-sorted, so with no sampled order this sort
-  // is a no-op pass; with one it ranks rarest first.
-  std::sort(order_scratch_.begin(), order_scratch_.end());
-  return filter_.prefix ? PrefixLengthFor(measure_, g, sim_threshold_) : g;
 }
 
 void QGramIndex::RollbackTo(size_t n) {
@@ -107,20 +79,11 @@ void QGramIndex::RollbackTo(size_t n) {
     if (set.empty()) {
       assert(empty_gram_tuples_.back() == id);
       empty_gram_tuples_.pop_back();
-    } else if (!payload_mode()) {
+    } else {
       for (text::GramKey key : set.grams()) {
         assert(postings_.Find(key) != nullptr &&
                postings_.Find(key)->back() == id);
         postings_.PopBack(key);
-        --total_postings_;
-      }
-    } else {
-      const size_t posted = OrderPostedGrams(set);
-      for (size_t j = 0; j < posted; ++j) {
-        const text::GramKey key = order_scratch_[j].second;
-        assert(payload_postings_.Find(key) != nullptr &&
-               payload_postings_.Find(key)->back().id == id);
-        payload_postings_.PopBack(key);
         --total_postings_;
       }
     }
@@ -132,21 +95,10 @@ void QGramIndex::RollbackTo(size_t n) {
 
 const std::vector<storage::TupleId>* QGramIndex::Postings(
     text::GramKey key) const {
-  assert(!payload_mode() && "plain postings unavailable in payload mode");
   return postings_.Find(key);
 }
 
-const std::vector<GramPosting>* QGramIndex::PayloadPostings(
-    text::GramKey key) const {
-  assert(payload_mode() && "payload postings require an enabled filter");
-  return payload_postings_.Find(key);
-}
-
 size_t QGramIndex::Frequency(text::GramKey key) const {
-  if (payload_mode()) {
-    const std::vector<GramPosting>* postings = payload_postings_.Find(key);
-    return postings == nullptr ? 0 : postings->size();
-  }
   const std::vector<storage::TupleId>* postings = postings_.Find(key);
   return postings == nullptr ? 0 : postings->size();
 }
@@ -159,8 +111,7 @@ double QGramIndex::AveragePostingLength() const {
 }
 
 size_t QGramIndex::ApproximateMemoryUsage() const {
-  size_t bytes = postings_.ApproximateMemoryUsage() +
-                 payload_postings_.ApproximateMemoryUsage();
+  size_t bytes = postings_.ApproximateMemoryUsage();
   bytes += gram_counts_.capacity() * sizeof(uint32_t);
   for (const text::GramSet& set : local_gram_sets_) {
     bytes += set.grams().capacity() * sizeof(text::GramKey) + sizeof(set);
@@ -169,8 +120,7 @@ size_t QGramIndex::ApproximateMemoryUsage() const {
   return bytes;
 }
 
-template <typename Posting>
-size_t QGramIndex::PostingTable<Posting>::SlotOf(text::GramKey key) const {
+size_t QGramIndex::PostingTable::SlotOf(text::GramKey key) const {
   const size_t mask = slots_.size() - 1;
   // The load factor stays at or below 3/4, so a free slot ends every
   // probe sequence.
@@ -180,22 +130,19 @@ size_t QGramIndex::PostingTable<Posting>::SlotOf(text::GramKey key) const {
   }
 }
 
-template <typename Posting>
-uint32_t QGramIndex::PostingTable<Posting>::ListOf(text::GramKey key) const {
+uint32_t QGramIndex::PostingTable::ListOf(text::GramKey key) const {
   return slots_.empty() ? kFree : slots_[SlotOf(key)];
 }
 
-template <typename Posting>
-const std::vector<Posting>* QGramIndex::PostingTable<Posting>::Find(
+const std::vector<storage::TupleId>* QGramIndex::PostingTable::Find(
     text::GramKey key) const {
   const uint32_t list = ListOf(key);
   if (list == kFree || lists_[list].postings.empty()) return nullptr;
   return &lists_[list].postings;
 }
 
-template <typename Posting>
-void QGramIndex::PostingTable<Posting>::Append(text::GramKey key,
-                                               const Posting& posting) {
+void QGramIndex::PostingTable::Append(text::GramKey key,
+                                       storage::TupleId id) {
   uint32_t list = ListOf(key);
   if (list == kFree) {
     if ((lists_.size() + 1) * 4 > slots_.size() * 3) Grow();
@@ -204,23 +151,21 @@ void QGramIndex::PostingTable<Posting>::Append(text::GramKey key,
     ReserveForAppend(&lists_, lists_.size() + 1);
     lists_.push_back(List{key, {}});
   }
-  std::vector<Posting>& postings = lists_[list].postings;
+  std::vector<storage::TupleId>& postings = lists_[list].postings;
   if (postings.empty()) {
     ++live_lists_;
     if (postings.capacity() == 0) postings.reserve(kInitialPostingCapacity);
   }
-  postings.push_back(posting);
+  postings.push_back(id);
 }
 
-template <typename Posting>
-void QGramIndex::PostingTable<Posting>::PopBack(text::GramKey key) {
-  std::vector<Posting>& postings = lists_[ListOf(key)].postings;
+void QGramIndex::PostingTable::PopBack(text::GramKey key) {
+  std::vector<storage::TupleId>& postings = lists_[ListOf(key)].postings;
   postings.pop_back();
   if (postings.empty()) --live_lists_;
 }
 
-template <typename Posting>
-void QGramIndex::PostingTable<Posting>::Grow() {
+void QGramIndex::PostingTable::Grow() {
   shift_ = slots_.empty() ? 64 - kInitialSlotBits : shift_ - 1;
   slots_.assign(size_t{1} << (64 - shift_), kFree);
   for (size_t list = 0; list < lists_.size(); ++list) {
@@ -228,12 +173,11 @@ void QGramIndex::PostingTable<Posting>::Grow() {
   }
 }
 
-template <typename Posting>
-size_t QGramIndex::PostingTable<Posting>::ApproximateMemoryUsage() const {
+size_t QGramIndex::PostingTable::ApproximateMemoryUsage() const {
   size_t bytes =
       slots_.capacity() * sizeof(uint32_t) + lists_.capacity() * sizeof(List);
   for (const List& list : lists_) {
-    bytes += list.postings.capacity() * sizeof(Posting);
+    bytes += list.postings.capacity() * sizeof(storage::TupleId);
   }
   return bytes;
 }

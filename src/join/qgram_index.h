@@ -3,29 +3,13 @@
 
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
-#include "join/filter.h"
 #include "storage/tuple_store.h"
 #include "text/qgram.h"
-#include "text/similarity.h"
 
 namespace aqp {
 namespace join {
-
-/// \brief One entry of a payload posting list (filtered layout): the
-/// tuple plus the two per-tuple facts the length and positional
-/// filters prune on, so the probe never dereferences a store row to
-/// decide a skip.
-struct GramPosting {
-  storage::TupleId id = 0;
-  /// Gram-set size g_s of the stored tuple (length filter).
-  uint32_t gram_count = 0;
-  /// 0-based index of this gram in the tuple's globally ordered gram
-  /// list (positional filter).
-  uint32_t position = 0;
-};
 
 /// \brief SSHJoin's per-operand structure: q-gram → tuples containing
 /// it (Fig. 3, right).
@@ -45,34 +29,13 @@ struct GramPosting {
 /// reservation, so an index that is never caught up (an exact-only
 /// query) holds no table at all.
 ///
-/// Two posting layouts use that table:
-///  - *plain* (no filters): every gram of every tuple is posted as a
-///    bare TupleId — the paper's structure, unchanged;
-///  - *payload* (any filter on): postings carry GramPosting entries,
-///    and with prefix filtering each tuple is posted only under its
-///    g-k+1 prefix grams in the filter's fixed global gram order,
-///    shrinking both posting lists and index memory. Probe-side
-///    counting stays sound via the prefix-overlap argument (see
-///    join/filter.h).
-///
 /// Like ExactIndex, the structure lags its TupleStore and is advanced
 /// by CatchUpWith(). The store bound by the first CatchUpWith() call
 /// must be the one all later calls pass (checked by assert).
 class QGramIndex {
  public:
-  /// Plain layout: every gram posted, bare TupleId postings.
+  /// An empty index posting every gram of every tuple it catches up.
   explicit QGramIndex(text::QGramOptions options) : options_(options) {}
-
-  /// Filter-aware layout: when `filter.any()`, postings carry payload
-  /// entries; with `filter.prefix` only the g-k+1 prefix grams (under
-  /// `filter.gram_order`, measure and threshold fixing k per tuple)
-  /// are posted. With no filter enabled this is the plain layout.
-  QGramIndex(text::QGramOptions options, ApproxFilterOptions filter,
-             text::SimilarityMeasure measure, double sim_threshold)
-      : options_(options),
-        filter_(std::move(filter)),
-        measure_(measure),
-        sim_threshold_(sim_threshold) {}
 
   /// Indexes store tuples [watermark, store.size()); returns how many
   /// tuples were inserted.
@@ -86,22 +49,10 @@ class QGramIndex {
   void RollbackTo(size_t n);
 
   /// Posting list of a gram (tuples whose join attribute contains it),
-  /// or nullptr if no indexed tuple has the gram. Plain layout only.
+  /// or nullptr if no indexed tuple has the gram.
   const std::vector<storage::TupleId>* Postings(text::GramKey key) const;
 
-  /// Payload posting list of a gram, or nullptr if no indexed tuple
-  /// posts the gram. Payload layout only.
-  const std::vector<GramPosting>* PayloadPostings(text::GramKey key) const;
-
-  /// True iff the index stores payload postings (some filter enabled).
-  bool payload_mode() const { return filter_.any(); }
-
-  /// The filter configuration this index was built for.
-  const ApproxFilterOptions& filter() const { return filter_; }
-
-  /// Frequency of a gram: number of posting entries for it. With
-  /// prefix filtering this counts *posted* (prefix) occurrences, which
-  /// is what probe cost accounting observes.
+  /// Frequency of a gram: number of indexed tuples containing it.
   size_t Frequency(text::GramKey key) const;
 
   /// Gram-set size of an indexed tuple (id < watermark()), read from
@@ -124,10 +75,7 @@ class QGramIndex {
   size_t watermark() const { return watermark_; }
 
   /// Number of distinct grams with at least one posting.
-  size_t distinct_grams() const {
-    return payload_mode() ? payload_postings_.live_lists()
-                          : postings_.live_lists();
-  }
+  size_t distinct_grams() const { return postings_.live_lists(); }
 
   /// Average posting-list length B_ap (Table 1's cost parameter).
   double AveragePostingLength() const;
@@ -136,14 +84,12 @@ class QGramIndex {
   const text::QGramOptions& options() const { return options_; }
 
   /// Rough heap footprint in bytes (§2.3: n · (|jA|+q-1) · p): the
-  /// slot array, the posting lists of whichever layout is active
-  /// (payload entries included) and the gram-count lane. Gram sets
+  /// slot array, the posting lists and the gram-count lane. Gram sets
   /// served by the store's cache are accounted there, not here.
   size_t ApproximateMemoryUsage() const;
 
  private:
-  /// \brief The flat gram → posting-list table, instantiated once per
-  /// posting layout (only the active layout's instance is ever filled).
+  /// \brief The flat gram → posting-list table.
   ///
   /// A power-of-two array of 32-bit slots, probed linearly from a
   /// multiplicative hash of the 64-bit gram key, holds list indices; the
@@ -152,13 +98,12 @@ class QGramIndex {
   /// needs anyway. The slot array doubles when the list count would
   /// pass 3/4 of it. A list emptied by PopBack() keeps its slot and
   /// index but reads as absent.
-  template <typename Posting>
   class PostingTable {
    public:
     /// The gram's postings, or nullptr if it has none.
-    const std::vector<Posting>* Find(text::GramKey key) const;
-    /// Appends `posting` to the gram's list, creating the list if new.
-    void Append(text::GramKey key, const Posting& posting);
+    const std::vector<storage::TupleId>* Find(text::GramKey key) const;
+    /// Appends `id` to the gram's list, creating the list if new.
+    void Append(text::GramKey key, storage::TupleId id);
     /// Removes the last posting of the gram's (non-empty) list.
     void PopBack(text::GramKey key);
     /// Grams with at least one posting.
@@ -170,7 +115,7 @@ class QGramIndex {
     static constexpr uint32_t kFree = std::numeric_limits<uint32_t>::max();
     struct List {
       text::GramKey key = 0;
-      std::vector<Posting> postings;
+      std::vector<storage::TupleId> postings;
     };
     /// Slot holding `key`'s list, or the free slot where it would go
     /// (slots_ must be non-empty).
@@ -188,22 +133,10 @@ class QGramIndex {
     size_t live_lists_ = 0;
   };
 
-  /// Payload layout: fills order_scratch_ with `set`'s grams under the
-  /// global gram order and returns how many of them are posted.
-  size_t OrderPostedGrams(const text::GramSet& set);
-
   text::QGramOptions options_;
-  ApproxFilterOptions filter_;
-  text::SimilarityMeasure measure_ = text::SimilarityMeasure::kJaccard;
-  double sim_threshold_ = 0.85;
-  /// Plain layout postings (filter_.any() == false).
-  PostingTable<storage::TupleId> postings_;
-  /// Payload layout postings (filter_.any() == true).
-  PostingTable<GramPosting> payload_postings_;
+  PostingTable postings_;
   /// Gram-set size of each indexed tuple, by TupleId.
   std::vector<uint32_t> gram_counts_;
-  /// Scratch for ordering a tuple's grams during payload catch-up.
-  std::vector<std::pair<uint64_t, text::GramKey>> order_scratch_;
   /// Bound store (set by the first CatchUpWith); store_backed_ records
   /// whether its gram cache serves this index's options.
   const storage::TupleStore* store_ = nullptr;

@@ -13,17 +13,12 @@ namespace join {
 /// Each operand maintains a q-gram inverted index; a probe computes the
 /// probe string's gram set, walks the probe grams rarest-first building
 /// the candidate set T(t) with shared-gram counters (only the first
-/// g-k+1 grams may insert), and verifies candidates whose counter
-/// reaches k against the similarity threshold. This is the
+/// g-k+1 posting lists are scanned), drops candidates outside the
+/// probe's gram-count band or whose counter cannot reach the pair's
+/// required overlap, and verifies the rest against the similarity
+/// threshold by gram-set intersection (join/probe.h). This is the
 /// all-approximate baseline of the paper's evaluation (result size `R`,
 /// cost `C`).
-///
-/// The SSJoin-lineage filter stack (length / prefix / positional, see
-/// join/filter.h) is enabled through `options.spec.filter`; the
-/// operand indexes then keep prefix payload postings and every probe
-/// runs the filtered kernel. All filters are exact, so the output and
-/// any adaptation trace built on it are byte-identical to the
-/// unfiltered operator — only candidate-generation cost changes.
 class SSHJoin : public SymmetricJoin {
  public:
   SSHJoin(exec::Operator* left, exec::Operator* right,

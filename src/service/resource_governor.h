@@ -78,6 +78,14 @@ struct ResourceGovernorOptions {
   /// result and a ResourceReport. 0 disables the watchdog (per-query
   /// QueryOptions::stall_timeout overrides are only honored while the
   /// service-level watchdog thread is running).
+  ///
+  /// The heartbeat is stamped at open, at each drain iteration and at
+  /// each control point the serial merge evaluates, which is after the
+  /// shards have run their phases for the epoch. So with several shards
+  /// a healthy query can go one epoch of phase work
+  /// (ParallelJoinOptions::unbounded_epoch_steps, 512 steps by default)
+  /// plus the merge between stamps, not δ_adapt steps: size the
+  /// tolerance for that.
   std::chrono::nanoseconds stall_timeout{0};
   /// Watchdog poll cadence.
   std::chrono::milliseconds poll_interval{2};

@@ -1,7 +1,7 @@
-// Unit tests for the approximate-match filter predicates. The filters
-// must be *exactly* as permissive as the verifier: each bound is
-// probed at its boundary value (the issue's |g_s - g_p| = g - k edge)
-// and cross-checked against the similarity function the verifier
+// Unit tests for the approximate probe's gram-count bounds. The bounds
+// must be *exactly* as permissive as the verifier: each one is probed
+// at its boundary value (the |g_s - g_p| = g - k edge) and
+// cross-checked against the similarity function the verifier
 // evaluates.
 
 #include "join/filter.h"
@@ -9,8 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
-#include "text/gram_order.h"
 #include "text/similarity.h"
 
 namespace aqp {
@@ -64,6 +64,13 @@ TEST(LengthFilterTest, BandAgreesWithVerifierForAllMeasures) {
           EXPECT_EQ(band.Contains(s), feasible)
               << "measure=" << text::SimilarityMeasureName(measure)
               << " g=" << g << " theta=" << theta << " s=" << s;
+          // The probe verifier asserts that an in-band pair has a
+          // required overlap of at least 1.
+          if (band.Contains(s)) {
+            EXPECT_GE(MinPairOverlap(measure, g, s, theta).value_or(0), 1u)
+                << "measure=" << text::SimilarityMeasureName(measure)
+                << " g=" << g << " theta=" << theta << " s=" << s;
+          }
         }
       }
     }
@@ -82,19 +89,6 @@ TEST(LengthFilterTest, EmptyProbeBandContainsNothing) {
       LengthBandFor(SimilarityMeasure::kJaccard, 0, 0.85);
   EXPECT_FALSE(band.Contains(0));
   EXPECT_FALSE(band.Contains(1));
-}
-
-TEST(PrefixLengthTest, MatchesInsertPhaseRule) {
-  for (SimilarityMeasure measure : kAllMeasures) {
-    for (size_t g : {1u, 2u, 10u, 40u}) {
-      for (double theta : {0.5, 0.85, 1.0}) {
-        const size_t k = text::MinOverlapForThreshold(measure, g, theta);
-        ASSERT_LE(k, g);
-        EXPECT_EQ(PrefixLengthFor(measure, g, theta), g - k + 1);
-      }
-    }
-  }
-  EXPECT_EQ(PrefixLengthFor(SimilarityMeasure::kJaccard, 0, 0.85), 0u);
 }
 
 TEST(MinPairOverlapTest, SmallestPassingOverlap) {
@@ -127,63 +121,6 @@ TEST(MinPairOverlapTest, InfeasiblePairIsNullopt) {
   // Jaccard of a 10-set and a 40-set is at most 10/40 = 0.25.
   EXPECT_FALSE(
       MinPairOverlap(SimilarityMeasure::kJaccard, 10, 40, 0.85).has_value());
-}
-
-TEST(PositionalFilterTest, BoundaryExact) {
-  // probe size 10 at position 2 leaves 7 more probe grams; stored size
-  // 12 at position 6 leaves 5 more: overlap <= 1 + min(7, 5) = 6.
-  EXPECT_TRUE(PositionalCompatible(10, 2, 12, 6, 6));
-  EXPECT_FALSE(PositionalCompatible(10, 2, 12, 6, 7));
-  // Last gram on both sides: only the discovered gram can be shared.
-  EXPECT_TRUE(PositionalCompatible(10, 9, 12, 11, 1));
-  EXPECT_FALSE(PositionalCompatible(10, 9, 12, 11, 2));
-}
-
-TEST(FilterOptionsTest, LabelsAndAny) {
-  ApproxFilterOptions filter;
-  EXPECT_FALSE(filter.any());
-  EXPECT_EQ(filter.Label(), "none");
-  filter.length = true;
-  EXPECT_TRUE(filter.any());
-  EXPECT_EQ(filter.Label(), "length");
-  filter.prefix = true;
-  filter.positional = true;
-  EXPECT_EQ(filter.Label(), "length+prefix+positional");
-  EXPECT_TRUE(filter.Validate().ok());
-}
-
-TEST(GramOrderTest, DefaultIsKeyOrder) {
-  const text::GramOrder order;
-  EXPECT_TRUE(order.Less(1, 2));
-  EXPECT_FALSE(order.Less(2, 1));
-  EXPECT_EQ(order.distinct(), 0u);
-}
-
-TEST(GramOrderTest, SampledFrequenciesRankRareFirst) {
-  text::GramOrder order;
-  order.AddFrequency(7, 100);
-  order.AddFrequency(3, 1);
-  // Key 7 is numerically larger but frequent; key 3 rare. Rarest
-  // first: 3 < 7. An unseen key (frequency 0) precedes both.
-  EXPECT_TRUE(order.Less(3, 7));
-  EXPECT_TRUE(order.Less(99, 3));
-  // Ties broken by key, keeping the order total.
-  order.AddFrequency(5, 1);
-  EXPECT_TRUE(order.Less(3, 5));
-}
-
-TEST(GramOrderTest, AddSampleCountsDistinctGramsPerString) {
-  text::QGramOptions q3;
-  text::GramOrder order;
-  order.AddSample("AAAA", q3);  // "AAA" appears twice but is one gram
-  const auto grams = text::GramSet::Of("AAAA", q3);
-  for (text::GramKey key : grams.grams()) {
-    EXPECT_EQ(order.FrequencyOf(key), 1u);
-  }
-  order.AddSample("AAAA", q3);
-  for (text::GramKey key : grams.grams()) {
-    EXPECT_EQ(order.FrequencyOf(key), 2u);
-  }
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <random>
 #include <string>
@@ -15,7 +14,6 @@
 #include "join/brute_force.h"
 #include "join/filter.h"
 #include "storage/relation.h"
-#include "text/gram_order.h"
 #include "text/similarity.h"
 
 namespace aqp {
@@ -190,162 +188,6 @@ TEST(ProbeApproximateTest, ResultsSortedByStoredId) {
                              [](const JoinMatch& a, const JoinMatch& b) {
                                return a.stored_id < b.stored_id;
                              }));
-}
-
-/// All eight filter combinations, in bench/label order.
-std::vector<ApproxFilterOptions> AllFilterCombinations() {
-  std::vector<ApproxFilterOptions> combos;
-  for (int mask = 0; mask < 8; ++mask) {
-    ApproxFilterOptions f;
-    f.length = (mask & 1) != 0;
-    f.prefix = (mask & 2) != 0;
-    f.positional = (mask & 4) != 0;
-    combos.push_back(f);
-  }
-  return combos;
-}
-
-/// A store + index built with the given filter configuration, loaded
-/// with the same pool the plain fixture uses.
-struct FilteredFixture {
-  TupleStore store{0};
-  QGramIndex qgrams;
-
-  FilteredFixture(const ApproxFilterOptions& filter, double threshold)
-      : qgrams(filter.any()
-                   ? QGramIndex(text::QGramOptions{}, filter,
-                                text::SimilarityMeasure::kJaccard, threshold)
-                   : QGramIndex(text::QGramOptions{})) {}
-
-  void Add(const std::string& s) {
-    store.Add(Tuple{Value(s)});
-    qgrams.CatchUpWith(store);
-  }
-};
-
-std::vector<std::string> FilterTestPool() {
-  return {"TAA BZ SANTA CRISTINA VALGARDENA",
-          "TAA BZ SANTA CRISTINx VALGARDENA",
-          "LOM MI VILLA BORGHESE SUL NAVIGLIO",
-          "VEN VE CASTEL NUOVO DEL MONTE",
-          "TAA BZ SANTA CRISTINA VALGARDENo",
-          "PIE TO MONTE VERDE SUPERIORE",
-          "SANTA CRISTINA",  // far shorter: exercises the length band
-          "TAA BZ SANTA CRISTINA VALGARDENA EXTENDED WITH A LONG TAIL",
-          "ABCD", "ABCE",    // threshold-boundary pair
-          ""};
-}
-
-TEST(ProbeFilteredTest, AllCombinationsMatchUnfilteredKernel) {
-  const auto pool = FilterTestPool();
-  for (double threshold : {0.5, 0.7, 0.85, 0.95}) {
-    Fixture plain;
-    for (const auto& s : pool) plain.Add(s);
-    for (const ApproxFilterOptions& filter : AllFilterCombinations()) {
-      FilteredFixture filtered(filter, threshold);
-      for (const auto& s : pool) filtered.Add(s);
-      JoinSpec spec = Spec(threshold);
-      spec.filter = filter;
-      for (const auto& probe : pool) {
-        const auto expected =
-            ProbeApproximate(plain.qgrams, plain.store, probe,
-                             Spec(threshold), exec::Side::kLeft, 0,
-                             ApproxProbeOptions{}, nullptr);
-        ApproxProbeStats stats;
-        const auto actual =
-            ProbeApproximate(filtered.qgrams, filtered.store, probe, spec,
-                             exec::Side::kLeft, 0, ApproxProbeOptions{},
-                             &stats);
-        ASSERT_EQ(actual.size(), expected.size())
-            << "filter=" << filter.Label() << " probe=\"" << probe
-            << "\" @ " << threshold;
-        for (size_t i = 0; i < actual.size(); ++i) {
-          EXPECT_EQ(actual[i].stored_id, expected[i].stored_id);
-          // Bitwise-equal similarity, not just approximately equal —
-          // byte-identical output is the exactness contract.
-          EXPECT_EQ(actual[i].similarity, expected[i].similarity)
-              << "filter=" << filter.Label() << " probe=\"" << probe << "\"";
-          EXPECT_EQ(actual[i].kind, expected[i].kind);
-        }
-        EXPECT_EQ(stats.matches, expected.size());
-      }
-    }
-  }
-}
-
-TEST(ProbeFilteredTest, SampledGramOrderPreservesResults) {
-  const auto pool = FilterTestPool();
-  Fixture plain;
-  for (const auto& s : pool) plain.Add(s);
-  auto order = std::make_shared<text::GramOrder>();
-  for (const auto& s : pool) order->AddSample(s, text::QGramOptions{});
-  ApproxFilterOptions filter;
-  filter.length = filter.prefix = filter.positional = true;
-  filter.gram_order = order;
-  FilteredFixture filtered(filter, 0.8);
-  for (const auto& s : pool) filtered.Add(s);
-  JoinSpec spec = Spec(0.8);
-  spec.filter = filter;
-  for (const auto& probe : pool) {
-    const auto expected =
-        ProbeApproximate(plain.qgrams, plain.store, probe, Spec(0.8),
-                         exec::Side::kLeft, 0, ApproxProbeOptions{}, nullptr);
-    const auto actual =
-        ProbeApproximate(filtered.qgrams, filtered.store, probe, spec,
-                         exec::Side::kLeft, 0, ApproxProbeOptions{}, nullptr);
-    ASSERT_EQ(actual.size(), expected.size()) << probe;
-    for (size_t i = 0; i < actual.size(); ++i) {
-      EXPECT_EQ(actual[i].stored_id, expected[i].stored_id);
-      EXPECT_EQ(actual[i].similarity, expected[i].similarity);
-      EXPECT_EQ(actual[i].kind, expected[i].kind);
-    }
-  }
-}
-
-TEST(ProbeFilteredTest, FiltersActuallyPrune) {
-  // A corpus with one near-duplicate and several length-incompatible /
-  // position-incompatible neighbours: the filters must report pruning
-  // work and touch fewer postings than a walk of every probe gram's
-  // list, with identical matches.
-  const std::string base = "TAA BZ SANTA CRISTINA VALGARDENA TERME";
-  Fixture plain;
-  FilteredFixture filtered(
-      [] {
-        ApproxFilterOptions f;
-        f.length = f.prefix = f.positional = true;
-        return f;
-      }(),
-      0.85);
-  std::vector<std::string> pool = {base, base + " DI SOPRA DEL COLLE",
-                                   "SANTA", "CRISTINA VAL",
-                                   base.substr(0, 14)};
-  for (const auto& s : pool) {
-    plain.Add(s);
-    filtered.Add(s);
-  }
-  std::string probe = base;
-  probe[10] = 'x';
-  ApproxProbeOptions every_list;
-  every_list.insert_phase_optimization = false;
-  ApproxProbeStats unfiltered_stats;
-  const auto expected =
-      ProbeApproximate(plain.qgrams, plain.store, probe, Spec(0.85),
-                       exec::Side::kLeft, 0, every_list, &unfiltered_stats);
-  JoinSpec spec = Spec(0.85);
-  spec.filter.length = spec.filter.prefix = spec.filter.positional = true;
-  ApproxProbeStats stats;
-  const auto actual =
-      ProbeApproximate(filtered.qgrams, filtered.store, probe, spec,
-                       exec::Side::kLeft, 0, ApproxProbeOptions{}, &stats);
-  ASSERT_EQ(actual.size(), expected.size());
-  EXPECT_EQ(actual.size(), 1u);
-  for (size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_EQ(actual[i].stored_id, expected[i].stored_id);
-    EXPECT_EQ(actual[i].similarity, expected[i].similarity);
-    EXPECT_EQ(actual[i].kind, expected[i].kind);
-  }
-  EXPECT_GT(stats.length_skipped, 0u);
-  EXPECT_LT(stats.postings_scanned, unfiltered_stats.postings_scanned);
 }
 
 // --- Kernel equivalence against the brute-force oracle ------------------
@@ -548,82 +390,39 @@ TEST(ProbeScratchTest, StampWrapClearsTable) {
   EXPECT_LT(scratch.stamp, probes.size() + 1);
 }
 
-TEST(ProbeEquivalenceTest, PrefixPostingsDoNotBoundTheOverlap) {
-  // Under prefix indexing a stored tuple posts only its own prefix, so
-  // grams shared with the probe's scanned lists can go uncounted. Here
-  // the stored string extends the probe with grams that rank first in
-  // the global order and push the shared grams out of its prefix: the
-  // pair is found in few scanned lists, yet matches.
-  text::QGramOptions unpadded;
-  unpadded.pad = false;  // the extension keeps every probe gram
-  const std::string probe = "TAA BZ SANTA CRISTINA VALGARDENA";
-  const std::string stored = probe + "0123456789";
-  auto order = std::make_shared<text::GramOrder>();
-  for (int i = 0; i < 10; ++i) order->AddSample(probe, unpadded);
-  ApproxFilterOptions filter;
-  filter.prefix = true;
-  filter.gram_order = order;
-  JoinSpec spec = Spec(0.7);
-  spec.qgram = unpadded;
-  spec.filter = filter;
-  TupleStore store(0, unpadded);
-  QGramIndex index(unpadded, filter, spec.measure, spec.sim_threshold);
-  store.Add(Tuple{Value(stored)});
-  index.CatchUpWith(store);
-
-  const auto want =
-      BruteForceSimilarityJoin(OneColumn({probe}), OneColumn({stored}), spec);
-  ASSERT_EQ(want.size(), 1u);
-  const auto got =
-      ProbeApproximate(index, store, probe, spec, exec::Side::kLeft, 0,
-                       ApproxProbeOptions{}, nullptr);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].similarity, want[0].similarity);
-}
-
 TEST(ProbeEquivalenceTest, NoFeasibleOverlapRejectsCandidate) {
-  // Prefix indexing without the length filter lets a far shorter tuple
-  // reach verification: it shares the probe's rarest (key-order first)
-  // grams, yet even a full overlap cannot reach the threshold, so
-  // MinPairOverlap is nullopt and the candidate must be rejected.
+  // With every list scanned, a far shorter tuple sharing some of the
+  // probe's grams reaches T(t), yet even a full overlap cannot reach
+  // the threshold: MinPairOverlap is nullopt. The length band, which
+  // admits exactly the sizes whose full overlap passes, must drop it
+  // before the verifier asks for its required overlap.
   const std::string probe = "SANTA CRISTINA VALGARDENA TERME";
   const std::vector<std::string> stored = {"SANTA", probe, "SANTA CRISTINx"};
   const text::QGramOptions options;
   const size_t g = text::GramSet::Of(probe, options).size();
   const size_t short_size = text::GramSet::Of("SANTA", options).size();
-  const std::optional<size_t> required =
-      MinPairOverlap(text::SimilarityMeasure::kJaccard, g, short_size, 0.85);
-  ASSERT_FALSE(required.has_value());
-  ApproxFilterOptions filter;
-  filter.prefix = true;
-  FilteredFixture filtered(filter, 0.85);
-  for (const auto& s : stored) filtered.Add(s);
-  JoinSpec spec = Spec(0.85);
-  spec.filter = filter;
+  ASSERT_FALSE(
+      MinPairOverlap(text::SimilarityMeasure::kJaccard, g, short_size, 0.85)
+          .has_value());
+  EXPECT_FALSE(LengthBandFor(text::SimilarityMeasure::kJaccard, g, 0.85)
+                   .Contains(short_size));
+  Fixture fixture;
+  for (const auto& s : stored) fixture.Add(s);
+  ApproxProbeOptions every_list;
+  every_list.insert_phase_optimization = false;
   ApproxProbeStats stats;
   const auto matches =
-      ProbeApproximate(filtered.qgrams, filtered.store, probe, spec,
-                       exec::Side::kLeft, 0, ApproxProbeOptions{}, &stats);
+      ProbeApproximate(fixture.qgrams, fixture.store, probe, Spec(0.85),
+                       exec::Side::kLeft, 0, every_list, &stats);
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0].stored_id, 1u);
   EXPECT_EQ(matches[0].kind, MatchKind::kExact);
-  EXPECT_GT(stats.candidates, stats.verified);
+  // All three stored tuples were scanned; only the probe's copy is in
+  // the band.
+  EXPECT_GT(stats.postings_scanned, g);
+  EXPECT_EQ(stats.candidates, 1u);
   EXPECT_EQ(stats.verified, 1u);
 }
-
-/// A gram-cached store plus an index laid out for `spec` (payload
-/// postings when spec.filter enables any filter).
-struct SpecIndexedSide {
-  TupleStore store;
-  QGramIndex qgrams;
-
-  SpecIndexedSide(const std::vector<std::string>& values, const JoinSpec& spec)
-      : store(0, spec.qgram),
-        qgrams(spec.qgram, spec.filter, spec.measure, spec.sim_threshold) {
-    for (const auto& v : values) store.Add(Tuple{Value(v)});
-    qgrams.CatchUpWith(store);
-  }
-};
 
 void ExpectSameStats(const ApproxProbeStats& a, const ApproxProbeStats& b,
                      const std::string& context) {
@@ -632,15 +431,13 @@ void ExpectSameStats(const ApproxProbeStats& a, const ApproxProbeStats& b,
   EXPECT_EQ(a.candidates, b.candidates) << context;
   EXPECT_EQ(a.verified, b.verified) << context;
   EXPECT_EQ(a.matches, b.matches) << context;
-  EXPECT_EQ(a.length_skipped, b.length_skipped) << context;
-  EXPECT_EQ(a.position_rejected, b.position_rejected) << context;
 }
 
 TEST(ProbeScratchTest, PairOverlapMemoServesSpecsInTurn) {
   // One scratch probes under four specs in turn, twice over; the memo
   // is keyed by measure and threshold, so every probe must see exactly
-  // what a fresh scratch sees. The last spec filters without the length
-  // filter: its band is unbounded.
+  // what a fresh scratch sees. Two specs share a measure and differ
+  // only in their threshold.
   const std::vector<std::string> stored = RandomCorpus(51, 50);
   std::vector<std::string> probes = RandomCorpus(52, 15);
   probes.insert(probes.end(), stored.begin() + 4, stored.begin() + 8);
@@ -649,23 +446,17 @@ TEST(ProbeScratchTest, PairOverlapMemoServesSpecsInTurn) {
   cosine.measure = text::SimilarityMeasure::kCosine;
   JoinSpec overlap = Spec(0.9);
   overlap.measure = text::SimilarityMeasure::kOverlap;
-  JoinSpec unbounded = Spec(0.7);
-  unbounded.filter.prefix = true;
-  unbounded.filter.positional = true;
+  const JoinSpec jaccard_low = Spec(0.7);
   const std::vector<std::pair<std::string, JoinSpec>> specs = {
       {"jaccard 0.85", jaccard},
       {"cosine 0.6", cosine},
       {"overlap 0.9", overlap},
-      {"prefix+positional 0.7", unbounded}};
-  std::vector<std::unique_ptr<SpecIndexedSide>> sides;
-  for (const auto& entry : specs) {
-    sides.push_back(std::make_unique<SpecIndexedSide>(stored, entry.second));
-  }
+      {"jaccard 0.7", jaccard_low}};
+  const IndexedSide side(stored, text::QGramOptions{});
   ApproxProbeScratch shared;
   for (int round = 0; round < 2; ++round) {
     for (size_t s = 0; s < specs.size(); ++s) {
       const JoinSpec& spec = specs[s].second;
-      const SpecIndexedSide& side = *sides[s];
       for (size_t p = 0; p < probes.size(); ++p) {
         const std::string context = specs[s].first + " round " +
                                     std::to_string(round) + " probe=\"" +

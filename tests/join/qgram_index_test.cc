@@ -2,13 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "join/filter.h"
 #include "storage/tuple_store.h"
 
 namespace aqp {
@@ -177,135 +175,6 @@ TEST(QGramIndexTest, StoreBackedMemoryNotDoubleCounted) {
             20u * 20u * sizeof(storage::TupleId));
 }
 
-ApproxFilterOptions AllFilters() {
-  ApproxFilterOptions f;
-  f.length = f.prefix = f.positional = true;
-  return f;
-}
-
-TEST(QGramIndexPayloadTest, PostingsCarryCountAndPosition) {
-  TupleStore store(0);
-  const std::string value = "SANTA CRISTINA VALGARDENA";
-  store.Add(Tuple{Value(value)});
-  QGramIndex index(Q3(), AllFilters(), text::SimilarityMeasure::kJaccard,
-                   0.85);
-  index.CatchUpWith(store);
-
-  // Reconstruct the expected order: default gram order = ascending key.
-  const auto set = text::GramSet::Of(value, Q3());
-  std::vector<text::GramKey> ordered(set.grams().begin(), set.grams().end());
-  std::sort(ordered.begin(), ordered.end());
-  const size_t g = ordered.size();
-  const size_t prefix =
-      PrefixLengthFor(text::SimilarityMeasure::kJaccard, g, 0.85);
-  ASSERT_LT(prefix, g);
-
-  for (size_t j = 0; j < g; ++j) {
-    const auto* postings = index.PayloadPostings(ordered[j]);
-    if (j < prefix) {
-      ASSERT_NE(postings, nullptr) << "prefix gram " << j << " not posted";
-      ASSERT_EQ(postings->size(), 1u);
-      EXPECT_EQ((*postings)[0].id, 0u);
-      EXPECT_EQ((*postings)[0].gram_count, g);
-      EXPECT_EQ((*postings)[0].position, j);
-      EXPECT_EQ(index.Frequency(ordered[j]), 1u);
-    } else {
-      // Non-prefix grams of the only tuple must not be posted at all.
-      EXPECT_EQ(postings, nullptr) << "non-prefix gram " << j << " posted";
-    }
-  }
-}
-
-TEST(QGramIndexPayloadTest, WithoutPrefixAllGramsPosted) {
-  TupleStore store(0);
-  const std::string value = "MONTE BIANCO SUPERIORE";
-  store.Add(Tuple{Value(value)});
-  ApproxFilterOptions length_only;
-  length_only.length = true;
-  QGramIndex index(Q3(), length_only, text::SimilarityMeasure::kJaccard,
-                   0.85);
-  index.CatchUpWith(store);
-  EXPECT_TRUE(index.payload_mode());
-  const auto set = text::GramSet::Of(value, Q3());
-  for (text::GramKey key : set.grams()) {
-    const auto* postings = index.PayloadPostings(key);
-    ASSERT_NE(postings, nullptr);
-    ASSERT_EQ(postings->size(), 1u);
-    EXPECT_EQ((*postings)[0].gram_count, set.size());
-  }
-  EXPECT_EQ(index.distinct_grams(), set.size());
-}
-
-TEST(QGramIndexPayloadTest, IncrementalCatchUpMatchesFreshBuild) {
-  const std::vector<std::string> values = {"SANTA CRISTINA", "MONTE BIANCO",
-                                           "VILLA ROSSA", "SANTA LUCIA",
-                                           "BORGO SAN LORENZO"};
-  TupleStore store(0);
-  QGramIndex incremental(Q3(), AllFilters(),
-                         text::SimilarityMeasure::kJaccard, 0.85);
-  for (const std::string& v : values) {
-    store.Add(Tuple{Value(v)});
-    incremental.CatchUpWith(store);
-  }
-  QGramIndex fresh(Q3(), AllFilters(), text::SimilarityMeasure::kJaccard,
-                   0.85);
-  fresh.CatchUpWith(store);
-
-  EXPECT_EQ(incremental.watermark(), fresh.watermark());
-  EXPECT_EQ(incremental.distinct_grams(), fresh.distinct_grams());
-  for (size_t i = 0; i < values.size(); ++i) {
-    // Named: a range-for over a temporary's member would dangle.
-    const text::GramSet grams = text::GramSet::Of(values[i], Q3());
-    for (text::GramKey key : grams.grams()) {
-      const auto* a = incremental.PayloadPostings(key);
-      const auto* b = fresh.PayloadPostings(key);
-      ASSERT_EQ(a == nullptr, b == nullptr);
-      if (a == nullptr) continue;
-      ASSERT_EQ(a->size(), b->size());
-      for (size_t j = 0; j < a->size(); ++j) {
-        EXPECT_EQ((*a)[j].id, (*b)[j].id);
-        EXPECT_EQ((*a)[j].gram_count, (*b)[j].gram_count);
-        EXPECT_EQ((*a)[j].position, (*b)[j].position);
-      }
-    }
-  }
-}
-
-TEST(QGramIndexPayloadTest, UnknownGramHasNoPayloadPostings) {
-  QGramIndex index(Q3(), AllFilters(), text::SimilarityMeasure::kJaccard,
-                   0.85);
-  EXPECT_EQ(index.PayloadPostings(0xFFFFFFFFull), nullptr);
-  EXPECT_EQ(index.Frequency(0xFFFFFFFFull), 0u);
-}
-
-TEST(QGramIndexPayloadTest, PrefixIndexingShrinksMemory) {
-  const auto fill = [](TupleStore* store) {
-    for (int i = 0; i < 50; ++i) {
-      store->Add(
-          Tuple{Value("LOCATION STRING NUMBER " + std::to_string(i))});
-    }
-  };
-  ApproxFilterOptions length_only;
-  length_only.length = true;
-  TupleStore full_store(0);
-  fill(&full_store);
-  QGramIndex full(Q3(), length_only, text::SimilarityMeasure::kJaccard,
-                  0.85);
-  full.CatchUpWith(full_store);
-
-  TupleStore prefix_store(0);
-  fill(&prefix_store);
-  QGramIndex prefixed(Q3(), AllFilters(),
-                      text::SimilarityMeasure::kJaccard, 0.85);
-  prefixed.CatchUpWith(prefix_store);
-
-  // Both payload layouts account their postings; prefix posting drops
-  // ~θ of the entries, which must show up in the memory estimate.
-  EXPECT_GT(full.ApproximateMemoryUsage(), 0u);
-  EXPECT_LT(prefixed.ApproximateMemoryUsage(),
-            full.ApproximateMemoryUsage());
-}
-
 /// Every gram of `values` (ids in insertion order) mapped to the ids
 /// whose gram set holds it — the reference the flat table must equal.
 std::map<text::GramKey, std::vector<storage::TupleId>> ReferencePostings(
@@ -378,13 +247,6 @@ TEST(QGramIndexTest, KeysDifferingOnlyInHighOrLowBitsStayDistinct) {
   }
 }
 
-/// A plain or payload (all filters) index over `q3` grams.
-QGramIndex MakeIndex(bool payload) {
-  return payload ? QGramIndex(Q3(), AllFilters(),
-                              text::SimilarityMeasure::kJaccard, 0.85)
-                 : QGramIndex(Q3());
-}
-
 /// Frequency of every gram of `values` in `index`, keyed by gram.
 std::map<text::GramKey, size_t> Frequencies(
     const QGramIndex& index, const std::vector<std::string>& values) {
@@ -397,36 +259,29 @@ std::map<text::GramKey, size_t> Frequencies(
 }
 
 TEST(QGramIndexTest, RollbackEmptiedListReadsAsAbsent) {
-  for (bool payload : {false, true}) {
-    SCOPED_TRACE(payload ? "payload" : "plain");
-    TupleStore store(0);
-    store.Add(Tuple{Value("SANTA CRISTINA")});
-    store.Add(Tuple{Value("MONTE BIANCO")});
-    QGramIndex index = MakeIndex(payload);
-    index.CatchUpWith(store);
-    index.RollbackTo(1);
+  TupleStore store(0);
+  store.Add(Tuple{Value("SANTA CRISTINA")});
+  store.Add(Tuple{Value("MONTE BIANCO")});
+  QGramIndex index(Q3());
+  index.CatchUpWith(store);
+  index.RollbackTo(1);
 
-    TupleStore prefix_store(0);
-    prefix_store.Add(Tuple{Value("SANTA CRISTINA")});
-    QGramIndex fresh = MakeIndex(payload);
-    fresh.CatchUpWith(prefix_store);
+  TupleStore prefix_store(0);
+  prefix_store.Add(Tuple{Value("SANTA CRISTINA")});
+  QGramIndex fresh(Q3());
+  fresh.CatchUpWith(prefix_store);
 
-    // "ONT" occurs only in the rolled-back tuple: its list is empty now.
-    const text::GramKey only_dropped =
-        text::ExtractGramSequence("ONT", Q3())[2];
-    EXPECT_EQ(index.Frequency(only_dropped), 0u);
-    if (payload) {
-      EXPECT_EQ(index.PayloadPostings(only_dropped), nullptr);
-    } else {
-      EXPECT_EQ(index.Postings(only_dropped), nullptr);
-    }
-    EXPECT_EQ(index.watermark(), 1u);
-    EXPECT_EQ(index.distinct_grams(), fresh.distinct_grams());
-    EXPECT_DOUBLE_EQ(index.AveragePostingLength(),
-                     fresh.AveragePostingLength());
-    EXPECT_EQ(Frequencies(index, {"SANTA CRISTINA", "MONTE BIANCO"}),
-              Frequencies(fresh, {"SANTA CRISTINA", "MONTE BIANCO"}));
-  }
+  // "ONT" occurs only in the rolled-back tuple: its list is empty now.
+  const text::GramKey only_dropped =
+      text::ExtractGramSequence("ONT", Q3())[2];
+  EXPECT_EQ(index.Frequency(only_dropped), 0u);
+  EXPECT_EQ(index.Postings(only_dropped), nullptr);
+  EXPECT_EQ(index.watermark(), 1u);
+  EXPECT_EQ(index.distinct_grams(), fresh.distinct_grams());
+  EXPECT_DOUBLE_EQ(index.AveragePostingLength(),
+                   fresh.AveragePostingLength());
+  EXPECT_EQ(Frequencies(index, {"SANTA CRISTINA", "MONTE BIANCO"}),
+            Frequencies(fresh, {"SANTA CRISTINA", "MONTE BIANCO"}));
 }
 
 TEST(QGramIndexTest, RollbackThenReinsertEqualsFreshBuild) {
@@ -435,58 +290,42 @@ TEST(QGramIndexTest, RollbackThenReinsertEqualsFreshBuild) {
       "BORGO SAN LORENZO", "CASTEL NUOVO"};
   const std::vector<std::string> second = {"SANTA MARIA", "VALLE VERDE",
                                            "MONTE ROSA"};
-  for (bool payload : {false, true}) {
-    SCOPED_TRACE(payload ? "payload" : "plain");
-    TupleStore store(0);
-    QGramIndex index = MakeIndex(payload);
-    for (const std::string& v : first) store.Add(Tuple{Value(v)});
-    index.CatchUpWith(store);
-    index.RollbackTo(2);
-    store.Truncate(2);
-    for (const std::string& v : second) store.Add(Tuple{Value(v)});
-    index.CatchUpWith(store);
+  TupleStore store(0);
+  QGramIndex index(Q3());
+  for (const std::string& v : first) store.Add(Tuple{Value(v)});
+  index.CatchUpWith(store);
+  index.RollbackTo(2);
+  store.Truncate(2);
+  for (const std::string& v : second) store.Add(Tuple{Value(v)});
+  index.CatchUpWith(store);
 
-    std::vector<std::string> final_values(first.begin(), first.begin() + 2);
-    final_values.insert(final_values.end(), second.begin(), second.end());
-    TupleStore fresh_store(0);
-    for (const std::string& v : final_values) {
-      fresh_store.Add(Tuple{Value(v)});
-    }
-    QGramIndex fresh = MakeIndex(payload);
-    fresh.CatchUpWith(fresh_store);
+  std::vector<std::string> final_values(first.begin(), first.begin() + 2);
+  final_values.insert(final_values.end(), second.begin(), second.end());
+  TupleStore fresh_store(0);
+  for (const std::string& v : final_values) {
+    fresh_store.Add(Tuple{Value(v)});
+  }
+  QGramIndex fresh(Q3());
+  fresh.CatchUpWith(fresh_store);
 
-    EXPECT_EQ(index.watermark(), fresh.watermark());
-    EXPECT_EQ(index.distinct_grams(), fresh.distinct_grams());
-    EXPECT_DOUBLE_EQ(index.AveragePostingLength(),
-                     fresh.AveragePostingLength());
-    std::vector<std::string> every_value = first;
-    every_value.insert(every_value.end(), second.begin(), second.end());
-    for (const std::string& v : every_value) {
-      const text::GramSet set = text::GramSet::Of(v, Q3());
-      for (text::GramKey key : set.grams()) {
-        EXPECT_EQ(index.Frequency(key), fresh.Frequency(key));
-        if (!payload) {
-          const auto* a = index.Postings(key);
-          const auto* b = fresh.Postings(key);
-          ASSERT_EQ(a == nullptr, b == nullptr);
-          if (a != nullptr) EXPECT_EQ(*a, *b);
-          continue;
-        }
-        const auto* a = index.PayloadPostings(key);
-        const auto* b = fresh.PayloadPostings(key);
-        ASSERT_EQ(a == nullptr, b == nullptr);
-        if (a == nullptr) continue;
-        ASSERT_EQ(a->size(), b->size());
-        for (size_t j = 0; j < a->size(); ++j) {
-          EXPECT_EQ((*a)[j].id, (*b)[j].id);
-          EXPECT_EQ((*a)[j].gram_count, (*b)[j].gram_count);
-          EXPECT_EQ((*a)[j].position, (*b)[j].position);
-        }
-      }
+  EXPECT_EQ(index.watermark(), fresh.watermark());
+  EXPECT_EQ(index.distinct_grams(), fresh.distinct_grams());
+  EXPECT_DOUBLE_EQ(index.AveragePostingLength(),
+                   fresh.AveragePostingLength());
+  std::vector<std::string> every_value = first;
+  every_value.insert(every_value.end(), second.begin(), second.end());
+  for (const std::string& v : every_value) {
+    const text::GramSet set = text::GramSet::Of(v, Q3());
+    for (text::GramKey key : set.grams()) {
+      EXPECT_EQ(index.Frequency(key), fresh.Frequency(key));
+      const auto* a = index.Postings(key);
+      const auto* b = fresh.Postings(key);
+      ASSERT_EQ(a == nullptr, b == nullptr);
+      if (a != nullptr) EXPECT_EQ(*a, *b);
     }
-    for (storage::TupleId id = 0; id < fresh.watermark(); ++id) {
-      EXPECT_EQ(index.GramSetSize(id), fresh.GramSetSize(id));
-    }
+  }
+  for (storage::TupleId id = 0; id < fresh.watermark(); ++id) {
+    EXPECT_EQ(index.GramSetSize(id), fresh.GramSetSize(id));
   }
 }
 

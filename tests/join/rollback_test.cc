@@ -57,13 +57,9 @@ std::vector<Event> Stream(size_t n) {
   return events;
 }
 
-JoinSpec Spec(bool filtered) {
+JoinSpec Spec() {
   JoinSpec spec;
   spec.sim_threshold = 0.8;
-  if (filtered) {
-    spec.filter.length = true;
-    spec.filter.prefix = true;
-  }
   return spec;
 }
 
@@ -85,15 +81,8 @@ size_t CountSide(const std::vector<Event>& events, size_t end, Side side) {
 
 std::vector<storage::TupleId> PostingIds(const QGramIndex& index,
                                          text::GramKey gram) {
-  std::vector<storage::TupleId> ids;
-  if (index.payload_mode()) {
-    if (const auto* postings = index.PayloadPostings(gram)) {
-      for (const GramPosting& p : *postings) ids.push_back(p.id);
-    }
-  } else if (const auto* postings = index.Postings(gram)) {
-    ids = *postings;
-  }
-  return ids;
+  const auto* postings = index.Postings(gram);
+  return postings == nullptr ? std::vector<storage::TupleId>{} : *postings;
 }
 
 void ExpectSameCore(const HybridJoinCore& actual,
@@ -151,9 +140,7 @@ void ExpectSameMatches(const std::vector<JoinMatch>& actual,
   }
 }
 
-class CoreRollbackTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(CoreRollbackTest, RollbackEqualsTheCoreThatOnlySawThePrefix) {
+TEST(CoreRollbackTest, RollbackEqualsTheCoreThatOnlySawThePrefix) {
   const std::vector<Event> events = Stream(400);
   // Both sides probe one way for the first `kSwitch` steps and the
   // other way afterwards: at the rollback one index kind is live on
@@ -167,8 +154,8 @@ TEST_P(CoreRollbackTest, RollbackEqualsTheCoreThatOnlySawThePrefix) {
                        size_t{399}, size_t{400}}) {
       SCOPED_TRACE(testing::Message()
                    << "live " << ProbeModeName(live) << " cut " << cut);
-      HybridJoinCore rolled(Spec(GetParam()));
-      HybridJoinCore prefix(Spec(GetParam()));
+      HybridJoinCore rolled(Spec());
+      HybridJoinCore prefix(Spec());
       for (HybridJoinCore* core : {&rolled, &prefix}) {
         core->SetProbeModes(lagging, lagging);
         Feed(core, events, 0, kSwitch);
@@ -192,10 +179,10 @@ TEST_P(CoreRollbackTest, RollbackEqualsTheCoreThatOnlySawThePrefix) {
   }
 }
 
-TEST_P(CoreRollbackTest, RollbackToEverythingOrMoreIsANoOp) {
+TEST(CoreRollbackTest, RollbackToEverythingOrMoreIsANoOp) {
   const std::vector<Event> events = Stream(120);
-  HybridJoinCore rolled(Spec(GetParam()));
-  HybridJoinCore untouched(Spec(GetParam()));
+  HybridJoinCore rolled(Spec());
+  HybridJoinCore untouched(Spec());
   for (HybridJoinCore* core : {&rolled, &untouched}) {
     core->SetProbeModes(ProbeMode::kApproximate, ProbeMode::kExact);
     Feed(core, events, 0, events.size());
@@ -204,12 +191,6 @@ TEST_P(CoreRollbackTest, RollbackToEverythingOrMoreIsANoOp) {
                     rolled.store(Side::kRight).size() + 5);
   ExpectSameCore(rolled, untouched, events);
 }
-
-INSTANTIATE_TEST_SUITE_P(PostingLayouts, CoreRollbackTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Payload" : "Plain";
-                         });
 
 TEST(ExactIndexRollbackTest, MatchesAnIndexThatOnlySawThePrefix) {
   // Enough distinct keys to rehash several times and fill the table to
