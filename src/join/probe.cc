@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <optional>
 
 #include "join/filter.h"
@@ -54,8 +55,8 @@ size_t BoundedOverlap(const std::vector<text::GramKey>& a,
   return overlap;
 }
 
-/// Verification by gram-set intersection. T(t) entries outside `band`
-/// are dropped; each survivor must share at least max(k,
+/// Verification by gram-set intersection. T(t) entries outside the
+/// plan's length band are dropped; each survivor must share at least max(k,
 /// MinPairOverlap) grams with the probe (an in-band pair always has a
 /// MinPairOverlap: the band admits exactly the sizes whose full overlap
 /// reaches the threshold). That bound is the smallest overlap reaching
@@ -71,18 +72,16 @@ void VerifyCandidates(const QGramIndex& index,
                       const storage::TupleStore& store,
                       std::string_view probe_key,
                       const text::GramSet& probe_grams, const JoinSpec& spec,
-                      size_t k, const GramCountBand& band, size_t unseen,
-                      Side probe_side, storage::TupleId probe_id,
-                      ApproxProbeScratch& work, ApproxProbeStats* stats,
-                      std::vector<JoinMatch>* out) {
+                      const ProbePlan& plan, size_t unseen, Side probe_side,
+                      storage::TupleId probe_id, ApproxProbeScratch& work,
+                      ApproxProbeStats* stats, std::vector<JoinMatch>* out) {
   const size_t g = probe_grams.size();
   for (storage::TupleId candidate : work.candidates) {
     const size_t candidate_size = index.GramSetSize(candidate);
-    if (!band.Contains(candidate_size)) continue;
+    if (!plan.InBand(candidate_size)) continue;
     if (stats != nullptr) ++stats->candidates;
     const size_t required = work.pair_overlaps.Required(candidate_size);
-    assert(required != 0 && "an in-band pair has a feasible overlap");
-    const size_t bound = std::max(k, required);
+    const size_t bound = std::max<size_t>(plan.min_overlap, required);
     if (work.Count(candidate) + unseen < bound) continue;
     const size_t overlap = BoundedOverlap(
         probe_grams.grams(), index.GramSetOf(candidate).grams(), bound);
@@ -107,14 +106,15 @@ void ApproxProbeScratch::BeginProbe(size_t tuples) {
 }
 
 size_t ApproxProbeScratch::ApproximateMemoryUsage() const {
-  return ordered.capacity() * sizeof(ProbeGram) +
+  return ranks.capacity() * sizeof(uint64_t) +
+         lists.capacity() * sizeof(const std::vector<storage::TupleId>*) +
          candidates.capacity() * sizeof(storage::TupleId) +
          table.capacity() * sizeof(Slot) +
          pair_overlaps.ApproximateMemoryUsage();
 }
 
-void PairOverlapMemo::Select(text::SimilarityMeasure measure,
-                             double threshold, size_t probe_size) {
+ProbePlan PairOverlapMemo::Select(text::SimilarityMeasure measure,
+                                  double threshold, size_t probe_size) {
   if (!keyed_ || measure != measure_ || threshold != threshold_) {
     rows_.clear();
     measure_ = measure;
@@ -123,19 +123,27 @@ void PairOverlapMemo::Select(text::SimilarityMeasure measure,
   }
   if (rows_.size() <= probe_size) rows_.resize(probe_size + 1);
   Row& row = rows_[probe_size];
-  if (row.first_size == 0) {
-    row.first_size =
-        std::max<size_t>(1, LengthBandFor(measure, probe_size, threshold).lo);
+  if (row.plan.min_overlap == 0) {
+    const size_t k =
+        text::MinOverlapForThreshold(measure, probe_size, threshold);
+    assert(k >= 1 && k <= probe_size && "k lies in [1, g]");
+    const GramCountBand band = LengthBandFor(measure, probe_size, threshold);
+    row.plan.min_overlap = static_cast<uint32_t>(k);
+    row.plan.band_lo = static_cast<uint32_t>(std::max<size_t>(1, band.lo));
+    constexpr size_t kMaxSize = std::numeric_limits<uint32_t>::max();
+    row.plan.band_hi = static_cast<uint32_t>(std::min(band.hi, kMaxSize));
   }
   probe_size_ = probe_size;
+  return row.plan;
 }
 
 void PairOverlapMemo::Fill(Row* row, size_t stored_size) const {
-  for (size_t size = row->first_size + row->required.size();
+  for (size_t size = row->plan.band_lo + row->required.size();
        size <= stored_size; ++size) {
     const std::optional<size_t> required =
         MinPairOverlap(measure_, probe_size_, size, threshold_);
-    row->required.push_back(static_cast<uint32_t>(required.value_or(0)));
+    assert(required.has_value() && "an in-band pair has a feasible overlap");
+    row->required.push_back(static_cast<uint32_t>(*required));
   }
 }
 
@@ -210,29 +218,39 @@ size_t ProbeApproximateInto(const QGramIndex& index,
   // (steady-state probes allocate nothing), else probe-local.
   ApproxProbeScratch local;
   ApproxProbeScratch& work = scratch != nullptr ? *scratch : local;
-  work.pair_overlaps.Select(spec.measure, spec.sim_threshold, g);
-
-  const size_t k =
-      text::MinOverlapForThreshold(spec.measure, g, spec.sim_threshold);
+  const ProbePlan plan =
+      work.pair_overlaps.Select(spec.measure, spec.sim_threshold, g);
+  // Only g-k+1 lists can hold a match's first shared gram.
+  const size_t scan_end =
+      options.insert_phase_optimization ? g - plan.min_overlap + 1 : g;
 
   // One posting lookup per gram: its length ranks the gram ("reverse
-  // frequency order" = rarest first), its pointer feeds the scan.
-  auto& ordered = work.ordered;
-  ordered.clear();
-  for (text::GramKey key : probe_grams.grams()) {
-    const std::vector<storage::TupleId>* postings = index.Postings(key);
-    ordered.push_back(
-        ProbeGram{postings != nullptr ? postings->size() : 0, key, postings});
+  // frequency order" = rarest first), its pointer feeds the scan. The
+  // position in the low half breaks length ties by gram key, since the
+  // gram set is sorted by key.
+  assert(g <= std::numeric_limits<uint32_t>::max());
+  auto& ranks = work.ranks;
+  auto& lists = work.lists;
+  ranks.clear();
+  lists.clear();
+  const std::vector<text::GramKey>& keys = probe_grams.grams();
+  for (size_t at = 0; at < g; ++at) {
+    const std::vector<storage::TupleId>* postings = index.Postings(keys[at]);
+    const uint64_t length = postings != nullptr ? postings->size() : 0;
+    ranks.push_back(length << 32 | at);
+    lists.push_back(postings);
   }
-  if (options.rare_grams_first) std::sort(ordered.begin(), ordered.end());
-
-  // Only the first g-k+1 lists can hold a match's first shared gram;
-  // the k-1 skipped ones are the longest.
-  const size_t scan_end =
-      options.insert_phase_optimization && k <= g ? g - k + 1 : g;
+  // The scan_end smallest ranks to the front; the k-1 skipped lists are
+  // the longest. Without rare_grams_first the ranks stay in key order.
+  if (options.rare_grams_first && scan_end < g) {
+    std::nth_element(ranks.begin(),
+                     ranks.begin() + static_cast<ptrdiff_t>(scan_end),
+                     ranks.end());
+  }
   work.BeginProbe(index.watermark());
   for (size_t i = 0; i < scan_end; ++i) {
-    const std::vector<storage::TupleId>* postings = ordered[i].postings;
+    const std::vector<storage::TupleId>* postings =
+        lists[static_cast<uint32_t>(ranks[i])];
     if (postings == nullptr) continue;
     if (stats != nullptr) stats->postings_scanned += postings->size();
     for (storage::TupleId candidate : *postings) {
@@ -246,8 +264,7 @@ size_t ProbeApproximateInto(const QGramIndex& index,
   }
   // Each count is the tuple's shared grams among the scanned lists, so
   // only the g - scan_end skipped ones can add to it.
-  VerifyCandidates(index, store, probe_key, probe_grams, spec, k,
-                   LengthBandFor(spec.measure, g, spec.sim_threshold),
+  VerifyCandidates(index, store, probe_key, probe_grams, spec, plan,
                    g - scan_end, probe_side, probe_id, work, stats, out);
   // Deterministic output order (candidates come in discovery order);
   // only the region this probe appended is reordered.

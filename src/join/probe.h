@@ -1,6 +1,7 @@
 #ifndef AQP_JOIN_PROBE_H_
 #define AQP_JOIN_PROBE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -23,51 +24,54 @@ struct ApproxProbeOptions {
   /// share at most k-1 < k grams. Off, every probe gram's list is
   /// scanned.
   bool insert_phase_optimization = true;
-  /// Process probe grams in ascending posting-frequency order
-  /// ("reverse frequency order"), so the scanned g-k+1 lists are the
-  /// rarest — shortest — ones and T(t) stays small.
+  /// Scan the g-k+1 rarest — shortest — posting lists ("reverse
+  /// frequency order"), so T(t) stays small. Posting-list length
+  /// ranks the grams, ties broken by gram key. Off, the first g-k+1
+  /// grams in key order are scanned instead.
   bool rare_grams_first = true;
 };
 
-/// \brief One probe gram in scan order.
-struct ProbeGram {
-  /// Ordering rank: the gram's posting-list length ("reverse frequency
-  /// order"). Ties break by key.
-  size_t rank = 0;
-  text::GramKey key = 0;
-  /// The posting list found while ranking (null for a gram the index
-  /// has never seen), so the scan does not look it up again.
-  const std::vector<storage::TupleId>* postings = nullptr;
+/// \brief The fixed part of an approximate probe of g grams under one
+/// measure and threshold: what every probe of that gram count shares.
+struct ProbePlan {
+  /// k, the probe-side minimum overlap (MinOverlapForThreshold);
+  /// 1 <= k <= g, so g-k+1 lists are scanned. 0 until computed.
+  uint32_t min_overlap = 0;
+  /// The length band (LengthBandFor) over stored gram counts: lo >= 1
+  /// (posted tuples have grams), hi UINT32_MAX when unbounded (the
+  /// overlap coefficient). Gram counts are 32-bit in the index's lane,
+  /// so the narrowing drops no size.
+  uint32_t band_lo = 0;
+  uint32_t band_hi = 0;
 
-  friend bool operator<(const ProbeGram& a, const ProbeGram& b) {
-    return a.rank != b.rank ? a.rank < b.rank : a.key < b.key;
-  }
+  bool InBand(size_t size) const { return size >= band_lo && size <= band_hi; }
 };
 
-/// \brief Memo of MinPairOverlap for one measure and threshold.
+/// \brief Per-gram-count probe plans and memo of MinPairOverlap for one
+/// measure and threshold.
 ///
-/// One row per probe gram count g, indexed by the stored tuple's gram
-/// count, holding the pair's required overlap — or 0 when the pair
-/// cannot reach the threshold at all (a real requirement is at least 1,
-/// since stored tuples in postings have grams). A row starts at the
-/// lower end of g's length band, below which every pair fails the same
-/// best-case test MinPairOverlap applies, and is filled lazily, only up
-/// to the largest stored size asked for: never to the band's upper end,
-/// which is unbounded for kOverlap. The verifier asks only for sizes
-/// inside the band, whose requirement is never 0.
+/// One row per probe gram count g: its ProbePlan, computed the first
+/// time the row is selected, and the required overlaps of g against
+/// each stored gram count, starting at the band's lower end. The
+/// overlaps are filled lazily, only up to the largest stored size
+/// asked for: never to the band's upper end, which is unbounded for
+/// kOverlap. Inside the band every pair has a required overlap (the
+/// band admits exactly the sizes whose full overlap reaches the
+/// threshold), so no infeasible value is ever stored.
 class PairOverlapMemo {
  public:
-  /// Selects the row for probes of `probe_size` grams. A measure or
-  /// threshold other than the previous call's clears every row.
-  void Select(text::SimilarityMeasure measure, double threshold,
-              size_t probe_size);
+  /// Selects the row for probes of `probe_size` (>= 1) grams and
+  /// returns its plan. A measure or threshold other than the previous
+  /// call's clears every row.
+  ProbePlan Select(text::SimilarityMeasure measure, double threshold,
+                   size_t probe_size);
 
   /// MinPairOverlap(measure, probe_size, stored_size, threshold) for the
-  /// selected row, or 0 if the pair is infeasible.
+  /// selected row. `stored_size` must lie in the row's length band.
   size_t Required(size_t stored_size) {
     Row& row = rows_[probe_size_];
-    if (stored_size < row.first_size) return 0;
-    const size_t at = stored_size - row.first_size;
+    assert(row.plan.InBand(stored_size) && "Required takes an in-band size");
+    const size_t at = stored_size - row.plan.band_lo;
     if (at >= row.required.size()) Fill(&row, stored_size);
     return row.required[at];
   }
@@ -77,8 +81,9 @@ class PairOverlapMemo {
 
  private:
   struct Row {
-    /// Stored size of required[0]; 0 until the row is first selected.
-    size_t first_size = 0;
+    ProbePlan plan;
+    /// required[i] is the required overlap at stored size
+    /// plan.band_lo + i.
     std::vector<uint32_t> required;
   };
 
@@ -94,9 +99,10 @@ class PairOverlapMemo {
 
 /// \brief Reusable per-probe working memory.
 ///
-/// Holds the probe's ordered grams, the pair-overlap memo (keyed by the
-/// spec's measure and threshold, cleared when either changes, so one
-/// scratch may serve specs in turn) and T(t), the candidate table. T(t)
+/// Holds the probe's rank keys and posting lists (16 bytes per probe
+/// gram), the plans and pair-overlap memo (keyed by the spec's measure
+/// and threshold, cleared when either changes, so one scratch may
+/// serve specs in turn) and T(t), the candidate table. T(t)
 /// is dense: one slot per TupleId of the probed index, holding a
 /// generation stamp and the number of scanned posting lists the tuple
 /// appeared in. A slot belongs to the current probe iff it carries the
@@ -115,13 +121,20 @@ struct ApproxProbeScratch {
     uint32_t count = 0;
   };
 
-  /// The probe's grams, sorted ascending (ProbeGram::operator<).
-  std::vector<ProbeGram> ordered;
+  /// One rank key per probe gram: (posting-list length << 32) |
+  /// position in the gram set. Gram sets are sorted by key, so
+  /// ordering the ranks ranks the grams by (length, key). The probe
+  /// moves the g-k+1 smallest to the front, in no particular order.
+  std::vector<uint64_t> ranks;
+  /// The posting list of each probe gram, by position in the gram set
+  /// (null for a gram the index has never seen).
+  std::vector<const std::vector<storage::TupleId>*> lists;
   /// The current probe's candidates in discovery order.
   std::vector<storage::TupleId> candidates;
   /// T(t), indexed by TupleId.
   std::vector<Slot> table;
-  /// Required overlaps of (probe, stored) gram-count pairs.
+  /// Probe plans and required overlaps of (probe, stored) gram-count
+  /// pairs.
   PairOverlapMemo pair_overlaps;
   /// The current probe's stamp.
   uint32_t stamp = 0;
@@ -192,10 +205,16 @@ std::vector<JoinMatch> ProbeExact(const ExactIndex& index,
 /// \brief Probes the q-gram index with a probe tuple's join-attribute
 /// value — the SSHJoin NEXT() kernel (§2.2).
 ///
-/// A prefix-only probe: the probe's grams are ordered rarest first and
-/// only the first g-k+1 posting lists are scanned, where k is the
-/// probe-side minimum overlap (§2.2 — a tuple missing all of them
-/// shares at most k-1 grams). The distinct tuples found form T(t);
+/// A prefix-only probe: only the g-k+1 rarest posting lists are
+/// scanned, where k is the probe-side minimum overlap (§2.2 — a tuple
+/// missing all of them shares at most k-1 grams). The probe *selects*
+/// those lists (std::nth_element over packed (length, position) rank
+/// keys, linear in g) rather than sorting all g grams: the order in
+/// which the selected lists are scanned cannot matter, since each
+/// tuple's T(t) count is a sum over them and the matches are sorted by
+/// stored id at the end. k and the length band depend only on g, the
+/// measure and the threshold, so they come from the scratch's
+/// per-gram-count ProbePlan. The distinct tuples found form T(t);
 /// those whose gram count is outside the length band are dropped, as
 /// are those whose scanned-list hits plus the k-1 skipped lists cannot
 /// reach the pair's required overlap (MinPairOverlap). Each survivor is

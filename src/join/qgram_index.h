@@ -15,7 +15,7 @@ namespace join {
 /// it (Fig. 3, right).
 ///
 /// The posting list length of a gram is its *frequency* — the quantity
-/// SSHJoin's probe uses to order grams rarest-first (§2.2). Per-tuple
+/// SSHJoin's probe uses to pick its rarest grams (§2.2). Per-tuple
 /// gram sets are served by the TupleStore's gram cache when the store
 /// has one with matching options (the engine's stores always do), so
 /// the index, the candidate verifier, and switch catch-up all share

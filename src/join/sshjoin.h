@@ -11,9 +11,9 @@ namespace join {
 /// symmetric, streaming operator.
 ///
 /// Each operand maintains a q-gram inverted index; a probe computes the
-/// probe string's gram set, walks the probe grams rarest-first building
-/// the candidate set T(t) with shared-gram counters (only the first
-/// g-k+1 posting lists are scanned), drops candidates outside the
+/// probe string's gram set, selects its g-k+1 rarest posting lists and
+/// scans only those, building the candidate set T(t) with shared-gram
+/// counters, drops candidates outside the
 /// probe's gram-count band or whose counter cannot reach the pair's
 /// required overlap, and verifies the rest against the similarity
 /// threshold by gram-set intersection (join/probe.h). This is the

@@ -7,6 +7,7 @@
 #include <limits>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -524,6 +525,131 @@ TEST(ProbeScratchTest, PairOverlapMemoGrowsWithCandidateSizesNotBand) {
   EXPECT_GE(scratch.ApproximateMemoryUsage(),
             memo + scratch.table.capacity() *
                        sizeof(ApproxProbeScratch::Slot));
+}
+
+// --- Rarest-list selection ---------------------------------------------
+
+/// What a probe must scan, computed without the kernel: the probe's
+/// grams sorted by (QGramIndex::Frequency, key) — or left in key order
+/// — and the first g-k+1 of them (all g without the prefix scan)
+/// taken, with the in-band tuples their lists hold.
+struct ExpectedScan {
+  uint64_t postings = 0;
+  uint64_t candidates = 0;
+  /// The last scanned gram ties on frequency with the first skipped
+  /// one, so the key decides which list is scanned.
+  bool boundary_tie = false;
+};
+
+ExpectedScan ScanBySort(const QGramIndex& index, const text::GramSet& grams,
+                        const JoinSpec& spec,
+                        const ApproxProbeOptions& options) {
+  std::vector<text::GramKey> order = grams.grams();
+  if (options.rare_grams_first) {
+    std::sort(order.begin(), order.end(),
+              [&](text::GramKey a, text::GramKey b) {
+                const size_t fa = index.Frequency(a);
+                const size_t fb = index.Frequency(b);
+                return fa != fb ? fa < fb : a < b;
+              });
+  }
+  const size_t g = order.size();
+  const size_t k =
+      text::MinOverlapForThreshold(spec.measure, g, spec.sim_threshold);
+  const size_t scan_end = options.insert_phase_optimization ? g - k + 1 : g;
+  ExpectedScan want;
+  std::set<TupleId> found;
+  for (size_t i = 0; i < scan_end; ++i) {
+    want.postings += index.Frequency(order[i]);
+    if (const auto* postings = index.Postings(order[i])) {
+      found.insert(postings->begin(), postings->end());
+    }
+  }
+  const GramCountBand band = LengthBandFor(spec.measure, g, spec.sim_threshold);
+  for (TupleId id : found) {
+    if (band.Contains(index.GramSetSize(id))) ++want.candidates;
+  }
+  if (scan_end < g) {
+    want.boundary_tie = index.Frequency(order[scan_end - 1]) ==
+                        index.Frequency(order[scan_end]);
+  }
+  return want;
+}
+
+TEST(ProbeSelectionTest, ScansExactlyTheListsAFullRarestFirstSortWould) {
+  // Repeated strings give many grams equal posting lengths, so ties
+  // fall on the boundary between the scanned and the skipped lists.
+  std::vector<std::string> stored = RandomCorpus(71, 30);
+  for (int copy = 0; copy < 3; ++copy) {
+    stored.push_back("SANTA CRISTINA VALGARDENA");
+    stored.push_back("SANTA MARIA DEL MONTE");
+    if (copy < 2) stored.push_back("MONTE CRISTINA DEL SANTO");
+  }
+  std::vector<std::string> probes = RandomCorpus(72, 15);
+  probes.insert(probes.end(),
+                {"SANTA CRISTINA VALGARDENA", "SANTA MARIA DEL MONTx",
+                 "SANTA CRISTINA DEL MONTE", "MONTE CRISTINA DEL SANTx"});
+  const IndexedSide side(stored, text::QGramOptions{});
+  const text::SimilarityMeasure measures[] = {
+      text::SimilarityMeasure::kJaccard, text::SimilarityMeasure::kDice,
+      text::SimilarityMeasure::kCosine, text::SimilarityMeasure::kOverlap};
+  ApproxProbeOptions rarest;
+  ApproxProbeOptions key_order;
+  key_order.rare_grams_first = false;
+  ApproxProbeOptions every_list;
+  every_list.insert_phase_optimization = false;
+  const std::pair<std::string, ApproxProbeOptions> variants[] = {
+      {"rarest", rarest}, {"key order", key_order}, {"every list", every_list}};
+  size_t boundary_ties = 0;
+  ApproxProbeScratch scratch;
+  for (text::SimilarityMeasure measure : measures) {
+    // At 1.0, k = g for all but the overlap coefficient: one list.
+    for (double threshold : {0.5, 0.7, 0.85, 0.95, 1.0}) {
+      JoinSpec spec = Spec(threshold);
+      spec.measure = measure;
+      for (const auto& [name, options] : variants) {
+        for (size_t p = 0; p < probes.size(); ++p) {
+          const std::string context =
+              std::string(text::SimilarityMeasureName(measure)) + " theta=" +
+              std::to_string(threshold) + " " + name + " probe=\"" +
+              probes[p] + "\"";
+          const text::GramSet grams = text::GramSet::Of(probes[p], spec.qgram);
+          ApproxProbeStats stats;
+          std::vector<JoinMatch> out;
+          ProbeApproximateInto(side.qgrams, side.store, probes[p], grams, spec,
+                               exec::Side::kLeft, static_cast<TupleId>(p),
+                               options, &scratch, &stats, &out);
+          const ExpectedScan want =
+              ScanBySort(side.qgrams, grams, spec, options);
+          EXPECT_EQ(stats.postings_scanned, want.postings) << context;
+          EXPECT_EQ(stats.candidates, want.candidates) << context;
+          if (options.rare_grams_first && want.boundary_tie) ++boundary_ties;
+        }
+      }
+    }
+  }
+  EXPECT_GT(boundary_ties, 0u);
+}
+
+TEST(ProbeSelectionTest, MinOverlapLiesBetweenOneAndProbeSize) {
+  // The probe scans g-k+1 lists, which needs 1 <= k <= g: there is no
+  // probe with k > g, even for thresholds outside [0, 1], which the
+  // bound clamps. The overlap coefficient's k = 1 scans every list.
+  const text::SimilarityMeasure measures[] = {
+      text::SimilarityMeasure::kJaccard, text::SimilarityMeasure::kDice,
+      text::SimilarityMeasure::kCosine, text::SimilarityMeasure::kOverlap};
+  for (text::SimilarityMeasure measure : measures) {
+    SCOPED_TRACE(text::SimilarityMeasureName(measure));
+    for (double threshold : {-0.5, 0.0, 0.3, 0.5, 0.85, 0.99, 1.0, 1.5}) {
+      for (size_t g = 1; g <= 300; ++g) {
+        const size_t k = text::MinOverlapForThreshold(measure, g, threshold);
+        EXPECT_GE(k, 1u) << "theta=" << threshold << " g=" << g;
+        EXPECT_LE(k, g) << "theta=" << threshold << " g=" << g;
+      }
+    }
+    EXPECT_EQ(text::MinOverlapForThreshold(measure, 40, 1.0),
+              measure == text::SimilarityMeasure::kOverlap ? 1u : 40u);
+  }
 }
 
 TEST(ProbeStatsTest, MergeAccumulates) {
