@@ -282,8 +282,8 @@ Status ParallelAdaptiveJoin::PumpEpoch() {
     // Nothing in flight (the first epoch): route on the coordinator,
     // through the same staged tier.
     const auto route_start = std::chrono::steady_clock::now();
-    auto coordinator_routed = exchange_->RouteEpoch(
-        options_.unbounded_epoch_steps, shard_ptrs_, &route_);
+    auto coordinator_routed =
+        exchange_->RouteEpoch(NextEpochSteps(), shard_ptrs_, &route_);
     ingest_stats_.serial_route_ns += ElapsedNs(route_start);
     ++ingest_stats_.epochs_routed_serially;
     if (!coordinator_routed.ok()) {
@@ -438,8 +438,10 @@ Status ParallelAdaptiveJoin::ControlPointAt(uint64_t step, bool* transitioned) {
     pump_error_ = control.WithContext("epoch=" + std::to_string(epoch_));
     return pump_error_;
   }
+  if (*transitioned) transition_since_staged_ = true;
   // The next one is the Controller's next control point; with nothing
-  // scheduled, the governor still gets every epoch boundary.
+  // scheduled, the governor still gets every multiple of the base
+  // epoch length, which includes every epoch boundary.
   const uint64_t until = controller_.StepsUntilControlPoint(step);
   const uint64_t epoch = options_.unbounded_epoch_steps;
   next_control_step_ = until != adaptive::Controller::kNoControlPoint
@@ -563,15 +565,16 @@ void ParallelAdaptiveJoin::MaybeSubmitIngest() {
   }
   staged_route_.clear();
   ingest_status_ = Status::OK();
+  const uint64_t epoch_steps = NextEpochSteps();
   std::vector<std::function<void()>> tasks;
-  tasks.push_back([this] {
+  tasks.push_back([this, epoch_steps] {
     // Ingest task body: pulls source batches through the exchange and
     // routes them into the staged tier. Touches only cursor counters
     // and staged buffers — nothing a phase worker or the coordinator
     // reads before the swap-point Wait().
     const auto stage_start = std::chrono::steady_clock::now();
-    auto staged = exchange_->StageEpoch(options_.unbounded_epoch_steps,
-                                        shard_ptrs_, &staged_route_);
+    auto staged =
+        exchange_->StageEpoch(epoch_steps, shard_ptrs_, &staged_route_);
     ingest_stats_.overlap_route_ns += ElapsedNs(stage_start);
     ingest_status_ = staged.ok() ? Status::OK() : staged.status();
     if (coord_node_ != nullptr) {
@@ -584,6 +587,17 @@ void ParallelAdaptiveJoin::MaybeSubmitIngest() {
   });
   ingest_handle_ = active_pool_->Submit(std::move(tasks));
   ingest_inflight_ = true;
+}
+
+uint64_t ParallelAdaptiveJoin::NextEpochSteps() {
+  // Called as an epoch is routed or its staging is submitted, after
+  // the boundary control point of the epoch before it. Long epochs
+  // need a merged epoch that made no transition.
+  const bool settled =
+      shards_.size() > 1 && epoch_ > 0 && !transition_since_staged_;
+  transition_since_staged_ = false;
+  return settled ? 2 * options_.unbounded_epoch_steps
+                 : options_.unbounded_epoch_steps;
 }
 
 Status ParallelAdaptiveJoin::WaitIngest() {
@@ -653,6 +667,9 @@ uint64_t ParallelAdaptiveJoin::IngestSideMemoryUsage() const {
 uint64_t ParallelAdaptiveJoin::CoordinatorMemoryUsage() const {
   uint64_t bytes = route_.capacity() * sizeof(RouteEntry);
   bytes += out_buffer_.capacity() * sizeof(ParallelMatchRef);
+  for (const storage::ColumnBatch& batch : ready_batches_) {
+    bytes += batch.ApproximateMemoryUsage();
+  }
   bytes += merge_scratch_.capacity() * sizeof(MergedMatch);
   bytes += epoch_observables_.capacity() * sizeof(join::StepObservables);
   for (size_t s = 0; s < 2; ++s) {
@@ -813,21 +830,16 @@ Status ParallelAdaptiveJoin::MergeStep() {
   return Status::OK();
 }
 
-Status ParallelAdaptiveJoin::EnsureOutput(bool* have_output) {
-  while (out_pos_ >= out_buffer_.size()) {
-    // Fully drained: recycle the buffer before the next epoch fills it.
-    out_buffer_.clear();
-    out_pos_ = 0;
-    ++buffer_generation_;
-    if (stream_done_) {
-      *have_output = false;
-      return Status::OK();
-    }
-    // An epoch cut short by a deadline or a fault still delivers the
-    // output merged before the cut: the loop re-checks the buffer.
+Status ParallelAdaptiveJoin::FillOutput(size_t min_refs) {
+  // Carry the undelivered tail over: fewer refs than one batch when
+  // NextColumnBatch asks, none when the other drive modes do.
+  out_buffer_.erase(out_buffer_.begin(), out_buffer_.begin() + out_pos_);
+  out_pos_ = 0;
+  // An epoch cut short by a deadline or a fault still delivers the
+  // output merged before the cut: the stream ends with it buffered.
+  while (out_buffer_.size() < min_refs && !stream_done_) {
     AQP_RETURN_IF_ERROR(PumpEpoch());
   }
-  *have_output = true;
   return Status::OK();
 }
 
@@ -849,9 +861,10 @@ Status ParallelAdaptiveJoin::NextMatchRefs(size_t max_refs,
   out->clear();
   if (max_refs == 0) max_refs = 1;
   while (out->size() < max_refs) {
-    bool have_output = false;
-    AQP_RETURN_IF_ERROR(EnsureOutput(&have_output));
-    if (!have_output) break;
+    if (out_pos_ >= out_buffer_.size()) {
+      AQP_RETURN_IF_ERROR(FillOutput(1));
+      if (out_buffer_.empty()) break;
+    }
     const size_t take = std::min(max_refs - out->size(),
                                  out_buffer_.size() - out_pos_);
     out->insert(out->end(), out_buffer_.begin() + out_pos_,
@@ -863,35 +876,63 @@ Status ParallelAdaptiveJoin::NextMatchRefs(size_t max_refs,
 
 Status ParallelAdaptiveJoin::NextColumnBatch(storage::ColumnBatch* out) {
   if (!open_) return Status::FailedPrecondition(name() + " not open");
-  out->Reset(&output_schema_);
-  // On error the partial batch is discarded per the Operator contract;
-  // rewinding the cursor keeps the discarded refs deliverable instead
-  // of silently consumed. Valid only while the buffer they came from
-  // is still the live one (recycling bumps the generation).
-  const size_t entry_pos = out_pos_;
-  const uint64_t entry_generation = buffer_generation_;
-  while (!out->full()) {
-    bool have_output = false;
-    Status status = EnsureOutput(&have_output);
-    if (!status.ok()) {
-      if (buffer_generation_ == entry_generation) {
-        out_pos_ = entry_pos;
-      }
-      out->Clear();
-      return status;
-    }
-    if (!have_output) break;
-    MaterializeRefInto(out_buffer_[out_pos_++], out);
+  if (ready_pos_ < ready_batches_.size()) {
+    std::swap(*out, ready_batches_[ready_pos_++]);
+    return Status::OK();
   }
+  out->Reset(&output_schema_);
+  const size_t capacity = std::max<size_t>(1, out->capacity());
+  // Refs are consumed only once their batches are built, so a failing
+  // call delivers no rows and leaves them deliverable.
+  AQP_RETURN_IF_ERROR(FillOutput(capacity));
+  const size_t batches = std::max<size_t>(1, out_buffer_.size() / capacity);
+  const auto build = [this, capacity, out](size_t first, size_t last) {
+    for (size_t b = first; b < last; ++b) {
+      storage::ColumnBatch* batch = b == 0 ? out : &ready_batches_[b - 1];
+      const size_t begin = b * capacity;
+      const size_t end = std::min(begin + capacity, out_buffer_.size());
+      for (size_t i = begin; i < end; ++i) {
+        MaterializeRefInto(out_buffer_[i], batch);
+      }
+    }
+  };
+  // Batch 0 is the caller's; the rest are queued in order.
+  ready_batches_.resize(batches - 1);
+  ready_pos_ = 0;
+  for (storage::ColumnBatch& batch : ready_batches_) {
+    batch.Reset(&output_schema_, capacity);
+  }
+  const size_t lanes = std::min(batches, shards_.size());
+  if (lanes <= 1) {
+    build(0, batches);
+  } else {
+    // The tasks read only the shard stores and out_buffer_; an
+    // in-flight ingest task writes only the staged tiers and the
+    // exchange.
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(lanes);
+    for (size_t lane = 0; lane < lanes; ++lane) {
+      tasks.push_back([&build, batches, lanes, lane] {
+        build(batches * lane / lanes, batches * (lane + 1) / lanes);
+      });
+    }
+    Status built = RunTasks(std::move(tasks));
+    if (!built.ok()) {
+      out->Clear();
+      ready_batches_.clear();
+      return built;
+    }
+  }
+  out_pos_ = std::min(batches * capacity, out_buffer_.size());
   return Status::OK();
 }
 
 Result<size_t> ParallelAdaptiveJoin::AdvanceUnmaterialized(size_t max_rows) {
   if (!open_) return Status::FailedPrecondition(name() + " not open");
   if (max_rows == 0) max_rows = 1;
-  bool have_output = false;
-  AQP_RETURN_IF_ERROR(EnsureOutput(&have_output));
-  if (!have_output) return size_t{0};
+  if (out_pos_ >= out_buffer_.size()) {
+    AQP_RETURN_IF_ERROR(FillOutput(1));
+  }
   const size_t take = std::min(max_rows, out_buffer_.size() - out_pos_);
   out_pos_ += take;
   return take;

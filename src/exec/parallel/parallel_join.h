@@ -139,10 +139,16 @@ struct ParallelJoinOptions {
   adaptive::AdaptiveJoinOptions base;
   /// Shard (worker) count. 0 = hardware concurrency.
   size_t num_shards = 0;
-  /// The one epoch length in steps, for every policy: control points
+  /// The base epoch length in steps, for every policy: control points
   /// are evaluated inside an epoch's merge, so they do not cut epochs.
-  /// Only throughput- and memory-relevant: results and traces do not
-  /// depend on it.
+  /// A single shard runs every epoch at this length. With several
+  /// shards it is the length of the first two epochs and of the first
+  /// epoch staged after a transition; an epoch staged after a
+  /// transition-free one runs twice as long (see ParallelAdaptiveJoin's
+  /// epoch schedule). So the phases can run up to 2 × this many steps
+  /// between two control-point heartbeats, and a deadline is acted on
+  /// up to that much phase work late. Only throughput- and
+  /// memory-relevant: results and traces do not depend on it.
   uint64_t unbounded_epoch_steps = 512;
   /// Shared worker pool (borrowed, e.g. a LinkageService's; must
   /// outlive the operator). Null = the operator creates its own
@@ -226,10 +232,28 @@ struct ParallelMatchRef {
 /// deterministic shard merge order, which equals the single-threaded
 /// probes' ascending-stored-id output order.
 ///
+/// Epoch schedule. Let L be unbounded_epoch_steps. A single shard runs
+/// every epoch at L: it stops its phases at every control point anyway,
+/// so it has no barrier to amortize. With several shards, epoch e + 1
+/// is staged one epoch ahead, right after epoch e's boundary control
+/// point, so its length can depend only on the merge outcomes known
+/// then: it is 2 × L steps long if epoch e − 1 was merged without a
+/// transition and none happened at epoch e's boundary either (the
+/// control points evaluated since epoch e was staged), and L otherwise.
+/// A transition includes a soft-deadline clamp. The first two epochs,
+/// routed before any merge, are L long. Every epoch boundary therefore
+/// falls on a multiple of L. The rule depends on steps only, so a run's
+/// epochs are deterministic. Long epochs halve the barriers of a
+/// settled query; the first epoch staged after a transition is short,
+/// since another transition is then likely and would redo the rest of
+/// its epoch.
+///
 /// Three drive modes are supported, all producing identical streams:
 /// column batches (NextColumnBatch, materialized at delivery), match
 /// refs (NextMatchRefs + MaterializeRefInto), and the
-/// counting drain (AdvanceUnmaterialized; never builds a row).
+/// counting drain (AdvanceUnmaterialized; never builds a row). Use one
+/// drive mode per run: batches NextColumnBatch built ahead are not
+/// visible to the other two.
 class ParallelAdaptiveJoin : public exec::Operator,
                              public exec::UnmaterializedCounter {
  public:
@@ -239,15 +263,24 @@ class ParallelAdaptiveJoin : public exec::Operator,
   ~ParallelAdaptiveJoin() override;
 
   Status Open() override;
+  /// Delivers the next batch of rows, exactly as many as the caller's
+  /// batch capacity except for the stream's last one. After a pump it
+  /// builds every full batch of the buffered refs at once, on the pool
+  /// when there are several (one task per lane, at most num_shards),
+  /// queues them and hands them out by swap; refs short of a full batch
+  /// wait for the next pump. A failing call delivers no rows.
   Status NextColumnBatch(storage::ColumnBatch* out) override;
   Status Close() override;
   const storage::Schema& output_schema() const override {
     return output_schema_;
   }
-  /// Quiescent iff no produced-but-undelivered match refs remain
-  /// buffered (every routed tuple is fully merged by the end of its
-  /// epoch).
-  bool quiescent() const override { return out_pos_ >= out_buffer_.size(); }
+  /// Quiescent iff no produced-but-undelivered output remains: no
+  /// match ref buffered and no built batch queued (every routed tuple
+  /// is fully merged by the end of its epoch).
+  bool quiescent() const override {
+    return out_pos_ >= out_buffer_.size() &&
+           ready_pos_ >= ready_batches_.size();
+  }
   std::string name() const override { return "ParallelAdaptiveJoin"; }
 
   /// \name Match-ref drive mode.
@@ -403,9 +436,13 @@ class ParallelAdaptiveJoin : public exec::Operator,
   void AbandonStagedIngest();
   /// @}
 
-  /// Refills the output buffer by pumping epochs until output exists
-  /// or the stream ends.
-  Status EnsureOutput(bool* have_output);
+  /// Moves the undelivered refs to the front of the output buffer,
+  /// then pumps epochs until it holds at least `min_refs` or the
+  /// stream ends.
+  Status FillOutput(size_t min_refs);
+  /// Length of the next epoch to route (see the epoch schedule above);
+  /// clears transition_since_staged_.
+  uint64_t NextEpochSteps();
 
   /// \name Memory accounting (tentpole PR 9).
   /// @{
@@ -424,7 +461,8 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// flight.
   uint64_t IngestSideMemoryUsage() const;
   /// Coordinator-owned buffers (route, merge scratch, output buffer,
-  /// matched flags) — always safe from the coordinator.
+  /// queued output batches, matched flags) — always safe from the
+  /// coordinator.
   uint64_t CoordinatorMemoryUsage() const;
   /// The refresh body without the failpoint: recompute, push into the
   /// budget nodes (if any), update memory_bytes_ and the peak. Also
@@ -496,6 +534,9 @@ class ParallelAdaptiveJoin : public exec::Operator,
   uint64_t merged_side_count_[2] = {0, 0};
   /// Step of the next governor/control point (see ControlPointAt).
   uint64_t next_control_step_ = 0;
+  /// The Controller made a transition since the last epoch was staged
+  /// (the epoch schedule's input).
+  bool transition_since_staged_ = false;
   uint64_t redone_steps_ = 0;
   uint64_t pairs_emitted_ = 0;
   uint64_t exact_pairs_ = 0;
@@ -539,10 +580,12 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// Produced-but-undelivered output refs, in global order.
   std::vector<ParallelMatchRef> out_buffer_;
   size_t out_pos_ = 0;
-  /// Bumped whenever out_buffer_ is recycled (NextColumnBatch's
-  /// error-path cursor rewind is only valid within one buffer
-  /// generation).
-  uint64_t buffer_generation_ = 0;
+  /// Output batches NextColumnBatch built ahead, in global order; the
+  /// next one to hand out is ready_batches_[ready_pos_]. Slots already
+  /// handed out hold the caller's previous batches, whose allocations
+  /// the next build reuses.
+  std::vector<storage::ColumnBatch> ready_batches_;
+  size_t ready_pos_ = 0;
 
   bool open_ = false;
   /// Set by the first successful Open(): the operator is single-use.

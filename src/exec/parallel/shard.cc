@@ -53,6 +53,16 @@ void JoinShard::StageRow(exec::Side side, const storage::ColumnBatch& src,
 
 void JoinShard::CommitStaged() {
   for (size_t s = 0; s < 2; ++s) {
+    // Grow the maps to powers of two. A range insert past capacity
+    // doubles the current size instead, which would make the footprint
+    // depend on where the epoch boundaries fall.
+    const size_t need = seq_[s].size() + staged_seq_[s].size();
+    if (need > seq_[s].capacity()) {
+      size_t capacity = 1;
+      while (capacity < need) capacity <<= 1;
+      seq_[s].reserve(capacity);
+      ordinal_[s].reserve(capacity);
+    }
     seq_[s].insert(seq_[s].end(), staged_seq_[s].begin(),
                    staged_seq_[s].end());
     ordinal_[s].insert(ordinal_[s].end(), staged_ordinal_[s].begin(),

@@ -107,9 +107,9 @@ struct QueryOptions {
   /// query. Zero inherits the service-level stall timeout; honored only
   /// while the service watchdog is enabled. The heartbeat is stamped at
   /// control points the serial merge evaluates, so with several shards
-  /// stamps can be one epoch of phase work
-  /// (ParallelJoinOptions::unbounded_epoch_steps, 512 steps by default)
-  /// plus the merge apart, not δ_adapt steps (see
+  /// stamps can be one epoch of phase work plus the merge apart, not
+  /// δ_adapt steps: up to 2 × ParallelJoinOptions::unbounded_epoch_steps
+  /// (1,024 steps by default) once the query has settled (see
   /// ResourceGovernorOptions::stall_timeout).
   std::chrono::nanoseconds stall_timeout{0};
   /// Whole-query retry of recoverably failed attempts; default none.

@@ -82,10 +82,11 @@ struct ResourceGovernorOptions {
   /// The heartbeat is stamped at open, at each drain iteration and at
   /// each control point the serial merge evaluates, which is after the
   /// shards have run their phases for the epoch. So with several shards
-  /// a healthy query can go one epoch of phase work
-  /// (ParallelJoinOptions::unbounded_epoch_steps, 512 steps by default)
-  /// plus the merge between stamps, not δ_adapt steps: size the
-  /// tolerance for that.
+  /// a healthy query can go one epoch of phase work plus the merge
+  /// between stamps, not δ_adapt steps. A settled query's epochs are
+  /// 2 × ParallelJoinOptions::unbounded_epoch_steps long (1,024 steps
+  /// by default): size the tolerance for that. A deadline, likewise,
+  /// can be overshot by up to one such epoch of phase work.
   std::chrono::nanoseconds stall_timeout{0};
   /// Watchdog poll cadence.
   std::chrono::milliseconds poll_interval{2};

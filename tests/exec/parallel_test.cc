@@ -1088,6 +1088,241 @@ TEST(FaultDegradationTest, OpenFailpointLeavesBothChildrenClosed) {
   ASSERT_TRUE(join.Close().ok());
 }
 
+/// One drain of a parallel join: the rows in order and the size of
+/// each delivered batch.
+struct Drained {
+  std::vector<storage::Tuple> rows;
+  std::vector<size_t> batch_sizes;
+  Status status;
+};
+
+/// Drains `join` (open) with NextColumnBatch at `capacity`, reusing
+/// one caller batch. Stops at the first error, which must come with an
+/// empty batch.
+Drained DrainBatches(ParallelAdaptiveJoin* join, size_t capacity) {
+  Drained out;
+  storage::ColumnBatch batch(&join->output_schema(), capacity);
+  while (true) {
+    out.status = join->NextColumnBatch(&batch);
+    if (!out.status.ok()) {
+      EXPECT_TRUE(batch.empty()) << "a failing call delivered rows";
+      break;
+    }
+    if (batch.empty()) break;
+    out.batch_sizes.push_back(batch.size());
+    for (size_t r = 0; r < batch.size(); ++r) {
+      out.rows.push_back(batch.MaterializeRow(r));
+    }
+  }
+  return out;
+}
+
+/// Drains `join` (open) with NextMatchRefs at `capacity`, materializing
+/// each ref through MaterializeRefInto.
+Drained DrainRefs(ParallelAdaptiveJoin* join, size_t capacity) {
+  Drained out;
+  std::vector<ParallelMatchRef> refs;
+  while (true) {
+    out.status = join->NextMatchRefs(capacity, &refs);
+    if (!out.status.ok() || refs.empty()) break;
+    out.batch_sizes.push_back(refs.size());
+    storage::ColumnBatch batch(&join->output_schema(), refs.size());
+    for (const ParallelMatchRef& ref : refs) {
+      join->MaterializeRefInto(ref, &batch);
+    }
+    for (size_t r = 0; r < batch.size(); ++r) {
+      out.rows.push_back(batch.MaterializeRow(r));
+    }
+  }
+  return out;
+}
+
+void ExpectSameDrain(const Drained& actual, const Drained& expected) {
+  EXPECT_EQ(actual.batch_sizes, expected.batch_sizes);
+  ASSERT_EQ(actual.rows.size(), expected.rows.size());
+  for (size_t i = 0; i < expected.rows.size(); ++i) {
+    ASSERT_EQ(actual.rows[i], expected.rows[i]) << "row " << i;
+  }
+}
+
+TEST(ParallelJoinDeliveryTest, BatchesMatchTheMatchRefStream) {
+  // Batches built ahead, in parallel or inline, with refs short of a
+  // batch carried over the pumps: same rows and the same batch
+  // boundaries as the match-ref stream at the same capacity. Short
+  // epochs carry refs over many pumps; long ones fill several batches
+  // of every capacity but the largest per pump.
+  datagen::TestCaseOptions case_options;
+  case_options.atlas.size = 800;
+  case_options.accidents.size = 2400;
+  case_options.variant_rate = 0.10;
+  case_options.seed = 7;
+  auto tc = datagen::GenerateTestCase(case_options);
+  ASSERT_TRUE(tc.ok());
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    for (uint64_t epoch_steps : {uint64_t{16}, uint64_t{512}}) {
+      for (size_t capacity : {size_t{1}, size_t{7}, size_t{256},
+                              size_t{1024}}) {
+        SCOPED_TRACE(testing::Message() << "shards=" << shards
+                                        << " epoch=" << epoch_steps
+                                        << " capacity=" << capacity);
+        ParallelJoinOptions options = SmallCaseOptions(shards);
+        options.unbounded_epoch_steps = epoch_steps;
+        exec::RelationScan ref_left(&tc->child);
+        exec::RelationScan ref_right(&tc->parent);
+        ParallelAdaptiveJoin reference(&ref_left, &ref_right, options);
+        ASSERT_TRUE(reference.Open().ok());
+        const Drained expected = DrainRefs(&reference, capacity);
+        ASSERT_TRUE(expected.status.ok()) << expected.status;
+        ASSERT_TRUE(reference.Close().ok());
+        ASSERT_GT(expected.rows.size(), 2048u);
+
+        exec::RelationScan left(&tc->child);
+        exec::RelationScan right(&tc->parent);
+        ParallelAdaptiveJoin join(&left, &right, options);
+        ASSERT_TRUE(join.Open().ok());
+        const Drained actual = DrainBatches(&join, capacity);
+        ASSERT_TRUE(actual.status.ok()) << actual.status;
+        EXPECT_TRUE(join.quiescent());
+        ASSERT_TRUE(join.Close().ok());
+        ExpectSameDrain(actual, expected);
+      }
+    }
+  }
+}
+
+TEST(ParallelJoinDeliveryTest, EarlyEndsStillDeliverTheCarriedRefs) {
+  // A hard deadline and a degraded source fault end the stream with
+  // fewer refs buffered than a batch holds: they arrive as the last,
+  // partial batch.
+  const datagen::TestCase tc = SmallCase();
+  const auto run = [&tc](bool deadline, bool batches) {
+    TruncatingChild left(&tc.child, deadline ? 1000 : 4);
+    exec::RelationScan right(&tc.parent);
+    ParallelJoinOptions options = SmallCaseOptions(3);
+    if (deadline) {
+      options.governor = [](const EpochView& view) {
+        return view.steps >= 200 ? EpochDirective::kFinalize
+                                 : EpochDirective::kProceed;
+      };
+    } else {
+      options.on_fault = FaultPolicy::kFinalizePartial;
+    }
+    ParallelAdaptiveJoin join(&left, &right, options);
+    EXPECT_TRUE(join.Open().ok());
+    Drained drained = batches ? DrainBatches(&join, 7) : DrainRefs(&join, 7);
+    EXPECT_TRUE(drained.status.ok()) << drained.status;
+    EXPECT_TRUE(join.finalized_early());
+    EXPECT_EQ(join.fault().has_value(), !deadline);
+    EXPECT_EQ(drained.rows.size(), join.pairs_emitted());
+    EXPECT_TRUE(join.Close().ok());
+    return drained;
+  };
+  for (bool deadline : {true, false}) {
+    SCOPED_TRACE(deadline ? "hard deadline" : "degraded fault");
+    const Drained expected = run(deadline, /*batches=*/false);
+    ASSERT_GT(expected.rows.size(), 0u);
+    // The stream ended on a partial batch: refs were carried.
+    EXPECT_NE(expected.rows.size() % 7, 0u);
+    ExpectSameDrain(run(deadline, /*batches=*/true), expected);
+  }
+}
+
+TEST(ParallelJoinDeliveryTest, FailingCallsDeliverNoRows) {
+  // A source error: the failing call returns an empty batch, and the
+  // rows delivered before it are a prefix of the match-ref stream's.
+  {
+    const datagen::TestCase tc = SmallCase();
+    const auto run = [&tc](bool batches) {
+      TruncatingChild left(&tc.child, 20);
+      exec::RelationScan right(&tc.parent);
+      ParallelAdaptiveJoin join(&left, &right, SmallCaseOptions(3));
+      EXPECT_TRUE(join.Open().ok());
+      Drained drained = batches ? DrainBatches(&join, 7) : DrainRefs(&join, 7);
+      EXPECT_TRUE(drained.status.IsIOError()) << drained.status;
+      EXPECT_TRUE(join.Close().ok());
+      return drained;
+    };
+    const Drained refs = run(false);
+    const Drained batches = run(true);
+    ASSERT_GT(batches.rows.size(), 0u);
+    ASSERT_LE(batches.rows.size(), refs.rows.size());
+    for (size_t i = 0; i < batches.rows.size(); ++i) {
+      ASSERT_EQ(batches.rows[i], refs.rows[i]) << "row " << i;
+    }
+  }
+  // A failing batch-building task: no rows, and nothing consumed, so
+  // the next calls deliver the whole stream.
+  if (!fail::kCompiledIn) GTEST_SKIP() << "failpoints compiled out";
+  fail::DisarmAll();
+  const datagen::TestCase tc = SmallCase();
+  ParallelJoinOptions options = SmallCaseOptions(2);
+  options.base.adaptive.initial_state = adaptive::ProcessorState::kLexRex;
+  // One epoch holds the whole input, so no ingest task runs; the first
+  // call's pool tasks are phase A's two, then the two build tasks.
+  options.unbounded_epoch_steps = 4096;
+  exec::RelationScan ref_left(&tc.child);
+  exec::RelationScan ref_right(&tc.parent);
+  ParallelAdaptiveJoin reference(&ref_left, &ref_right, options);
+  ASSERT_TRUE(reference.Open().ok());
+  const Drained expected = DrainRefs(&reference, 7);
+  ASSERT_TRUE(reference.Close().ok());
+  ASSERT_GT(expected.rows.size(), 14u);
+
+  exec::RelationScan left(&tc.child);
+  exec::RelationScan right(&tc.parent);
+  ParallelAdaptiveJoin join(&left, &right, options);
+  ASSERT_TRUE(join.Open().ok());
+  storage::ColumnBatch batch(&join.output_schema(), 7);
+  {
+    fail::ScopedFailpoint guard(
+        fail::site::kPoolTask,
+        fail::Policy::OnNthHit(3, Status::IOError("injected fault"),
+                               /*do_throw=*/true));
+    Status status = join.NextColumnBatch(&batch);
+    ASSERT_TRUE(status.IsIOError()) << status;
+    EXPECT_TRUE(batch.empty());
+  }
+  ExpectSameDrain(DrainBatches(&join, 7), expected);
+  ASSERT_TRUE(join.Close().ok());
+}
+
+TEST(ParallelJoinDeliveryTest, QueuedBatchesKeepTheJoinBusyAndAreCharged) {
+  // Capacity 1 turns every buffered ref into a full batch: the first
+  // call builds one per ref, hands out the first, and queues the rest.
+  const datagen::TestCase tc = SmallCase();
+  ParallelJoinOptions options = SmallCaseOptions(2);
+  // One epoch holds the whole input, so no ingest task is in flight
+  // after the first call and the footprint may be read.
+  options.unbounded_epoch_steps = 4096;
+  exec::RelationScan left(&tc.child);
+  exec::RelationScan right(&tc.parent);
+  ParallelAdaptiveJoin join(&left, &right, options);
+  ASSERT_TRUE(join.Open().ok());
+  storage::ColumnBatch first(&join.output_schema(), 1);
+  ASSERT_TRUE(join.NextColumnBatch(&first).ok());
+  ASSERT_EQ(first.size(), 1u);
+  const uint64_t queued = join.pairs_emitted() - 1;
+  ASSERT_GT(queued, 0u);
+
+  // Handing the queued batches out into empty batches removes exactly
+  // their footprint from the coordinator's.
+  const uint64_t with_queue = join.ApproximateMemoryUsage();
+  uint64_t handed_out = 0;
+  for (uint64_t i = 0; i < queued; ++i) {
+    EXPECT_FALSE(join.quiescent()) << "batch " << i;
+    storage::ColumnBatch batch;
+    ASSERT_TRUE(join.NextColumnBatch(&batch).ok());
+    ASSERT_EQ(batch.size(), 1u);
+    handed_out += batch.ApproximateMemoryUsage();
+  }
+  EXPECT_TRUE(join.quiescent());
+  EXPECT_GT(handed_out, 0u);
+  EXPECT_EQ(with_queue - join.ApproximateMemoryUsage(), handed_out);
+  ASSERT_TRUE(join.NextColumnBatch(&first).ok());
+  EXPECT_TRUE(first.empty());
+  ASSERT_TRUE(join.Close().ok());
+}
+
 TEST(TupleStoreTest, PrecomputedHashAddMatchesSelfComputed) {
   const datagen::TestCase tc = SmallCase();
   storage::TupleStore a(datagen::kAtlasLocationColumn);

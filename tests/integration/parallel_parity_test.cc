@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "adaptive/adaptive_join.h"
@@ -82,6 +83,42 @@ ReferenceRun RunSingleThreaded(const datagen::TestCase& tc,
   return run;
 }
 
+/// Steps of the trace's transitions, in order.
+std::vector<uint64_t> TransitionSteps(const adaptive::AdaptationTrace& trace) {
+  std::vector<uint64_t> steps;
+  for (const adaptive::AssessmentRecord& record : trace.records()) {
+    if (record.transitioned()) steps.push_back(record.assessment.step);
+  }
+  return steps;
+}
+
+/// The end steps of the epochs ParallelAdaptiveJoin's schedule gives a
+/// run of `steps` steps whose transitions fall at `transitions`: every
+/// epoch `base` steps long with one shard. With several, the epoch
+/// staged while epoch e runs (e >= 1) is 2 × `base` long unless a
+/// transition fell in (start of epoch e − 1, start of epoch e], and
+/// the first two epochs are `base` long.
+std::vector<uint64_t> ExpectedEpochEnds(
+    uint64_t steps, uint64_t base, size_t shards,
+    const std::vector<uint64_t>& transitions) {
+  std::vector<uint64_t> ends;
+  uint64_t previous_start = 0;
+  uint64_t start = 0;
+  uint64_t length = base;
+  while (start < steps) {
+    ends.push_back(std::min(start + length, steps));
+    // The next epoch is staged after this one's boundary control point.
+    const bool transitioned = std::any_of(
+        transitions.begin(), transitions.end(),
+        [&](uint64_t t) { return t > previous_start && t <= start; });
+    const bool settled = shards > 1 && ends.size() > 1 && !transitioned;
+    previous_start = start;
+    start += length;
+    length = settled ? 2 * base : base;
+  }
+  return ends;
+}
+
 void ExpectSameTrace(const adaptive::AdaptationTrace& actual,
                      const adaptive::AdaptationTrace& expected) {
   ASSERT_EQ(actual.size(), expected.size());
@@ -132,7 +169,9 @@ TEST(ParallelParityTest, EveryShardCountMatchesSingleThreadedAdaptive) {
         EXPECT_EQ(join.monitor().steps(), reference.steps);
         EXPECT_EQ(join.cost().total_transitions(), reference.transitions);
         EXPECT_EQ(join.epochs_completed(),
-                  (reference.steps + epoch_steps - 1) / epoch_steps);
+                  ExpectedEpochEnds(reference.steps, epoch_steps, shards,
+                                    TransitionSteps(reference.trace))
+                      .size());
         ExpectSameRows(*result, reference.result);
         ExpectSameTrace(join.trace(), reference.trace);
       }
@@ -389,6 +428,112 @@ TEST(ParallelParityTest, SeveralTransitionsInsideOneEpoch) {
     ExpectSameRows(*result, reference.result);
     ExpectSameTrace(join.trace(), reference.trace);
   }
+}
+
+/// A 6,000-step case: long enough for several 1,024-step epochs.
+datagen::TestCase LongCase() {
+  datagen::TestCaseOptions options = PaperCaseOptions();
+  options.atlas.size = 1500;
+  options.accidents.size = 4500;
+  auto tc = datagen::GenerateTestCase(options);
+  EXPECT_TRUE(tc.ok());
+  return std::move(*tc);
+}
+
+/// Drives `join` (opened here) one ref at a time, recording where each
+/// merged epoch ended: the published step count once it was merged.
+/// Checks that every epoch was seen (each one delivered output), then
+/// returns the end steps in epoch order.
+std::vector<uint64_t> ObservedEpochEnds(ParallelAdaptiveJoin* join) {
+  std::vector<uint64_t> ends;
+  EXPECT_TRUE(join->Open().ok());
+  std::vector<ParallelMatchRef> refs;
+  while (true) {
+    Status status = join->NextMatchRefs(1, &refs);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    if (!status.ok() || refs.empty()) break;
+    if (join->epochs_completed() > ends.size()) {
+      EXPECT_EQ(join->epochs_completed(), ends.size() + 1)
+          << "an epoch delivered no output";
+      ends.push_back(join->steps());
+    }
+  }
+  EXPECT_EQ(join->epochs_completed(), ends.size());
+  EXPECT_TRUE(join->Close().ok());
+  return ends;
+}
+
+TEST(ParallelParityTest, PinnedFourShardQueryRunsLongEpochsOnceSettled) {
+  // No control point ever transitions, so after the two 512-step epochs
+  // routed before any merge, every epoch is staged after a
+  // transition-free one.
+  const datagen::TestCase tc = LongCase();
+  AdaptiveJoinOptions base = BaseOptions(tc);
+  base.adaptive.policy = adaptive::AdaptivePolicy::kPinned;
+  base.adaptive.initial_state = adaptive::ProcessorState::kLexRex;
+  const ReferenceRun reference = RunSingleThreaded(tc, base);
+  ASSERT_EQ(reference.steps, 6000u);
+  exec::RelationScan child(&tc.child);
+  exec::RelationScan parent(&tc.parent);
+  ParallelJoinOptions options;
+  options.base = base;
+  options.num_shards = 4;
+  ParallelAdaptiveJoin join(&child, &parent, options);
+  EXPECT_EQ(ObservedEpochEnds(&join),
+            (std::vector<uint64_t>{512, 1024, 2048, 3072, 4096, 5120, 6000}));
+  EXPECT_EQ(join.redone_steps(), 0u);
+  EXPECT_EQ(join.ingest_stats().epochs_staged, 6u);
+}
+
+TEST(ParallelParityTest, SingleShardQueryKeepsBaseLengthEpochs) {
+  // One shard stops at every control point anyway: no barrier to
+  // amortize, so its epochs stay unbounded_epoch_steps long.
+  const datagen::TestCase tc = LongCase();
+  AdaptiveJoinOptions base = BaseOptions(tc);
+  base.adaptive.policy = adaptive::AdaptivePolicy::kPinned;
+  base.adaptive.initial_state = adaptive::ProcessorState::kLexRex;
+  exec::RelationScan child(&tc.child);
+  exec::RelationScan parent(&tc.parent);
+  ParallelJoinOptions options;
+  options.base = base;
+  options.num_shards = 1;
+  ParallelAdaptiveJoin join(&child, &parent, options);
+  std::vector<uint64_t> expected;
+  for (uint64_t end = 512; end < 6000; end += 512) expected.push_back(end);
+  expected.push_back(6000);
+  EXPECT_EQ(ObservedEpochEnds(&join), expected);
+}
+
+TEST(ParallelParityTest, EpochAfterAScriptedTransitionIsBaseLengthAgain) {
+  // A transition inside a 1,024-step epoch (step 1500) and one at an
+  // epoch boundary (step 3072): the first epoch staged after each is
+  // 512 steps long, and the epochs after those 1,024 again.
+  const datagen::TestCase tc = LongCase();
+  AdaptiveJoinOptions base = BaseOptions(tc);
+  base.adaptive.policy = adaptive::AdaptivePolicy::kScripted;
+  base.adaptive.script = {
+      {1500, adaptive::ProcessorState::kLapRex},
+      {3072, adaptive::ProcessorState::kLexRex},
+  };
+  const ReferenceRun reference = RunSingleThreaded(tc, base);
+  ASSERT_EQ(TransitionSteps(reference.trace),
+            (std::vector<uint64_t>{1500, 3072}));
+  const std::vector<uint64_t> expected = {512,  1024, 2048, 3072,
+                                          3584, 4096, 5120, 6000};
+  EXPECT_EQ(ExpectedEpochEnds(reference.steps, 512, 4,
+                              TransitionSteps(reference.trace)),
+            expected);
+  exec::RelationScan child(&tc.child);
+  exec::RelationScan parent(&tc.parent);
+  ParallelJoinOptions options;
+  options.base = base;
+  options.num_shards = 4;
+  ParallelAdaptiveJoin join(&child, &parent, options);
+  EXPECT_EQ(ObservedEpochEnds(&join), expected);
+  // The step-1500 transition redoes the rest of its 1,024-step epoch;
+  // the boundary one redoes nothing.
+  EXPECT_EQ(join.redone_steps(), 2048u - 1500);
+  ExpectSameTrace(join.trace(), reference.trace);
 }
 
 TEST(ParallelParityTest, SoftDeadlineClampInsideAnEpochMatchesEveryLength) {

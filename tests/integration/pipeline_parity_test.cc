@@ -417,6 +417,9 @@ TEST_F(PipelineFaultTest, StageFaultIsStickyUnderFailPolicy) {
   options.base = BaseOptions(tc);
   options.num_shards = 2;
   options.on_fault = FaultPolicy::kFail;
+  // 256-step epochs (then 512-step ones), so the 1,200-step input
+  // stages a second epoch.
+  options.unbounded_epoch_steps = 256;
   ParallelAdaptiveJoin join(&child, &parent, options);
   fail::ScopedFailpoint guard(
       fail::site::kExchangeStage,
