@@ -1,7 +1,8 @@
-// Micro-benchmarks and ablations beyond the paper's tables: end-to-end
-// operator throughput, the §2.3 space model, and the interleave-policy
-// ablation (the paper's strict alternation, §2.2, against
-// proportional reading).
+// Micro-benchmarks and ablations beyond the paper's tables, on the
+// served engine at one shard: the batch-size sweep, the §2.3 space
+// model, and the interleave-policy ablation (the paper's strict
+// alternation, §2.2, against proportional reading). End-to-end
+// throughput per shard count is bench_parallel_scaling's.
 //
 //   $ ./bench_join_micro
 
@@ -9,12 +10,11 @@
 
 #include <string>
 
-#include "adaptive/adaptive_join.h"
 #include "bench_support.h"
 #include "datagen/generator.h"
+#include "exec/parallel/parallel_join.h"
 #include "exec/scan.h"
-#include "join/shjoin.h"
-#include "join/sshjoin.h"
+#include "join/hybrid_core.h"
 
 namespace {
 
@@ -44,121 +44,23 @@ join::SymmetricJoinOptions JoinOptions() {
   return options;
 }
 
-/// Exact symmetric hash join throughput (tuples/second).
-void BM_SHJoin_EndToEnd(benchmark::State& state) {
-  const auto& tc = SharedCase(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    join::SHJoin join(&child, &parent, JoinOptions());
-    auto count = exec::CountAll(&join);
-    if (!count.ok()) {
-      state.SkipWithError("join failed");
-      return;
-    }
-    benchmark::DoNotOptimize(*count);
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(tc.child.size() + tc.parent.size()));
-}
-BENCHMARK(BM_SHJoin_EndToEnd)->Arg(1000)->Arg(2000)->Arg(4000);
-
-/// Approximate symmetric set hash join throughput.
-void BM_SSHJoin_EndToEnd(benchmark::State& state) {
-  const auto& tc = SharedCase(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    join::SSHJoin join(&child, &parent, JoinOptions());
-    auto count = exec::CountAll(&join);
-    if (!count.ok()) {
-      state.SkipWithError("join failed");
-      return;
-    }
-    benchmark::DoNotOptimize(*count);
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(tc.child.size() + tc.parent.size()));
-}
-BENCHMARK(BM_SSHJoin_EndToEnd)->Arg(1000)->Arg(4000);
-
-/// The adaptive operator on the same workload.
-void BM_AdaptiveJoin_EndToEnd(benchmark::State& state) {
-  const auto& tc = SharedCase(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    adaptive::AdaptiveJoinOptions options;
-    options.join = JoinOptions();
-    options.adaptive.parent_side = exec::Side::kRight;
-    options.adaptive.parent_table_size = tc.parent.size();
-    adaptive::AdaptiveJoin join(&child, &parent, options);
-    auto count = exec::CountAll(&join);
-    if (!count.ok()) {
-      state.SkipWithError("join failed");
-      return;
-    }
-    benchmark::DoNotOptimize(*count);
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(tc.child.size() + tc.parent.size()));
-}
-BENCHMARK(BM_AdaptiveJoin_EndToEnd)->Arg(1000)->Arg(4000);
-
-/// Columnar protocol drain: the native NextColumnBatch path — child
-/// scans fill typed column vectors, the store ingests (key view, hash,
-/// payload slice) rows, and output cells stream out of the stores'
-/// columns. This is the layout the aqp_batch_layout context describes.
-void BM_SHJoin_ColumnarDrain(benchmark::State& state) {
+/// Counts the one-shard join of the scale-2000 case under `options`,
+/// drained in batches of `drain_batch` rows. The rows are timed in
+/// wall-clock time: the engine's ingest runs on a pool worker, so the
+/// calling thread's CPU time misses part of the work.
+void RunOneShard(benchmark::State& state,
+                 exec::parallel::ParallelJoinOptions options,
+                 size_t drain_batch) {
   const auto& tc = SharedCase(2000);
+  options.num_shards = 1;
+  options.base.adaptive.parent_side = exec::Side::kRight;
+  options.base.adaptive.parent_table_size = tc.parent.size();
   for (auto _ : state) {
     exec::RelationScan child(&tc.child);
     exec::RelationScan parent(&tc.parent);
-    join::SHJoin join(&child, &parent, JoinOptions());
-    if (!join.Open().ok()) {
-      state.SkipWithError("open failed");
-      return;
-    }
-    size_t count = 0;
-    storage::ColumnBatch batch(&join.output_schema(),
-                               storage::ColumnBatch::kDefaultCapacity);
-    while (true) {
-      if (!join.NextColumnBatch(&batch).ok()) {
-        state.SkipWithError("join failed");
-        return;
-      }
-      if (batch.empty()) break;
-      count += batch.size();
-    }
-    (void)join.Close();
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(tc.child.size() + tc.parent.size()));
-}
-BENCHMARK(BM_SHJoin_ColumnarDrain);
-
-/// Batch-size sweep over the vectorized execution path: the same exact
-/// SHJoin workload with both the operator's internal step batching and
-/// the drain batching set to the swept size. batch_size = 1 degenerates
-/// to tuple-at-a-time execution (results and traces are identical for
-/// every size — see tests/integration/batch_parity_test.cc — so this
-/// measures pure engine overhead).
-void BM_SHJoin_BatchSweep(benchmark::State& state) {
-  const auto& tc = SharedCase(2000);
-  const auto batch = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    join::SymmetricJoinOptions options = JoinOptions();
-    options.batch_size = batch;
-    join::SHJoin join(&child, &parent, options);
+    exec::parallel::ParallelAdaptiveJoin join(&child, &parent, options);
     exec::ExecOptions drain;
-    drain.batch_size = batch;
+    drain.batch_size = drain_batch;
     auto count = exec::CountAll(&join, drain);
     if (!count.ok()) {
       state.SkipWithError("join failed");
@@ -170,72 +72,57 @@ void BM_SHJoin_BatchSweep(benchmark::State& state) {
       static_cast<int64_t>(state.iterations()) *
       static_cast<int64_t>(tc.child.size() + tc.parent.size()));
 }
-BENCHMARK(BM_SHJoin_BatchSweep)
-    ->Arg(1)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096);
 
-/// The same sweep on the full adaptive operator (MAR loop at batch-
-/// aligned quiescent points).
-void BM_AdaptiveJoin_BatchSweep(benchmark::State& state) {
-  const auto& tc = SharedCase(2000);
-  const auto batch = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    adaptive::AdaptiveJoinOptions options;
-    options.join = JoinOptions();
-    options.join.batch_size = batch;
-    options.adaptive.parent_side = exec::Side::kRight;
-    options.adaptive.parent_table_size = tc.parent.size();
-    adaptive::AdaptiveJoin join(&child, &parent, options);
-    exec::ExecOptions drain;
-    drain.batch_size = batch;
-    auto count = exec::CountAll(&join, drain);
-    if (!count.ok()) {
-      state.SkipWithError("join failed");
-      return;
-    }
-    benchmark::DoNotOptimize(*count);
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(tc.child.size() + tc.parent.size()));
+/// Batch-size sweep: the exact workload (pinned lex/rex, the parallel
+/// SHJoin) with both the exchange's input batches and the drain batches
+/// set to the swept size. Results and traces are identical for every
+/// size (tests/integration/pipeline_parity_test.cc), so this measures
+/// pure engine overhead.
+void BM_ParallelSHJoin_BatchSweep(benchmark::State& state) {
+  exec::parallel::ParallelJoinOptions options;
+  options.base.join = JoinOptions();
+  options.base.join.batch_size = static_cast<size_t>(state.range(0));
+  options.base.adaptive.policy = adaptive::AdaptivePolicy::kPinned;
+  RunOneShard(state, options, options.base.join.batch_size);
 }
-BENCHMARK(BM_AdaptiveJoin_BatchSweep)
+BENCHMARK(BM_ParallelSHJoin_BatchSweep)
+    ->UseRealTime()
     ->Arg(1)
     ->Arg(64)
     ->Arg(256)
     ->Arg(1024)
     ->Arg(4096);
 
-/// Interleave-policy ablation on the adaptive operator.
-void BM_AdaptiveJoin_InterleavePolicy(benchmark::State& state) {
+/// The same sweep under the adaptive policy (MAR control points inside
+/// the merge).
+void BM_ParallelAdaptive_BatchSweep(benchmark::State& state) {
+  exec::parallel::ParallelJoinOptions options;
+  options.base.join = JoinOptions();
+  options.base.join.batch_size = static_cast<size_t>(state.range(0));
+  RunOneShard(state, options, options.base.join.batch_size);
+}
+BENCHMARK(BM_ParallelAdaptive_BatchSweep)
+    ->UseRealTime()
+    ->Arg(1)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096);
+
+/// Interleave-policy ablation under the adaptive policy.
+void BM_ParallelAdaptive_InterleavePolicy(benchmark::State& state) {
   const auto& tc = SharedCase(2000);
   const auto policy = static_cast<exec::InterleavePolicy>(state.range(0));
-  for (auto _ : state) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    adaptive::AdaptiveJoinOptions options;
-    options.join = JoinOptions();
-    options.join.interleave = policy;
-    options.join.left_size_hint = tc.child.size();
-    options.join.right_size_hint = tc.parent.size();
-    options.adaptive.parent_side = exec::Side::kRight;
-    options.adaptive.parent_table_size = tc.parent.size();
-    adaptive::AdaptiveJoin join(&child, &parent, options);
-    auto count = exec::CountAll(&join);
-    if (!count.ok()) {
-      state.SkipWithError("join failed");
-      return;
-    }
-    benchmark::DoNotOptimize(*count);
-  }
+  exec::parallel::ParallelJoinOptions options;
+  options.base.join = JoinOptions();
+  options.base.join.interleave = policy;
+  options.base.join.left_size_hint = tc.child.size();
+  options.base.join.right_size_hint = tc.parent.size();
+  RunOneShard(state, options, storage::ColumnBatch::kDefaultCapacity);
   state.SetLabel(exec::InterleavePolicyName(policy));
 }
-BENCHMARK(BM_AdaptiveJoin_InterleavePolicy)
+BENCHMARK(BM_ParallelAdaptive_InterleavePolicy)
+    ->UseRealTime()
     ->Arg(static_cast<int>(exec::InterleavePolicy::kAlternate))
     ->Arg(static_cast<int>(exec::InterleavePolicy::kProportional));
 

@@ -8,15 +8,20 @@
 // and string lengths — but the ordering (AA >> EA > AE >> EE) and the
 // orders of magnitude should reproduce.
 //
+// Runs use the served engine at one shard. A mean step is a pinned
+// run's wall time over its steps, so it includes the engine's exchange
+// routing, merge and delivery, not just the probe; a transition's time
+// is its rollback and catch-up on the shard.
+//
 //   $ ./bench_weight_calibration [--atlas=8082] [--accidents=10000]
 
 #include <iostream>
 
-#include "adaptive/adaptive_join.h"
 #include "bench_support.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "datagen/generator.h"
+#include "exec/parallel/parallel_join.h"
 #include "exec/scan.h"
 #include "metrics/experiment.h"
 
@@ -43,7 +48,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const size_t i = adaptive::StateIndex(state);
-    mean_step_ns[i] = static_cast<double>(run->state_time_ns[i]) /
+    mean_step_ns[i] = run->wall_seconds * 1e9 /
                       static_cast<double>(run->steps_per_state[i]);
     std::cerr << "  [" << adaptive::ProcessorStateCode(state)
               << "] pinned run done\n";
@@ -52,7 +57,9 @@ int main(int argc, char** argv) {
   // Transition costs: a scripted run that cycles EE -> AE -> EA -> AA
   // -> EE ... so every transition kind occurs with realistic catch-up
   // lag, timed by the operator itself.
-  adaptive::AdaptiveJoinOptions jo = metrics::MakeJoinOptions(*tc, options);
+  exec::parallel::ParallelJoinOptions po =
+      metrics::MakeJoinOptions(*tc, options);
+  adaptive::AdaptiveJoinOptions& jo = po.base;
   jo.adaptive.policy = adaptive::AdaptivePolicy::kScripted;
   const adaptive::ProcessorState cycle[] = {
       adaptive::ProcessorState::kLapRex, adaptive::ProcessorState::kLexRap,
@@ -68,7 +75,7 @@ int main(int argc, char** argv) {
   }
   exec::RelationScan child(&tc->child);
   exec::RelationScan parent(&tc->parent);
-  adaptive::AdaptiveJoin scripted(&child, &parent, jo);
+  exec::parallel::ParallelAdaptiveJoin scripted(&child, &parent, po);
   if (auto count = exec::CountAll(&scripted); !count.ok()) {
     std::cerr << count.status() << "\n";
     return 1;

@@ -8,11 +8,11 @@
 
 #include <iostream>
 
-#include "adaptive/adaptive_join.h"
 #include "common/flags.h"
 #include "common/string_util.h"
 #include "datagen/names.h"
 #include "datagen/variant.h"
+#include "exec/parallel/parallel_join.h"
 #include "exec/stream.h"
 
 using namespace aqp;  // NOLINT — example brevity
@@ -80,17 +80,21 @@ int main(int argc, char** argv) {
                               storage::Value(static_cast<int64_t>(customer))};
       });
 
-  adaptive::AdaptiveJoinOptions options;
-  options.join.spec.left_column = 0;
-  options.join.spec.right_column = 0;
-  options.join.spec.sim_threshold = 0.85;
+  exec::parallel::ParallelJoinOptions options;
+  // One shard, one-step epochs: the engine stops after every step, so
+  // each delivered pair reports the step and state that produced it.
+  options.num_shards = 1;
+  options.unbounded_epoch_steps = 1;
+  options.base.join.spec.left_column = 0;
+  options.base.join.spec.right_column = 0;
+  options.base.join.spec.sim_threshold = 0.85;
   // Feed A is clean and complete: treat it as the parent.
-  options.adaptive.parent_side = exec::Side::kLeft;
-  options.adaptive.parent_table_size = n;
-  options.adaptive.delta_adapt = 50;
-  options.adaptive.window = 50;
+  options.base.adaptive.parent_side = exec::Side::kLeft;
+  options.base.adaptive.parent_table_size = n;
+  options.base.adaptive.delta_adapt = 50;
+  options.base.adaptive.window = 50;
 
-  adaptive::AdaptiveJoin join(&feed_a, &feed_b, options);
+  exec::parallel::ParallelAdaptiveJoin join(&feed_a, &feed_b, options);
   if (auto s = join.Open(); !s.ok()) {
     std::cerr << s << "\n";
     return 1;

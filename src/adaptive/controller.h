@@ -27,8 +27,9 @@ namespace adaptive {
 /// it at quiescent points: OnSteps() after a run of steps,
 /// ControlPoint() between runs, StepsUntilControlPoint() to find the
 /// next control point (so control points land at the same step counts
-/// whatever the batch or epoch length: the single-threaded join sizes
-/// its batches by it, the parallel merge stops there inside an epoch).
+/// whatever the batch or epoch length: the parallel merge stops there
+/// inside an epoch, the single-threaded test oracle sizes its batches
+/// by it).
 class Controller {
  public:
   /// StepsUntilControlPoint() when no control point is scheduled.

@@ -47,12 +47,12 @@ struct RouteEntry {
 ///
 /// Determinism is the whole point. The exchange pulls columnar batches
 /// from the two children through the same InterleaveScheduler and the
-/// same buffered refill protocol as SymmetricJoin::PullNextInput, so
-/// the global step sequence — which side was read at step t, and when
-/// end-of-stream was discovered — is identical to the single-threaded
-/// run. The shard of a row is a pure function of its join key (mixed
-/// FNV-1a hash modulo shard count), which is what makes every exact
-/// match intra-shard. Routing *scatters column slices*: each row's
+/// same buffered refill protocol as the test oracle's
+/// SymmetricJoin::PullNextInput (tests/support/), so the global step
+/// sequence — which side was read at step t, and when end-of-stream was
+/// discovered — is identical to the single-threaded run. The shard of a
+/// row is a pure function of its join key (mixed FNV-1a hash modulo
+/// shard count), which is what makes every exact match intra-shard. Routing *scatters column slices*: each row's
 /// cells are appended to the target shard's per-side staged
 /// ColumnBatch, together with the key hash from the batch's hash lane
 /// (computed once per refill, cached by the shard's TupleStore, never

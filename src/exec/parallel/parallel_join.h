@@ -10,8 +10,8 @@
 
 #include <atomic>
 
-#include "adaptive/adaptive_join.h"
 #include "adaptive/controller.h"
+#include "adaptive/join_options.h"
 #include "common/memory_budget.h"
 #include "exec/operator.h"
 #include "exec/parallel/exchange.h"
@@ -133,9 +133,9 @@ struct IngestStats {
 
 /// \brief Configuration of the partition-parallel adaptive join.
 struct ParallelJoinOptions {
-  /// Join spec, interleaving, MAR thresholds, weights — exactly the
-  /// single-threaded operator's knobs; the parallel engine is a
-  /// drop-in with identical semantics.
+  /// Join spec, interleaving, MAR thresholds, weights. The same struct
+  /// configures the single-threaded test oracle (tests/support/), so a
+  /// parity test runs both engines from one value.
   adaptive::AdaptiveJoinOptions base;
   /// Shard (worker) count. 0 = hardware concurrency.
   size_t num_shards = 0;
@@ -210,7 +210,7 @@ struct ParallelMatchRef {
 /// Adaptation stays *global*: the coordinator merges every shard's
 /// per-step matches back into global step order, applies the §3.3
 /// attribution to coordinator-owned matched-exactly flags, and runs
-/// the same Controller as AdaptiveJoin on global progress. The merge
+/// the one adaptive::Controller on global progress. The merge
 /// calls the governor and the Controller at every control point it
 /// crosses, with the progress as of that step. A stay costs nothing
 /// more. A transition at step j stops the merge at j and broadcasts a
@@ -222,9 +222,11 @@ struct ParallelMatchRef {
 /// deadline, cancellation or fault likewise cuts the output at its
 /// exact step.
 ///
-/// Equivalence contract (tests/integration/parallel_parity_test.cc):
+/// This is the library's one join operator and one MAR driver. Its
+/// equivalence contract (tests/integration/parallel_parity_test.cc):
 /// for any shard count, the output row *sequence* and the adaptation
-/// trace are byte-identical to the single-threaded AdaptiveJoin. Exact
+/// trace are byte-identical to the single-threaded AdaptiveJoin, a
+/// test-only oracle in tests/support/adaptive/adaptive_join.h. Exact
 /// matches are intra-shard by construction (equal keys hash equally);
 /// approximate cross-shard matches are recovered by phase B with the
 /// same prefix visibility as a single index; and the merge emits each
@@ -344,6 +346,11 @@ class ParallelAdaptiveJoin : public exec::Operator,
   const adaptive::Monitor& monitor() const { return controller_.monitor(); }
   const adaptive::AdaptationTrace& trace() const {
     return controller_.trace();
+  }
+  /// Wall time of the transitions into `s` (rollback and catch-up on
+  /// every shard), in nanoseconds: the §4.3 v_i raw material.
+  int64_t transition_time_ns(adaptive::ProcessorState s) const {
+    return controller_.transition_time_ns(s);
   }
   uint64_t steps() const { return exchange_ ? exchange_->steps() : 0; }
   uint64_t pairs_emitted() const { return pairs_emitted_; }

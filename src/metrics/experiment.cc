@@ -7,9 +7,11 @@
 namespace aqp {
 namespace metrics {
 
-adaptive::AdaptiveJoinOptions MakeJoinOptions(
+exec::parallel::ParallelJoinOptions MakeJoinOptions(
     const datagen::TestCase& tc, const ExperimentOptions& options) {
-  adaptive::AdaptiveJoinOptions jo;
+  exec::parallel::ParallelJoinOptions po;
+  po.num_shards = 1;
+  adaptive::AdaptiveJoinOptions& jo = po.base;
   jo.join.spec.left_column = datagen::kAccidentsLocationColumn;
   jo.join.spec.right_column = datagen::kAtlasLocationColumn;
   jo.join.spec.sim_threshold = options.sim_threshold;
@@ -20,7 +22,7 @@ adaptive::AdaptiveJoinOptions MakeJoinOptions(
   jo.adaptive.parent_side = exec::Side::kRight;
   jo.adaptive.parent_table_size = tc.parent.size();
   jo.weights = options.weights;
-  return jo;
+  return po;
 }
 
 Result<RunStats> RunPolicy(const datagen::TestCase& tc,
@@ -30,12 +32,12 @@ Result<RunStats> RunPolicy(const datagen::TestCase& tc,
                            adaptive::AdaptationTrace* trace_out) {
   exec::RelationScan child_scan(&tc.child);
   exec::RelationScan parent_scan(&tc.parent);
-  adaptive::AdaptiveJoinOptions jo = MakeJoinOptions(tc, options);
-  jo.adaptive.policy = policy;
+  exec::parallel::ParallelJoinOptions po = MakeJoinOptions(tc, options);
+  po.base.adaptive.policy = policy;
   if (policy == adaptive::AdaptivePolicy::kPinned) {
-    jo.adaptive.initial_state = pinned_state;
+    po.base.adaptive.initial_state = pinned_state;
   }
-  adaptive::AdaptiveJoin join(&child_scan, &parent_scan, jo);
+  exec::parallel::ParallelAdaptiveJoin join(&child_scan, &parent_scan, po);
 
   Timer timer;
   auto count = exec::CountAll(&join);

@@ -4,9 +4,9 @@
 #include <string>
 #include <vector>
 
-#include "adaptive/adaptive_join.h"
 #include "common/result.h"
 #include "datagen/generator.h"
+#include "exec/parallel/parallel_join.h"
 #include "metrics/gain_cost.h"
 #include "metrics/run_stats.h"
 
@@ -57,8 +57,9 @@ struct ExperimentResult {
 };
 
 /// \brief Runs one experiment: generates the test case, executes the
-/// adaptive run and the two pinned baselines, and assembles the §4.3
-/// metrics.
+/// adaptive run and the two pinned baselines on the served engine
+/// (exec::parallel::ParallelAdaptiveJoin, one shard), and assembles the
+/// §4.3 metrics.
 Result<ExperimentResult> RunExperiment(const ExperimentOptions& options);
 
 /// \brief Runs a pre-generated test case under an explicit policy;
@@ -70,11 +71,12 @@ Result<RunStats> RunPolicy(const datagen::TestCase& tc,
                            adaptive::ProcessorState pinned_state,
                            adaptive::AdaptationTrace* trace_out);
 
-/// \brief Builds the AdaptiveJoinOptions the runner uses for a test
-/// case (child = left, parent = right), exposed so examples/benches
-/// stay consistent with the harness.
-adaptive::AdaptiveJoinOptions MakeJoinOptions(const datagen::TestCase& tc,
-                                              const ExperimentOptions& options);
+/// \brief Builds the join options the runner uses for a test case
+/// (child = left, parent = right; one shard), exposed so benches and
+/// tests stay consistent with the harness. A caller may raise
+/// num_shards: results and traces do not depend on it.
+exec::parallel::ParallelJoinOptions MakeJoinOptions(
+    const datagen::TestCase& tc, const ExperimentOptions& options);
 
 }  // namespace metrics
 }  // namespace aqp

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <string>
 
-#include "adaptive/adaptive_join.h"
 #include "adaptive/cost_model.h"
 #include "adaptive/state.h"
 #include "exec/parallel/parallel_join.h"
@@ -34,37 +33,16 @@ struct RunStats {
 
   /// Measured time.
   double wall_seconds = 0.0;
-  std::array<int64_t, adaptive::kNumProcessorStates> state_time_ns{};
 
-  /// Approximate-probe work counters (Table 1 raw material).
+  /// Approximate-probe work counters (Table 1 raw material): every
+  /// shard's own-index probes plus its cross-shard ones.
   join::ApproxProbeStats probe;
 
-  /// Rough memory of the join state (§2.3): end-of-run footprint and
-  /// the high-water across the run. Single-threaded runs fill these
-  /// from the core; parallel runs MUST use AddMemoryStats — the core
-  /// accessor sees only one shard's slice, which is the old
-  /// parallel-runs-report-no-memory bug.
+  /// Rough memory of the join state (§2.3), summed over the shards,
+  /// the exchange and the coordinator: end-of-run footprint and the
+  /// high-water across the run.
   uint64_t memory_bytes = 0;
   uint64_t peak_memory_bytes = 0;
-
-  /// Robustness counters (zero for clean runs): malformed CSV records
-  /// skipped under quarantine, and transient source-refill retries the
-  /// exchange absorbed. Non-zero values flag a result computed from an
-  /// imperfect feed even when the run itself succeeded.
-  uint64_t quarantined_rows = 0;
-  uint64_t source_retries = 0;
-
-  /// Pipelined-ingest overlap counters (all zero for single-threaded
-  /// runs): epochs whose routing was staged concurrently with the
-  /// previous epoch's phases vs routed on the coordinator;
-  /// how long the coordinator stalled at the swap point waiting for
-  /// staging to finish; and the routing time hidden behind phase
-  /// execution vs spent on the critical path.
-  uint64_t ingest_epochs_staged = 0;
-  uint64_t ingest_epochs_serial = 0;
-  int64_t ingest_stall_ns = 0;
-  int64_t ingest_overlap_route_ns = 0;
-  int64_t ingest_serial_route_ns = 0;
 
   /// Σ_i t_i·w_i + Σ_i tr_i·v_i under the given weights (§4.3 c_abs).
   double WeightedCost(const adaptive::StateWeights& weights) const;
@@ -73,20 +51,10 @@ struct RunStats {
   double StepShare(adaptive::ProcessorState s) const;
 };
 
-/// Collects RunStats from a finished AdaptiveJoin (any policy).
-RunStats SummarizeRun(const adaptive::AdaptiveJoin& join,
+/// Collects RunStats from a finished join (any policy, any shard
+/// count).
+RunStats SummarizeRun(const exec::parallel::ParallelAdaptiveJoin& join,
                       const std::string& label, double wall_seconds);
-
-/// Folds a parallel join's pipelined-ingest counters into `stats`.
-void AddIngestStats(const exec::parallel::IngestStats& ingest,
-                    RunStats* stats);
-
-/// Folds a parallel join's aggregated memory accounting (every shard's
-/// committed tiers + exchange/staging + coordinator state)
-/// into `stats`. Call after the join finished; before this existed,
-/// parallel runs reported memory_bytes == 0.
-void AddMemoryStats(const exec::parallel::ParallelAdaptiveJoin& join,
-                    RunStats* stats);
 
 }  // namespace metrics
 }  // namespace aqp

@@ -116,8 +116,7 @@ TEST(MemoryAccountingTest, ParallelJoinAggregatesShardMemory) {
   // stay alive until destruction).
   EXPECT_GT(join.ApproximateMemoryUsage(), total_rows * 8);
 
-  metrics::RunStats stats;
-  metrics::AddMemoryStats(join, &stats);
+  const metrics::RunStats stats = metrics::SummarizeRun(join, "run", 0.0);
   EXPECT_EQ(stats.memory_bytes, join.memory_bytes());
   EXPECT_EQ(stats.peak_memory_bytes, join.peak_memory_bytes());
 }

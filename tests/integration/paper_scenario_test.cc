@@ -1,8 +1,11 @@
 // Scaled-down replication of the paper's §4 experiment, asserting the
-// qualitative results the evaluation reports.
+// qualitative results the evaluation reports, on the served engine
+// (ParallelAdaptiveJoin, via metrics::RunExperiment).
 
 #include <gtest/gtest.h>
 
+#include "exec/parallel/parallel_join.h"
+#include "exec/scan.h"
 #include "metrics/experiment.h"
 #include "metrics/report.h"
 
@@ -52,6 +55,37 @@ TEST_P(PaperScenarioTest, QualitativeResultsHold) {
   EXPECT_GT(result->adaptive.StepShare(adaptive::ProcessorState::kLexRex),
             0.1)
       << result->label;
+}
+
+// The served engine at 4 shards: the adaptive run summarizes exactly
+// as the 1-shard run the experiment harness uses, so every weighted
+// claim above holds at 4 shards too.
+TEST_P(PaperScenarioTest, FourShardsSummarizeAsOneShard) {
+  const auto [pattern, both] = GetParam();
+  const ExperimentOptions options = Scaled(pattern, both);
+  auto tc = datagen::GenerateTestCase(options.testcase);
+  ASSERT_TRUE(tc.ok());
+  auto one = metrics::RunPolicy(*tc, options,
+                                adaptive::AdaptivePolicy::kAdaptive,
+                                adaptive::ProcessorState::kLexRex, nullptr);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+
+  exec::parallel::ParallelJoinOptions four_shards =
+      metrics::MakeJoinOptions(*tc, options);
+  four_shards.num_shards = 4;
+  four_shards.base.adaptive.policy = adaptive::AdaptivePolicy::kAdaptive;
+  exec::RelationScan child(&tc->child);
+  exec::RelationScan parent(&tc->parent);
+  exec::parallel::ParallelAdaptiveJoin join(&child, &parent, four_shards);
+  ASSERT_TRUE(exec::CountAll(&join).ok());
+  const metrics::RunStats four = metrics::SummarizeRun(join, one->label, 0.0);
+
+  EXPECT_EQ(four.result_pairs, one->result_pairs) << one->label;
+  EXPECT_EQ(four.distinct_children_matched, one->distinct_children_matched)
+      << one->label;
+  EXPECT_EQ(four.steps_per_state, one->steps_per_state) << one->label;
+  EXPECT_EQ(four.transitions_into, one->transitions_into) << one->label;
+  EXPECT_GT(four.total_transitions, 0u) << one->label;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -70,7 +70,9 @@ TEST(ExperimentTest, CleanCaseStaysCheapAndComplete) {
 TEST(ExperimentTest, MakeJoinOptionsWiresChildLeftParentRight) {
   auto tc = datagen::GenerateTestCase(SmallExperiment().testcase);
   ASSERT_TRUE(tc.ok());
-  const auto jo = MakeJoinOptions(*tc, SmallExperiment());
+  const auto po = MakeJoinOptions(*tc, SmallExperiment());
+  EXPECT_EQ(po.num_shards, 1u);
+  const adaptive::AdaptiveJoinOptions& jo = po.base;
   EXPECT_EQ(jo.join.spec.left_column, datagen::kAccidentsLocationColumn);
   EXPECT_EQ(jo.join.spec.right_column, datagen::kAtlasLocationColumn);
   EXPECT_EQ(jo.adaptive.parent_side, exec::Side::kRight);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "adaptive/adaptive_join.h"
 #include "datagen/generator.h"
+#include "exec/parallel/parallel_join.h"
 #include "exec/scan.h"
 
 namespace aqp {
@@ -30,6 +32,37 @@ TEST(RunStatsTest, StepShare) {
   EXPECT_DOUBLE_EQ(empty.StepShare(ProcessorState::kLexRex), 0.0);
 }
 
+/// Checks one finished run's summary against the oracle's core.
+void ExpectSummary(const exec::parallel::ParallelAdaptiveJoin& join,
+                   size_t count, const join::HybridJoinCore& core,
+                   uint64_t rows) {
+  const RunStats stats = SummarizeRun(join, "test-run", 1.5);
+  EXPECT_EQ(stats.label, "test-run");
+  EXPECT_EQ(stats.result_pairs, count);
+  EXPECT_EQ(stats.total_steps, rows);
+  EXPECT_DOUBLE_EQ(stats.wall_seconds, 1.5);
+  EXPECT_GT(stats.memory_bytes, 0u);
+  EXPECT_GE(stats.peak_memory_bytes, stats.memory_bytes);
+  EXPECT_EQ(stats.exact_pairs + stats.approx_pairs, stats.result_pairs);
+  uint64_t sum = 0;
+  for (uint64_t s : stats.steps_per_state) sum += s;
+  EXPECT_EQ(sum, stats.total_steps);
+
+  // Pairs, distinct children and catch-up are global: summed over the
+  // shards they equal the oracle's.
+  EXPECT_EQ(stats.result_pairs, core.pairs_emitted());
+  EXPECT_EQ(stats.approx_pairs, core.approximate_pairs());
+  EXPECT_EQ(stats.distinct_children_matched,
+            core.distinct_matched(exec::Side::kLeft));
+  EXPECT_EQ(stats.catchup_tuples, core.catchup_tuples());
+  if (join.num_shards() == 1) {
+    // One shard probes one index, as the oracle does.
+    EXPECT_EQ(stats.probe.postings_scanned,
+              core.approx_probe_stats().postings_scanned);
+    EXPECT_EQ(stats.probe.matches, core.approx_probe_stats().matches);
+  }
+}
+
 TEST(RunStatsTest, SummarizeRunCapturesCore) {
   datagen::TestCaseOptions options;
   options.atlas.size = 150;
@@ -45,22 +78,26 @@ TEST(RunStatsTest, SummarizeRunCapturesCore) {
   jo.adaptive.parent_table_size = tc->parent.size();
   jo.adaptive.delta_adapt = 40;
   jo.adaptive.window = 40;
-  exec::RelationScan child(&tc->child);
-  exec::RelationScan parent(&tc->parent);
-  adaptive::AdaptiveJoin join(&child, &parent, jo);
-  auto count = exec::CountAll(&join);
-  ASSERT_TRUE(count.ok());
+  // The single-threaded oracle on the same input.
+  exec::RelationScan oracle_child(&tc->child);
+  exec::RelationScan oracle_parent(&tc->parent);
+  adaptive::AdaptiveJoin oracle(&oracle_child, &oracle_parent, jo);
+  ASSERT_TRUE(exec::CountAll(&oracle).ok());
+  const join::HybridJoinCore& core = oracle.core();
+  ASSERT_GT(oracle.trace().transition_count(), 0u);
 
-  const RunStats stats = SummarizeRun(join, "test-run", 1.5);
-  EXPECT_EQ(stats.label, "test-run");
-  EXPECT_EQ(stats.result_pairs, *count);
-  EXPECT_EQ(stats.total_steps, tc->child.size() + tc->parent.size());
-  EXPECT_DOUBLE_EQ(stats.wall_seconds, 1.5);
-  EXPECT_GT(stats.memory_bytes, 0u);
-  EXPECT_EQ(stats.exact_pairs + stats.approx_pairs, stats.result_pairs);
-  uint64_t sum = 0;
-  for (uint64_t s : stats.steps_per_state) sum += s;
-  EXPECT_EQ(sum, stats.total_steps);
+  for (size_t shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    exec::parallel::ParallelJoinOptions po;
+    po.num_shards = shards;
+    po.base = jo;
+    exec::RelationScan child(&tc->child);
+    exec::RelationScan parent(&tc->parent);
+    exec::parallel::ParallelAdaptiveJoin join(&child, &parent, po);
+    auto count = exec::CountAll(&join);
+    ASSERT_TRUE(count.ok());
+    ExpectSummary(join, *count, core, tc->child.size() + tc->parent.size());
+  }
 }
 
 }  // namespace

@@ -20,7 +20,6 @@ Status AdaptiveJoin::Open() {
 }
 
 void AdaptiveJoin::OnBatchCompleted(const join::StepBatchStats& batch) {
-  state_time_ns_[StateIndex(controller_.state())] += batch.elapsed_ns;
   controller_.OnSteps(batch.steps);
 }
 

@@ -1,7 +1,6 @@
 #ifndef AQP_ADAPTIVE_ADAPTIVE_JOIN_H_
 #define AQP_ADAPTIVE_ADAPTIVE_JOIN_H_
 
-#include <array>
 #include <cstdint>
 
 #include "adaptive/controller.h"
@@ -9,16 +8,6 @@
 
 namespace aqp {
 namespace adaptive {
-
-/// \brief Configuration of the adaptive join operator.
-struct AdaptiveJoinOptions {
-  /// Join spec, interleaving, output shape, approximate-probe knobs.
-  join::SymmetricJoinOptions join;
-  /// MAR thresholds, completeness model, control policy.
-  AdaptiveOptions adaptive;
-  /// Weights used by the run's cost accountant.
-  StateWeights weights = StateWeights::Paper();
-};
 
 /// \brief The paper's hybrid join operator: a pipelined symmetric hash
 /// join whose per-input matching mode (exact / approximate) is driven
@@ -31,7 +20,8 @@ struct AdaptiveJoinOptions {
 /// switches perturbed inputs to approximate matching (ϕ1–ϕ3); a window
 /// of consistently exact matches switches back (ϕ0). Switches carry
 /// their hash-structure catch-up cost, which the operator accounts for.
-/// It is the single-threaded reference ParallelAdaptiveJoin must match.
+/// It is test-only: the single-threaded oracle the parity suites hold
+/// ParallelAdaptiveJoin, the library's one MAR driver, to.
 ///
 /// \code
 ///   AdaptiveJoinOptions options;
@@ -61,16 +51,6 @@ class AdaptiveJoin : public join::SymmetricJoin {
   const Monitor& monitor() const { return controller_.monitor(); }
   /// Assessment/transition timeline.
   const AdaptationTrace& trace() const { return controller_.trace(); }
-  /// Measured wall time spent in steps of `s`, in nanoseconds.
-  int64_t state_time_ns(ProcessorState s) const {
-    return state_time_ns_[StateIndex(s)];
-  }
-  /// Measured wall time of catch-up work for transitions *into* `s`,
-  /// in nanoseconds (the raw material for the §4.3 v_i weights).
-  int64_t transition_time_ns(ProcessorState s) const {
-    return controller_.transition_time_ns(s);
-  }
-  const AdaptiveJoinOptions& adaptive_options() const { return options_; }
   /// @}
 
  protected:
@@ -88,7 +68,6 @@ class AdaptiveJoin : public join::SymmetricJoin {
 
   AdaptiveJoinOptions options_;
   Controller controller_;
-  std::array<int64_t, kNumProcessorStates> state_time_ns_{0, 0, 0, 0};
 };
 
 }  // namespace adaptive

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/macros.h"
-#include "common/timer.h"
 
 namespace aqp {
 namespace join {
@@ -68,18 +67,10 @@ Status SymmetricJoin::RefillInput(exec::Side side) {
   exec::Operator* input = side == exec::Side::kLeft ? left_ : right_;
   input_batch_[i].Reset(&input->output_schema(), options_.batch_size);
   input_pos_[i] = 0;
-  // Child time is excluded from the step-batch clock (see
-  // RunStepBatch): the §4.3 weight calibration prices join work, not
-  // the children.
-  Timer timer;
   Status status = input->NextColumnBatch(&input_batch_[i]);
-  refill_excluded_ns_ += timer.ElapsedNanos();
   if (status.ok() && !input_batch_[i].empty()) {
     // One vectorized hash pass per refill: every step reads its key
     // hash from the lane, and the store caches it without re-hashing.
-    // Deliberately *outside* the excluded window — key hashing is join
-    // work (the row engine hashed inside the timed step at store Add),
-    // so it must stay priced into the step batch's elapsed_ns.
     input_batch_[i].ComputeKeyHashes(options_.spec.column(side));
   }
   return status;
@@ -138,13 +129,8 @@ Result<bool> SymmetricJoin::StepOnce(MatchBatch* out) {
 
 Status SymmetricJoin::RunStepBatch(MatchBatch* out, uint64_t max_steps,
                                    bool* exhausted) {
-  batch_stats_.Clear();
+  batch_stats_.steps.clear();
   uint64_t executed = 0;
-  // One clock pair per batch, not per step: child refill time (tracked
-  // by RefillInput) is subtracted so elapsed_ns remains the batch's
-  // core join work.
-  refill_excluded_ns_ = 0;
-  Timer timer;
   while (executed < max_steps) {
     if (out->full()) break;
     auto stepped = StepOnce(out);
@@ -155,11 +141,7 @@ Status SymmetricJoin::RunStepBatch(MatchBatch* out, uint64_t max_steps,
     }
     ++executed;
   }
-  if (executed > 0) {
-    batch_stats_.elapsed_ns = timer.ElapsedNanos() - refill_excluded_ns_;
-    if (batch_stats_.elapsed_ns < 0) batch_stats_.elapsed_ns = 0;
-    OnBatchCompleted(batch_stats_);
-  }
+  if (executed > 0) OnBatchCompleted(batch_stats_);
   return Status::OK();
 }
 

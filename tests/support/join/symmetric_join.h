@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "adaptive/join_options.h"
 #include "exec/interleave.h"
 #include "exec/operator.h"
 #include "join/hybrid_core.h"
@@ -16,46 +17,11 @@
 namespace aqp {
 namespace join {
 
-/// \brief Configuration shared by all symmetric join operators.
-struct SymmetricJoinOptions {
-  /// What to join and how to compare (θ_sim, q, measure).
-  JoinSpec spec;
-  /// Input alternation policy (the paper scans "each of the tables in
-  /// turn").
-  exec::InterleavePolicy interleave = exec::InterleavePolicy::kAlternate;
-  /// Expected input cardinalities for the proportional policy
-  /// (0 = unknown).
-  uint64_t left_size_hint = 0;
-  uint64_t right_size_hint = 0;
-  /// Append a "sim" double column to every output tuple.
-  bool emit_similarity = false;
-  /// Approximate-probe knobs (ablation switches).
-  ApproxProbeOptions approx;
-  /// Rows per input batch pulled from the children, and the step-batch
-  /// granularity of the vectorized execution path. 1 degenerates to
-  /// tuple-at-a-time execution; results and adaptation traces are
-  /// identical for every value (see StepsUntilControlPoint()).
-  size_t batch_size = storage::ColumnBatch::kDefaultCapacity;
-};
-
 /// \brief Observables of one step batch: the steps executed between two
 /// consecutive quiescent control points of the batched execution path.
 struct StepBatchStats {
   /// Per-step observables, in execution order.
   std::vector<StepObservables> steps;
-  /// Accumulated wall time of the batch's core step work — store,
-  /// index, probe, match-ref emission, and intra-engine buffer moves,
-  /// excluding child input pulls and output materialization — in
-  /// nanoseconds. This is the quantity the §4.3 weight calibration
-  /// divides by step counts, so child scan time must not pollute it.
-  /// Measured once per step batch (child refills subtracted), not per
-  /// step, keeping the clock off the hot path.
-  int64_t elapsed_ns = 0;
-
-  void Clear() {
-    steps.clear();
-    elapsed_ns = 0;
-  }
 };
 
 /// \brief Pipelined symmetric join driver: pulls from two child
@@ -96,7 +62,9 @@ struct StepBatchStats {
 /// mixed on one operator instance.
 ///
 /// SHJoin pins both modes to exact, SSHJoin to approximate; the
-/// adaptive operator drives them through the MAR controller.
+/// adaptive operator drives them through the MAR controller. The whole
+/// stack is a test-only oracle: tests compare the library's
+/// ParallelAdaptiveJoin against it.
 class SymmetricJoin : public exec::Operator, public exec::UnmaterializedCounter {
  public:
   /// Children are borrowed, not owned, and must outlive the join.
@@ -214,9 +182,6 @@ class SymmetricJoin : public exec::Operator, public exec::UnmaterializedCounter 
   /// Ref batch reused by NextColumnBatch and AdvanceUnmaterialized.
   MatchBatch adapter_batch_;
   StepBatchStats batch_stats_;
-  /// Child NextColumnBatch time inside the current step batch (subtracted
-  /// from its elapsed_ns; see RunStepBatch/RefillInput).
-  int64_t refill_excluded_ns_ = 0;
   uint64_t steps_ = 0;
   bool left_done_ = false;
   bool right_done_ = false;

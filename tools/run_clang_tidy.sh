@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Runs clang-tidy over the library sources (src/**/*.cc) using the
-# compile database of an existing build tree. Shared by local use and
+# Runs clang-tidy over the library sources (src/**/*.cc) and the
+# test-only join oracle (tests/support/**/*.cc) using the compile
+# database of an existing build tree. Shared by local use and
 # the clang-tidy CI job so both produce identical diagnostics; the
 # checked-in .clang-tidy sets WarningsAsErrors to '*', so any finding
 # makes this script exit non-zero.
@@ -32,7 +33,7 @@ if [[ -z "${RUNNER}" ]]; then
 fi
 
 # run-clang-tidy treats positional arguments as regexes over the paths
-# in the compile database: restrict to the library sources (tests and
-# benches lean on GoogleTest/Benchmark macros that do not survive the
-# strict check set).
-exec "${RUNNER}" -p "${BUILD_DIR}" -quiet '/src/.*\.cc$'
+# in the compile database: restrict to the library sources and the
+# oracle the tests link (the tests themselves and the benches lean on
+# GoogleTest/Benchmark macros that do not survive the strict check set).
+exec "${RUNNER}" -p "${BUILD_DIR}" -quiet '/(src|tests/support)/.*\.cc$'
