@@ -1,6 +1,7 @@
 #include "exec/parallel/shard.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -89,6 +90,7 @@ void JoinShard::BeginEpoch() {
   matches_.clear();
   cross_step_outputs_.clear();
   cross_matches_.clear();
+  selections_.Clear();
 }
 
 std::vector<RoutedRow>::const_iterator JoinShard::FirstRowAt(
@@ -119,6 +121,7 @@ void JoinShard::RunBuildPhase(uint64_t from_seq, uint64_t end_seq) {
   // Worker-thread context: a fired fault throws and is contained by
   // the thread pool as the task group's sticky error.
   AQP_FAILPOINT_THROW(fail::site::kShardPhaseA);
+  const join::ApproxProbeScratch& probe = core_.probe_scratch();
   for (auto it = FirstRowAt(from_seq);
        it != epoch_meta_.end() && it->seq < end_seq; ++it) {
     const RoutedRow& routed = *it;
@@ -130,6 +133,18 @@ void JoinShard::RunBuildPhase(uint64_t from_seq, uint64_t end_seq) {
                          routed.row, &matches_);
     step.end = static_cast<uint32_t>(matches_.size());
     step_outputs_.push_back(step);
+    // Keep the approximate probe's selection (none for a gram-less
+    // probe, which has no cross-shard work) for phase B.
+    if (core_.probe_mode(routed.side) != join::ProbeMode::kApproximate ||
+        probe.selected == 0) {
+      continue;
+    }
+    for (size_t i = 0; i < probe.selected; ++i) {
+      selections_.positions.push_back(static_cast<uint32_t>(probe.ranks[i]));
+    }
+    selections_.rows.push_back(ProbeSelections::Row{
+        static_cast<uint32_t>(it - epoch_meta_.begin()),
+        static_cast<uint32_t>(selections_.positions.size())});
   }
 }
 
@@ -137,35 +152,54 @@ void JoinShard::RunCrossProbePhase(const std::vector<JoinShard*>& shards,
                                    uint64_t from_seq) {
   if (shards.size() <= 1) return;
   AQP_FAILPOINT_THROW(fail::site::kShardPhaseB);
-  for (auto it = FirstRowAt(from_seq); it != epoch_meta_.end(); ++it) {
-    const RoutedRow& routed = *it;
-    if (core_.probe_mode(routed.side) != join::ProbeMode::kApproximate) {
-      continue;
+  const std::vector<ProbeSelections::Row>& rows = selections_.rows;
+  if (rows.empty()) return;
+  // Sequence cut-offs, [side][position in `shards`]: the first local id
+  // of that shard and side whose global sequence is at or past the
+  // current probe's. Probes come in step order, so they start at the
+  // first probe and only move forward.
+  const uint64_t first_seq =
+      std::max(from_seq, epoch_meta_[rows.front().meta].seq);
+  std::vector<storage::TupleId> cuts[2];
+  for (size_t s = 0; s < 2; ++s) {
+    for (const JoinShard* other : shards) {
+      const std::vector<uint64_t>& seqs = other->seq_[s];
+      cuts[s].push_back(static_cast<storage::TupleId>(
+          std::lower_bound(seqs.begin(), seqs.end(), first_seq) -
+          seqs.begin()));
     }
+  }
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const RoutedRow& routed = epoch_meta_[rows[r].meta];
+    if (routed.seq < from_seq) continue;
     const exec::Side stored_side = exec::OtherSide(routed.side);
     const size_t stored_idx = static_cast<size_t>(stored_side);
     const storage::TupleStore& own_store = core_.store(routed.side);
     const text::GramSet& probe_grams = own_store.Grams(routed.local_id);
-    // Gram-less probes match by string equality only — equal strings
-    // share a hash and therefore a shard, so no cross-shard work.
-    if (probe_grams.empty()) continue;
     const std::string_view probe_key = own_store.JoinKey(routed.local_id);
+    const uint32_t* selected =
+        selections_.positions.data() + selections_.begin(r);
+    const size_t selected_count = rows[r].end - selections_.begin(r);
 
     StepOutputs step;
     step.seq = routed.seq;
     step.begin = static_cast<uint32_t>(cross_matches_.size());
-    for (JoinShard* other : shards) {
+    for (size_t o = 0; o < shards.size(); ++o) {
+      const JoinShard* other = shards[o];
       if (other == this) continue;
+      // Sequence gate: the single-threaded join would only have
+      // indexed tuples that arrived before this probe's step.
+      const std::vector<uint64_t>& seqs = other->seq_[stored_idx];
+      storage::TupleId& cut = cuts[stored_idx][o];
+      while (cut < seqs.size() && seqs[cut] < routed.seq) ++cut;
       cross_tmp_.clear();
-      join::ProbeApproximateInto(
+      join::ProbeSelectedApproximateInto(
           other->core_.qgram_index(stored_side),
           other->core_.store(stored_side), probe_key, probe_grams, spec_,
-          routed.side, routed.local_id, approx_options_, &cross_scratch_,
-          &cross_stats_, &cross_tmp_);
+          routed.side, routed.local_id, approx_options_, selected,
+          selected_count, cut, &cross_scratch_, &cross_stats_, &cross_tmp_);
       for (const join::JoinMatch& m : cross_tmp_) {
-        // Sequence gate: the single-threaded join would only have
-        // indexed tuples that arrived before this probe's step.
-        if (other->seq_[stored_idx][m.stored_id] >= routed.seq) continue;
+        assert(seqs[m.stored_id] < routed.seq && "the cut-off is the gate");
         cross_matches_.push_back(CrossMatch{m, other->index_});
       }
     }
@@ -189,6 +223,7 @@ uint64_t JoinShard::CommittedMemoryUsage() const {
   bytes += cross_step_outputs_.capacity() * sizeof(StepOutputs);
   bytes += cross_matches_.capacity() * sizeof(CrossMatch);
   bytes += cross_tmp_.capacity() * sizeof(join::JoinMatch);
+  bytes += selections_.ApproximateMemoryUsage();
   bytes += cross_scratch_.ApproximateMemoryUsage();
   return bytes;
 }

@@ -46,6 +46,35 @@ struct CrossMatch {
   uint32_t stored_shard = 0;
 };
 
+/// \brief The rarest-list selections phase A's approximate probes
+/// made in one epoch, kept for phase B to probe the other shards with.
+struct ProbeSelections {
+  /// One approximately probing epoch row (its probe had grams).
+  struct Row {
+    /// Index of the row in the shard's epoch bookkeeping.
+    uint32_t meta = 0;
+    /// End of the row's gram positions in `positions`; they begin where
+    /// the previous row's end.
+    uint32_t end = 0;
+  };
+  /// In phase-A order, which is global step order.
+  std::vector<Row> rows;
+  /// Gram-set positions of the selected lists, per row the discovery
+  /// lists first and the count-only list (if any) last.
+  std::vector<uint32_t> positions;
+
+  uint32_t begin(size_t row) const { return row == 0 ? 0 : rows[row - 1].end; }
+  void Clear() {
+    rows.clear();
+    positions.clear();
+  }
+  /// Heap bytes held (capacity-based).
+  size_t ApproximateMemoryUsage() const {
+    return rows.capacity() * sizeof(Row) +
+           positions.capacity() * sizeof(uint32_t);
+  }
+};
+
 /// \brief One hash partition of the parallel symmetric join: its own
 /// TupleStore / ExactIndex / QGramIndex pair (inside a HybridJoinCore)
 /// plus the per-epoch work buffers of the two execution phases.
@@ -58,7 +87,14 @@ struct CrossMatch {
 /// may cross partitions; phase B fans each approximate probe out to
 /// the other shards' q-gram indexes after the phase-A barrier, gated
 /// by global sequence so a probe sees exactly the tuples the
-/// single-threaded join would have indexed before it.
+/// single-threaded join would have indexed before it. Phase B reuses
+/// the lists each tuple's own-shard probe selected in phase A (any
+/// g-k+1 lists are a sound discovery set on any index), so a tuple
+/// ranks its grams once, not once per shard. And since a shard's
+/// local ids follow global sequence and its posting lists are in id
+/// order, the gate is a cut-off id: every scan of another shard's list
+/// stops at the first tuple that arrived at or after the probe's step,
+/// so later tuples are neither scanned nor verified.
 ///
 /// Tuple transport is columnar end to end: the exchange scatters
 /// column slices into the shard's per-side staged ColumnBatch (no
@@ -118,7 +154,8 @@ class JoinShard {
   /// committed maps and the epoch tier are untouched.
   void DiscardStaged();
 
-  /// Clears the per-epoch output buffers before the phases run.
+  /// Clears the per-epoch output buffers and phase A's recorded
+  /// selections before the phases run.
   void BeginEpoch();
   /// @}
 
@@ -131,11 +168,13 @@ class JoinShard {
   /// @{
   /// Phase A: the existing symmetric-join step loop over the shard's
   /// partition — store, maintain live index, probe intra-shard, record
-  /// per-step match regions.
+  /// per-step match regions — that also records each approximate
+  /// probe's rarest-list selection for phase B.
   void RunBuildPhase(uint64_t from_seq = 0, uint64_t end_seq = UINT64_MAX);
 
-  /// Phase B: for every epoch row probing approximately, probe every
-  /// *other* shard's opposite q-gram index, keeping only stored tuples
+  /// Phase B: for every epoch row phase A probed approximately (since
+  /// the last BeginEpoch), probe every *other* shard's opposite q-gram
+  /// index with the lists phase A selected, reading only stored tuples
   /// with an earlier global sequence.
   void RunCrossProbePhase(const std::vector<JoinShard*>& shards,
                           uint64_t from_seq = 0);
@@ -193,6 +232,13 @@ class JoinShard {
   const join::ApproxProbeScratch& cross_probe_scratch() const {
     return cross_scratch_;
   }
+  /// The selections phase A recorded this epoch (introspection); a
+  /// selection row's `meta` indexes epoch_routed_rows().
+  const ProbeSelections& probe_selections() const { return selections_; }
+  /// This epoch's routed rows, in global step order (introspection).
+  const std::vector<RoutedRow>& epoch_routed_rows() const {
+    return epoch_meta_;
+  }
 
   uint32_t index() const { return index_; }
   /// @}
@@ -212,8 +258,9 @@ class JoinShard {
   /// the task-group wait, may read it).
   /// @{
   /// Core stores/indexes + epoch tier + routing maps + phase
-  /// output buffers + the phase-B probe scratch (its candidate table
-  /// grows to the largest other-shard index probed).
+  /// output buffers + phase A's recorded selections + the phase-B
+  /// probe scratch (its candidate table grows to the largest id range
+  /// of another shard probed).
   uint64_t CommittedMemoryUsage() const;
   /// The route-ahead staged tier only.
   uint64_t StagedMemoryUsage() const;
@@ -261,6 +308,9 @@ class JoinShard {
   /// (only steps that probed approximately have a region).
   std::vector<StepOutputs> cross_step_outputs_;
   std::vector<CrossMatch> cross_matches_;
+
+  /// Phase A's rarest-list selections, read back by phase B.
+  ProbeSelections selections_;
 
   /// Reusable probe working memory for phase B (phase A uses the
   /// core's internal scratch).

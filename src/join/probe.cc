@@ -55,19 +55,21 @@ size_t BoundedOverlap(const std::vector<text::GramKey>& a,
   return overlap;
 }
 
-/// Verification by gram-set intersection. T(t) entries outside the
-/// plan's length band are dropped; each survivor must share at least max(k,
-/// MinPairOverlap) grams with the probe (an in-band pair always has a
-/// MinPairOverlap: the band admits exactly the sizes whose full overlap
-/// reaches the threshold). That bound is the smallest overlap reaching
-/// the threshold — similarity is nondecreasing in the overlap — so
-/// every pair reaching it matches, with its similarity computed from
-/// the full overlap. A candidate's overlap is at most its T(t) count
-/// plus `unseen`, the shared grams its count cannot have seen;
-/// candidates that cannot reach the bound that way are dropped before
-/// their gram sets are merged. Everything up to that merge reads only
-/// the index's gram-count lane, the memo and T(t); a candidate's gram
-/// set is touched only once it survives the count prune.
+/// Verification by gram-set intersection, over the verify list.
+/// Entries outside the plan's length band are dropped; each survivor
+/// must share at least max(k, MinPairOverlap) grams with the probe (an
+/// in-band pair always has a MinPairOverlap: the band admits exactly
+/// the sizes whose full overlap reaches the threshold). That bound is
+/// the smallest overlap reaching the threshold — similarity is
+/// nondecreasing in the overlap — so every pair reaching it matches,
+/// with its similarity computed from the full overlap. A candidate's
+/// overlap is at most its T(t) count plus `unseen`, the shared grams
+/// its count cannot have seen; candidates that cannot reach the bound
+/// that way are dropped before their gram sets are merged. Everything
+/// up to that merge reads only the index's gram-count lane, the memo
+/// and T(t); a candidate's gram set is touched only once it survives
+/// the count prune. Tuples that never reached the verification count
+/// are not on the list, so nothing here is read for them.
 void VerifyCandidates(const QGramIndex& index,
                       const storage::TupleStore& store,
                       std::string_view probe_key,
@@ -94,11 +96,92 @@ void VerifyCandidates(const QGramIndex& index,
   }
 }
 
+/// ℓ, the T(t) count at which a tuple is verified: 2 when the probe
+/// scans a count-only list (k >= 2 with the prefix scan), else 1.
+uint32_t VerifyCount(const ProbePlan& plan, const ApproxProbeOptions& options) {
+  return options.insert_phase_optimization && plan.min_overlap >= 2 ? 2 : 1;
+}
+
+/// Lists a probe of `g` grams scans: g-k+ℓ with the prefix scan (the
+/// discovery lists plus the count-only one), else all g.
+size_t ScannedLists(const ProbePlan& plan, size_t g,
+                    const ApproxProbeOptions& options) {
+  return options.insert_phase_optimization
+             ? g - plan.min_overlap + VerifyCount(plan, options)
+             : g;
+}
+
+/// The end of the part of `postings` below `limit` (lists are in id
+/// order; usually all of it).
+std::vector<storage::TupleId>::const_iterator EndBelow(
+    const std::vector<storage::TupleId>& postings, storage::TupleId limit) {
+  if (postings.empty() || postings.back() < limit) return postings.end();
+  return std::lower_bound(postings.begin(), postings.end(), limit);
+}
+
+/// The scan-and-verify body of both entry points. `work.scan` holds the
+/// probe's lists in scan order: all but the last `verify_at - 1`
+/// discover candidates, the rest only count. A tuple joins the verify
+/// list when its count first reaches `verify_at`. Only ids below
+/// `limit` are read.
+size_t ScanAndVerify(const QGramIndex& index, const storage::TupleStore& store,
+                     std::string_view probe_key,
+                     const text::GramSet& probe_grams, const JoinSpec& spec,
+                     const ProbePlan& plan, uint32_t verify_at,
+                     storage::TupleId limit, Side probe_side,
+                     storage::TupleId probe_id, ApproxProbeScratch& work,
+                     ApproxProbeStats* stats, std::vector<JoinMatch>* out) {
+  const size_t out_begin = out->size();
+  const size_t scanned = work.scan.size();
+  const size_t discover = scanned - (verify_at - 1);
+  work.BeginProbe(limit);
+  for (size_t i = 0; i < scanned; ++i) {
+    const std::vector<storage::TupleId>* postings = work.scan[i];
+    if (postings == nullptr) continue;
+    const auto begin = postings->begin();
+    const auto end = EndBelow(*postings, limit);
+    if (stats != nullptr) {
+      stats->postings_scanned += static_cast<uint64_t>(end - begin);
+    }
+    if (i < discover) {
+      for (auto it = begin; it != end; ++it) {
+        const storage::TupleId candidate = *it;
+        if (!work.Contains(candidate)) {
+          work.Add(candidate, 1);
+          if (verify_at == 1) work.candidates.push_back(candidate);
+        } else if (++work.Count(candidate) == verify_at) {
+          work.candidates.push_back(candidate);
+        }
+      }
+    } else {
+      for (auto it = begin; it != end; ++it) {
+        const storage::TupleId candidate = *it;
+        if (work.Contains(candidate) &&
+            ++work.Count(candidate) == verify_at) {
+          work.candidates.push_back(candidate);
+        }
+      }
+    }
+  }
+  // Each count is the tuple's shared grams among the scanned lists, so
+  // only the g - scanned unscanned ones can add to it.
+  VerifyCandidates(index, store, probe_key, probe_grams, spec, plan,
+                   probe_grams.size() - scanned, probe_side, probe_id, work,
+                   stats, out);
+  // Deterministic output order (candidates come in verify-list order);
+  // only the region this probe appended is reordered.
+  std::sort(out->begin() + static_cast<ptrdiff_t>(out_begin), out->end(),
+            [](const JoinMatch& a, const JoinMatch& b) {
+              return a.stored_id < b.stored_id;
+            });
+  return out->size() - out_begin;
+}
+
 }  // namespace
 
-void ApproxProbeScratch::BeginProbe(size_t tuples) {
+void ApproxProbeScratch::BeginProbe(size_t limit) {
   candidates.clear();
-  if (table.size() < tuples) table.resize(tuples);
+  if (table.size() < limit) table.resize(limit);
   if (++stamp == 0) {
     std::fill(table.begin(), table.end(), Slot{});
     stamp = 1;
@@ -107,7 +190,8 @@ void ApproxProbeScratch::BeginProbe(size_t tuples) {
 
 size_t ApproxProbeScratch::ApproximateMemoryUsage() const {
   return ranks.capacity() * sizeof(uint64_t) +
-         lists.capacity() * sizeof(const std::vector<storage::TupleId>*) +
+         (lists.capacity() + scan.capacity()) *
+             sizeof(const std::vector<storage::TupleId>*) +
          candidates.capacity() * sizeof(storage::TupleId) +
          table.capacity() * sizeof(Slot) +
          pair_overlaps.ApproximateMemoryUsage();
@@ -204,6 +288,7 @@ size_t ProbeApproximateInto(const QGramIndex& index,
   if (g == 0) {
     // Degenerate probe (possible only without padding): it can only
     // match stored tuples that are also gram-less, by string equality.
+    if (scratch != nullptr) scratch->selected = 0;
     for (storage::TupleId stored : index.empty_gram_tuples()) {
       if (store.JoinKey(stored) == probe_key) {
         out->push_back(JoinMatch{probe_side, probe_id, stored, 1.0,
@@ -220,9 +305,8 @@ size_t ProbeApproximateInto(const QGramIndex& index,
   ApproxProbeScratch& work = scratch != nullptr ? *scratch : local;
   const ProbePlan plan =
       work.pair_overlaps.Select(spec.measure, spec.sim_threshold, g);
-  // Only g-k+1 lists can hold a match's first shared gram.
-  const size_t scan_end =
-      options.insert_phase_optimization ? g - plan.min_overlap + 1 : g;
+  const uint32_t verify_at = VerifyCount(plan, options);
+  const size_t scanned = ScannedLists(plan, g, options);
 
   // One posting lookup per gram: its length ranks the gram ("reverse
   // frequency order" = rarest first), its pointer feeds the scan. The
@@ -240,39 +324,55 @@ size_t ProbeApproximateInto(const QGramIndex& index,
     ranks.push_back(length << 32 | at);
     lists.push_back(postings);
   }
-  // The scan_end smallest ranks to the front; the k-1 skipped lists are
-  // the longest. Without rare_grams_first the ranks stay in key order.
-  if (options.rare_grams_first && scan_end < g) {
+  // The `scanned` smallest ranks to the front, the largest of them
+  // last (the count-only list when verify_at is 2); the unscanned lists
+  // are the longest. Without rare_grams_first the ranks stay in key
+  // order.
+  if (options.rare_grams_first && (scanned < g || verify_at > 1)) {
     std::nth_element(ranks.begin(),
-                     ranks.begin() + static_cast<ptrdiff_t>(scan_end),
+                     ranks.begin() + static_cast<ptrdiff_t>(scanned - 1),
                      ranks.end());
   }
-  work.BeginProbe(index.watermark());
-  for (size_t i = 0; i < scan_end; ++i) {
-    const std::vector<storage::TupleId>* postings =
-        lists[static_cast<uint32_t>(ranks[i])];
-    if (postings == nullptr) continue;
-    if (stats != nullptr) stats->postings_scanned += postings->size();
-    for (storage::TupleId candidate : *postings) {
-      if (work.Contains(candidate)) {
-        ++work.Count(candidate);
-      } else {
-        work.Add(candidate, 1);
-        work.candidates.push_back(candidate);
-      }
-    }
+  work.selected = scanned;
+  work.scan.clear();
+  for (size_t i = 0; i < scanned; ++i) {
+    work.scan.push_back(lists[static_cast<uint32_t>(ranks[i])]);
   }
-  // Each count is the tuple's shared grams among the scanned lists, so
-  // only the g - scan_end skipped ones can add to it.
-  VerifyCandidates(index, store, probe_key, probe_grams, spec, plan,
-                   g - scan_end, probe_side, probe_id, work, stats, out);
-  // Deterministic output order (candidates come in discovery order);
-  // only the region this probe appended is reordered.
-  std::sort(out->begin() + static_cast<ptrdiff_t>(out_begin), out->end(),
-            [](const JoinMatch& a, const JoinMatch& b) {
-              return a.stored_id < b.stored_id;
-            });
-  return out->size() - out_begin;
+  return ScanAndVerify(index, store, probe_key, probe_grams, spec, plan,
+                       verify_at,
+                       static_cast<storage::TupleId>(index.watermark()),
+                       probe_side, probe_id, work, stats, out);
+}
+
+size_t ProbeSelectedApproximateInto(
+    const QGramIndex& index, const storage::TupleStore& store,
+    std::string_view probe_key, const text::GramSet& probe_grams,
+    const JoinSpec& spec, Side probe_side, storage::TupleId probe_id,
+    const ApproxProbeOptions& options, const uint32_t* selected,
+    size_t selected_count, storage::TupleId id_limit,
+    ApproxProbeScratch* scratch, ApproxProbeStats* stats,
+    std::vector<JoinMatch>* out) {
+  const size_t g = probe_grams.size();
+  assert(g > 0 && scratch != nullptr);
+  if (stats != nullptr) stats->grams += g;
+  ApproxProbeScratch& work = *scratch;
+  const ProbePlan plan =
+      work.pair_overlaps.Select(spec.measure, spec.sim_threshold, g);
+  assert(selected_count == ScannedLists(plan, g, options) &&
+         "the selection comes from a probe of the same grams and spec");
+  const std::vector<text::GramKey>& keys = probe_grams.grams();
+  work.scan.clear();
+  for (size_t i = 0; i < selected_count; ++i) {
+    assert(selected[i] < g);
+    work.scan.push_back(index.Postings(keys[selected[i]]));
+  }
+  // Ids at or past the limit are never read, so T(t) need not cover
+  // them; nor, past the watermark, can any posting hold one.
+  const auto limit = static_cast<storage::TupleId>(
+      std::min<size_t>(id_limit, index.watermark()));
+  return ScanAndVerify(index, store, probe_key, probe_grams, spec, plan,
+                       VerifyCount(plan, options), limit, probe_side,
+                       probe_id, work, stats, out);
 }
 
 size_t ProbeApproximateInto(const QGramIndex& index,

@@ -124,46 +124,60 @@ TEST(MemoryAccountingTest, ParallelJoinAggregatesShardMemory) {
 TEST(MemoryAccountingTest, ProbeCandidateTablesAreCharged) {
   // Approximate probing grows two candidate tables per shard — the
   // core's (phase A) and the shard's cross-probe one (phase B) — to
-  // the largest index each probed. Both sit inside the committed
+  // the largest index each probed, and phase A records each probe's
+  // list selection for phase B. All of it sits inside the committed
   // figure the budget tree charges.
   const datagen::TestCase tc = SmallCase();
-  exec::RelationScan child(&tc.child);
-  exec::RelationScan parent(&tc.parent);
-  ParallelJoinOptions options = Options(tc);
-  options.base.adaptive.policy = adaptive::AdaptivePolicy::kPinned;
-  options.base.adaptive.initial_state = adaptive::ProcessorState::kLapRap;
-  ParallelAdaptiveJoin join(&child, &parent, options);
-  auto count = exec::CountAll(&join);
-  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  for (size_t shards : {2, 4}) {
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    exec::RelationScan child(&tc.child);
+    exec::RelationScan parent(&tc.parent);
+    ParallelJoinOptions options = Options(tc);
+    options.base.adaptive.policy = adaptive::AdaptivePolicy::kPinned;
+    options.base.adaptive.initial_state = adaptive::ProcessorState::kLapRap;
+    options.num_shards = shards;
+    ParallelAdaptiveJoin join(&child, &parent, options);
+    auto count = exec::CountAll(&join);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
 
-  uint64_t committed = 0;
-  for (size_t i = 0; i < join.num_shards(); ++i) {
-    const JoinShard& shard = join.shard(i);
-    const join::HybridJoinCore& core = shard.core();
-    const join::ApproxProbeScratch& phase_a = core.probe_scratch();
-    const join::ApproxProbeScratch& phase_b = shard.cross_probe_scratch();
-    // One slot per tuple of the largest index probed.
-    EXPECT_GT(phase_a.table.size(), 0u);
-    EXPECT_GT(phase_b.table.size(), 0u);
-    EXPECT_GE(phase_a.ApproximateMemoryUsage(),
-              phase_a.table.size() * sizeof(join::ApproxProbeScratch::Slot));
-    EXPECT_GE(phase_b.ApproximateMemoryUsage(),
-              phase_b.table.size() * sizeof(join::ApproxProbeScratch::Slot));
+    uint64_t committed = 0;
+    uint64_t selected = 0;
+    for (size_t i = 0; i < join.num_shards(); ++i) {
+      const JoinShard& shard = join.shard(i);
+      const join::HybridJoinCore& core = shard.core();
+      const join::ApproxProbeScratch& phase_a = core.probe_scratch();
+      const join::ApproxProbeScratch& phase_b = shard.cross_probe_scratch();
+      const ProbeSelections& selections = shard.probe_selections();
+      // One slot per tuple of the largest index probed.
+      EXPECT_GT(phase_a.table.size(), 0u);
+      EXPECT_GT(phase_b.table.size(), 0u);
+      EXPECT_GE(phase_a.ApproximateMemoryUsage(),
+                phase_a.table.size() * sizeof(join::ApproxProbeScratch::Slot));
+      EXPECT_GE(phase_b.ApproximateMemoryUsage(),
+                phase_b.table.size() * sizeof(join::ApproxProbeScratch::Slot));
+      EXPECT_EQ(selections.ApproximateMemoryUsage(),
+                selections.rows.capacity() * sizeof(ProbeSelections::Row) +
+                    selections.positions.capacity() * sizeof(uint32_t));
+      selected += selections.positions.size();
 
-    size_t structures = 0;
-    for (exec::Side side : {exec::Side::kLeft, exec::Side::kRight}) {
-      structures += core.store(side).ApproximateMemoryUsage() +
-                    core.exact_index(side).ApproximateMemoryUsage() +
-                    core.qgram_index(side).ApproximateMemoryUsage();
+      size_t structures = 0;
+      for (exec::Side side : {exec::Side::kLeft, exec::Side::kRight}) {
+        structures += core.store(side).ApproximateMemoryUsage() +
+                      core.exact_index(side).ApproximateMemoryUsage() +
+                      core.qgram_index(side).ApproximateMemoryUsage();
+      }
+      EXPECT_EQ(core.ApproximateMemoryUsage(),
+                structures + phase_a.ApproximateMemoryUsage());
+      EXPECT_GE(shard.CommittedMemoryUsage(),
+                core.ApproximateMemoryUsage() +
+                    phase_b.ApproximateMemoryUsage() +
+                    selections.ApproximateMemoryUsage());
+      committed += shard.CommittedMemoryUsage();
     }
-    EXPECT_EQ(core.ApproximateMemoryUsage(),
-              structures + phase_a.ApproximateMemoryUsage());
-    EXPECT_GE(shard.CommittedMemoryUsage(),
-              core.ApproximateMemoryUsage() +
-                  phase_b.ApproximateMemoryUsage());
-    committed += shard.CommittedMemoryUsage();
+    // The last epoch's selections are still held, and charged.
+    EXPECT_GT(selected, 0u);
+    EXPECT_GE(join.ApproximateMemoryUsage(), committed);
   }
-  EXPECT_GE(join.ApproximateMemoryUsage(), committed);
 }
 
 TEST(MemoryAccountingTest, BudgetTreeChargedAtControlPointsAndReleased) {

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -16,6 +20,7 @@
 #include "exec/scan.h"
 #include "join/shjoin.h"
 #include "join/sshjoin.h"
+#include "text/similarity.h"
 
 namespace aqp {
 namespace exec {
@@ -1321,6 +1326,299 @@ TEST(ParallelJoinDeliveryTest, QueuedBatchesKeepTheJoinBusyAndAreCharged) {
   ASSERT_TRUE(join.NextColumnBatch(&first).ok());
   EXPECT_TRUE(first.empty());
   ASSERT_TRUE(join.Close().ok());
+}
+
+// --- Phase B: cross probes reuse phase A's selections, cut at the gate --
+
+/// `n` shards pinned to `state`, fed by one exchange that alternates
+/// sides; Epoch() routes one epoch and runs both phases on every shard.
+struct CrossProbeRig {
+  CrossProbeRig(const storage::Relation* left, const storage::Relation* right,
+                const join::JoinSpec& spec, uint32_t n,
+                adaptive::ProcessorState state)
+      : child(left),
+        parent(right),
+        exchange(&child, &parent, spec, exec::InterleavePolicy::kAlternate, 0,
+                 0, 16, n) {
+    EXPECT_TRUE(child.Open().ok());
+    EXPECT_TRUE(parent.Open().ok());
+    for (uint32_t i = 0; i < n; ++i) {
+      shards.push_back(std::make_unique<JoinShard>(
+          i, spec, join::ApproxProbeOptions{}, state));
+      shards.back()->BindSchemas(&child.output_schema(),
+                                 &parent.output_schema());
+      ptrs.push_back(shards.back().get());
+    }
+    exchange.Reset();
+  }
+  void Route(uint64_t steps) {
+    std::vector<RouteEntry> route;
+    ASSERT_TRUE(exchange.RouteEpoch(steps, ptrs, &route).ok());
+  }
+  void Build(uint64_t from_seq = 0) {
+    for (JoinShard* shard : ptrs) {
+      shard->BeginEpoch();
+      shard->RunBuildPhase(from_seq);
+    }
+  }
+  void CrossProbe(uint64_t from_seq = 0) {
+    for (JoinShard* shard : ptrs) shard->RunCrossProbePhase(ptrs, from_seq);
+  }
+  void Epoch(uint64_t steps) {
+    Route(steps);
+    Build();
+    CrossProbe();
+  }
+  exec::RelationScan child;
+  exec::RelationScan parent;
+  RadixExchange exchange;
+  std::vector<std::unique_ptr<JoinShard>> shards;
+  std::vector<JoinShard*> ptrs;
+};
+
+storage::Relation StringColumn(const std::vector<std::string>& values) {
+  storage::Relation r(storage::Schema({{"s", storage::ValueType::kString}}));
+  for (const std::string& v : values) {
+    EXPECT_TRUE(r.Append(storage::Tuple{storage::Value(v)}).ok());
+  }
+  return r;
+}
+
+uint32_t ShardOfKey(const std::string& key, uint32_t shards) {
+  return static_cast<uint32_t>(Mix64(Fnv1a64(key)) % shards);
+}
+
+/// Postings of `other`'s `side` index for the grams at `positions` of
+/// `grams`, counting only tuples that arrived before `seq`.
+uint64_t PostingsBefore(const JoinShard& other, exec::Side side,
+                        const text::GramSet& grams, const uint32_t* positions,
+                        size_t count, uint64_t seq) {
+  uint64_t postings = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const auto* list =
+        other.core().qgram_index(side).Postings(grams.grams()[positions[i]]);
+    if (list == nullptr) continue;
+    for (storage::TupleId id : *list) {
+      if (other.global_seq(side, id) < seq) ++postings;
+    }
+  }
+  return postings;
+}
+
+TEST(ParallelJoinCrossProbeTest, LaterSimilarTupleIsNeitherScannedNorVerified) {
+  // Left `probe` lands on one shard; two near-copies of it on the right
+  // land on the other, one before and one after the probe's step. The
+  // probe's cross probe must read the early one only: the late one
+  // finds the pair itself, by probing back.
+  const std::string probe = "SANTA CRISTINA VALGARDENA";
+  const uint32_t probe_shard = ShardOfKey(probe, 2);
+  std::vector<std::string> variants;
+  for (char c = 'B'; variants.size() < 2 && c <= 'Z'; ++c) {
+    std::string v = probe;
+    v.back() = c;
+    if (ShardOfKey(v, 2) != probe_shard) variants.push_back(v);
+  }
+  ASSERT_EQ(variants.size(), 2u);
+  // Steps: filler (left) 0, early (right) 1, probe (left) 2, late
+  // (right) 3.
+  const storage::Relation left = StringColumn({"QQQ ZZZ", probe});
+  const storage::Relation right = StringColumn(variants);
+  join::JoinSpec spec;
+  spec.left_column = 0;
+  spec.right_column = 0;
+  spec.sim_threshold = 0.7;
+
+  CrossProbeRig rig(&left, &right, spec, 2, adaptive::ProcessorState::kLapRap);
+  rig.Epoch(4);
+  const JoinShard& own = *rig.ptrs[probe_shard];
+  const JoinShard& other = *rig.ptrs[1 - probe_shard];
+  ASSERT_EQ(other.routed_count(exec::Side::kRight), 2u);
+  ASSERT_EQ(other.global_seq(exec::Side::kRight, 1), 3u);
+
+  // The probe's recorded selection is the last left row of its shard.
+  const ProbeSelections& selections = own.probe_selections();
+  ASSERT_FALSE(selections.rows.empty());
+  const size_t r = selections.rows.size() - 1;
+  const RoutedRow& routed =
+      own.epoch_routed_rows()[selections.rows[r].meta];
+  ASSERT_EQ(routed.seq, 2u);
+  const text::GramSet& grams =
+      own.core().store(exec::Side::kLeft).Grams(routed.local_id);
+  const uint32_t* positions = selections.positions.data() + selections.begin(r);
+  const size_t count = selections.rows[r].end - selections.begin(r);
+  const uint64_t before_probe = PostingsBefore(
+      other, exec::Side::kRight, grams, positions, count, routed.seq);
+  const uint64_t with_late = PostingsBefore(
+      other, exec::Side::kRight, grams, positions, count, UINT64_MAX);
+  EXPECT_GT(before_probe, 0u);
+  EXPECT_GT(with_late, before_probe);
+
+  // The filler's cross probe runs before any right tuple arrived, so
+  // the probe's is the shard's only cross-probe work.
+  const join::ApproxProbeStats& stats = own.cross_probe_stats();
+  EXPECT_EQ(stats.postings_scanned, before_probe);
+  EXPECT_EQ(stats.candidates, 1u);
+  EXPECT_EQ(stats.verified, 1u);
+  EXPECT_EQ(stats.matches, 1u);
+  ASSERT_EQ(own.cross_matches().size(), 1u);
+  EXPECT_EQ(own.cross_matches()[0].match.stored_id, 0u);
+  // The late copy's own cross probe finds the probe.
+  ASSERT_EQ(other.cross_matches().size(), 1u);
+  EXPECT_EQ(other.cross_matches()[0].match.probe_id, 1u);
+  EXPECT_EQ(other.cross_matches()[0].stored_shard, probe_shard);
+
+  // The engine's rows equal the single-threaded oracle's.
+  exec::RelationScan child(&left);
+  exec::RelationScan parent(&right);
+  join::SymmetricJoinOptions jo;
+  jo.spec = spec;
+  join::SSHJoin reference(&child, &parent, jo);
+  auto expected = exec::CollectAll(&reference);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(expected->size(), 2u);
+  exec::RelationScan child2(&left);
+  exec::RelationScan parent2(&right);
+  ParallelJoinOptions options;
+  options.base.join.spec = spec;
+  options.base.adaptive.policy = adaptive::AdaptivePolicy::kPinned;
+  options.base.adaptive.initial_state = adaptive::ProcessorState::kLapRap;
+  options.num_shards = 2;
+  ParallelAdaptiveJoin join(&child2, &parent2, options);
+  auto actual = exec::CollectAll(&join);
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  EXPECT_EQ(actual->ToString(100), expected->ToString(100));
+}
+
+TEST(ParallelJoinCrossProbeTest, ScansThePhaseASelectionCutAtTheSequenceGate) {
+  // Every recorded selection is the g-k+2 rarest lists of the shard's
+  // own index as the probe saw it (the longest of them last), and each
+  // cross probe scans exactly those lists of every other shard, up to
+  // the first tuple that arrived at or after its step.
+  const datagen::TestCase tc = SmallCase();
+  const join::JoinSpec spec = Spec();
+  CrossProbeRig rig(&tc.child, &tc.parent, spec, 4,
+                    adaptive::ProcessorState::kLapRap);
+  std::vector<join::ApproxProbeStats> last(4);
+  size_t probes = 0;
+  for (uint64_t steps : {200u, 160u}) {
+    rig.Epoch(steps);
+    for (size_t s = 0; s < rig.ptrs.size(); ++s) {
+      SCOPED_TRACE(testing::Message() << "shard " << s << " epoch " << steps);
+      const JoinShard& own = *rig.ptrs[s];
+      const ProbeSelections& selections = own.probe_selections();
+      uint64_t postings = 0;
+      uint64_t grams_probed = 0;
+      for (size_t r = 0; r < selections.rows.size(); ++r) {
+        const RoutedRow& routed =
+            own.epoch_routed_rows()[selections.rows[r].meta];
+        const exec::Side stored = exec::OtherSide(routed.side);
+        const text::GramSet& grams =
+            own.core().store(routed.side).Grams(routed.local_id);
+        const uint32_t* positions =
+            selections.positions.data() + selections.begin(r);
+        const size_t count = selections.rows[r].end - selections.begin(r);
+        const size_t g = grams.size();
+        const size_t k = text::MinOverlapForThreshold(spec.measure, g,
+                                                      spec.sim_threshold);
+        ASSERT_EQ(count, k >= 2 ? g - k + 2 : g);
+        // Rank every gram by its list length in the own index at the
+        // probe's step, then by key.
+        std::vector<std::pair<uint64_t, uint32_t>> ranked;
+        for (uint32_t at = 0; at < g; ++at) {
+          ranked.emplace_back(
+              PostingsBefore(own, stored, grams, &at, 1, routed.seq), at);
+        }
+        std::sort(ranked.begin(), ranked.end());
+        std::set<uint32_t> want;
+        for (size_t i = 0; i < count; ++i) want.insert(ranked[i].second);
+        EXPECT_EQ(std::set<uint32_t>(positions, positions + count), want);
+        EXPECT_EQ(positions[count - 1], ranked[count - 1].second);
+
+        for (const JoinShard* other : rig.ptrs) {
+          if (other == &own) continue;
+          postings += PostingsBefore(*other, stored, grams, positions, count,
+                                     routed.seq);
+          grams_probed += g;
+        }
+        ++probes;
+      }
+      const join::ApproxProbeStats& stats = own.cross_probe_stats();
+      EXPECT_EQ(stats.postings_scanned - last[s].postings_scanned, postings);
+      EXPECT_EQ(stats.grams - last[s].grams, grams_probed);
+      last[s] = stats;
+    }
+  }
+  EXPECT_GT(probes, 0u);
+}
+
+TEST(ParallelJoinCrossProbeTest, RerunAfterATransitionReadsTheNewSelections) {
+  // A transition at step 170 inside a 300-step, 4-shard epoch: lex/rap
+  // becomes lap/rap, so left rows start probing approximately. The
+  // rolled-back shards rerun both phases from step 170; phase B must
+  // read what the rerun phase A recorded, and do exactly the work of
+  // shards that ran the first 170 steps as one epoch, switched, and
+  // ran the rest as the next.
+  const datagen::TestCase tc = SmallCase();
+  CrossProbeRig rolled(&tc.child, &tc.parent, Spec(), 4,
+                       adaptive::ProcessorState::kLexRap);
+  CrossProbeRig prefix(&tc.child, &tc.parent, Spec(), 4,
+                       adaptive::ProcessorState::kLexRap);
+  rolled.Epoch(300);
+  prefix.Epoch(170);
+  std::vector<join::ApproxProbeStats> rolled_before;
+  std::vector<join::ApproxProbeStats> prefix_before;
+  for (size_t i = 0; i < 4; ++i) {
+    rolled.ptrs[i]->RollbackTo(170);
+    rolled.ptrs[i]->ApplyState(adaptive::ProcessorState::kLapRap);
+    prefix.ptrs[i]->ApplyState(adaptive::ProcessorState::kLapRap);
+    rolled_before.push_back(rolled.ptrs[i]->cross_probe_stats());
+  }
+  rolled.Build(170);
+  rolled.CrossProbe(170);
+  for (size_t i = 0; i < 4; ++i) {
+    prefix_before.push_back(prefix.ptrs[i]->cross_probe_stats());
+  }
+  prefix.Epoch(130);
+
+  size_t left_probes = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    SCOPED_TRACE(testing::Message() << "shard " << i);
+    const JoinShard& a = *rolled.ptrs[i];
+    const JoinShard& b = *prefix.ptrs[i];
+    const ProbeSelections& sa = a.probe_selections();
+    const ProbeSelections& sb = b.probe_selections();
+    EXPECT_EQ(sa.positions, sb.positions);
+    ASSERT_EQ(sa.rows.size(), sb.rows.size());
+    for (size_t r = 0; r < sa.rows.size(); ++r) {
+      const RoutedRow& ra = a.epoch_routed_rows()[sa.rows[r].meta];
+      const RoutedRow& rb = b.epoch_routed_rows()[sb.rows[r].meta];
+      EXPECT_GE(ra.seq, 170u);
+      EXPECT_EQ(ra.seq, rb.seq);
+      EXPECT_EQ(ra.local_id, rb.local_id);
+      EXPECT_EQ(sa.rows[r].end, sb.rows[r].end);
+      if (ra.side == exec::Side::kLeft) ++left_probes;
+    }
+    const join::ApproxProbeStats& da = a.cross_probe_stats();
+    const join::ApproxProbeStats& db = b.cross_probe_stats();
+    EXPECT_EQ(da.postings_scanned - rolled_before[i].postings_scanned,
+              db.postings_scanned - prefix_before[i].postings_scanned);
+    EXPECT_EQ(da.candidates - rolled_before[i].candidates,
+              db.candidates - prefix_before[i].candidates);
+    EXPECT_EQ(da.verified - rolled_before[i].verified,
+              db.verified - prefix_before[i].verified);
+    EXPECT_EQ(da.matches - rolled_before[i].matches,
+              db.matches - prefix_before[i].matches);
+    ASSERT_EQ(a.cross_matches().size(), b.cross_matches().size());
+    for (size_t m = 0; m < b.cross_matches().size(); ++m) {
+      const CrossMatch& x = a.cross_matches()[m];
+      const CrossMatch& y = b.cross_matches()[m];
+      EXPECT_EQ(x.match.probe_side, y.match.probe_side);
+      EXPECT_EQ(x.match.probe_id, y.match.probe_id);
+      EXPECT_EQ(x.match.stored_id, y.match.stored_id);
+      EXPECT_EQ(x.stored_shard, y.stored_shard);
+    }
+  }
+  EXPECT_GT(left_probes, 0u);
 }
 
 TEST(TupleStoreTest, PrecomputedHashAddMatchesSelfComputed) {

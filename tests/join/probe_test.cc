@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <optional>
 #include <random>
 #include <set>
@@ -531,8 +532,10 @@ TEST(ProbeScratchTest, PairOverlapMemoGrowsWithCandidateSizesNotBand) {
 
 /// What a probe must scan, computed without the kernel: the probe's
 /// grams sorted by (QGramIndex::Frequency, key) — or left in key order
-/// — and the first g-k+1 of them (all g without the prefix scan)
-/// taken, with the in-band tuples their lists hold.
+/// — and the first g-k+1 of them taken as discovery lists (all g
+/// without the prefix scan). With the prefix scan and k >= 2 the next
+/// gram's list is scanned too and only counts, and a tuple is a
+/// candidate once it lies in ℓ = 2 scanned lists; otherwise ℓ = 1.
 struct ExpectedScan {
   uint64_t postings = 0;
   uint64_t candidates = 0;
@@ -556,18 +559,24 @@ ExpectedScan ScanBySort(const QGramIndex& index, const text::GramSet& grams,
   const size_t g = order.size();
   const size_t k =
       text::MinOverlapForThreshold(spec.measure, g, spec.sim_threshold);
-  const size_t scan_end = options.insert_phase_optimization ? g - k + 1 : g;
+  const size_t discover = options.insert_phase_optimization ? g - k + 1 : g;
+  const size_t prefix = options.insert_phase_optimization && k >= 2 ? 2 : 1;
+  const size_t scan_end = discover + prefix - 1;
   ExpectedScan want;
-  std::set<TupleId> found;
+  std::map<TupleId, size_t> hits;
   for (size_t i = 0; i < scan_end; ++i) {
     want.postings += index.Frequency(order[i]);
     if (const auto* postings = index.Postings(order[i])) {
-      found.insert(postings->begin(), postings->end());
+      for (TupleId id : *postings) {
+        if (i < discover || hits.count(id) > 0) ++hits[id];
+      }
     }
   }
   const GramCountBand band = LengthBandFor(spec.measure, g, spec.sim_threshold);
-  for (TupleId id : found) {
-    if (band.Contains(index.GramSetSize(id))) ++want.candidates;
+  for (const auto& [id, count] : hits) {
+    if (count >= prefix && band.Contains(index.GramSetSize(id))) {
+      ++want.candidates;
+    }
   }
   if (scan_end < g) {
     want.boundary_tie = index.Frequency(order[scan_end - 1]) ==
@@ -629,6 +638,107 @@ TEST(ProbeSelectionTest, ScansExactlyTheListsAFullRarestFirstSortWould) {
     }
   }
   EXPECT_GT(boundary_ties, 0u);
+}
+
+TEST(ProbeSelectionTest, MatchesInOneDiscoveryAndTheCountOnlyListAreFound) {
+  // The count-only list is sound only because a pair with overlap >= k
+  // lies in two of the g-k+2 scanned lists, one of them a discovery
+  // list. Build the tightest such pair: a stored tuple sharing exactly
+  // k grams with the probe — one rare (discovery) gram, the count-only
+  // gram and the k-2 unscanned ones. Unpadded 3-grams of a string of
+  // distinct letters are distinct, a substring's grams are a subset of
+  // the probe's, and single-gram filler strings set each list's length
+  // and so each gram's role.
+  const std::string probe = "abcdefghijklmn";
+  text::QGramOptions unpadded;
+  unpadded.pad = false;
+  const text::GramSet probe_grams = text::GramSet::Of(probe, unpadded);
+  const size_t g = probe_grams.size();
+  ASSERT_EQ(g, probe.size() - 2);
+  const std::pair<text::SimilarityMeasure, double> specs[] = {
+      {text::SimilarityMeasure::kJaccard, 0.5},
+      {text::SimilarityMeasure::kDice, 0.7},
+      {text::SimilarityMeasure::kCosine, 0.8},
+      {text::SimilarityMeasure::kOverlap, 0.9}};
+  for (const auto& [measure, threshold] : specs) {
+    JoinSpec spec = Spec(threshold);
+    spec.measure = measure;
+    spec.qgram = unpadded;
+    const size_t k = text::MinOverlapForThreshold(measure, g, threshold);
+    // Two layouts of the target's grams (string positions 0..k-1):
+    // the discovery gram first and the count-only one second, or the
+    // count-only gram first and the discovery one last.
+    for (bool discovery_last : {false, true}) {
+      const std::string context =
+          std::string(text::SimilarityMeasureName(measure)) +
+          " k=" + std::to_string(k) +
+          " discovery_last=" + std::to_string(discovery_last);
+      const size_t discovery_at = discovery_last ? k - 1 : 0;
+      const size_t count_only_at = discovery_last ? 0 : std::min<size_t>(1, k - 1);
+      const std::string target = probe.substr(0, k + 2);
+      std::vector<std::string> stored = {target};
+      for (size_t at = 0; at < g; ++at) {
+        // Gram lengths: 1 outside the target, 2 for its discovery gram
+        // (the target plus one filler), 6 for the count-only gram and
+        // 11 for the rest, which the probe does not scan.
+        size_t fillers = 1;
+        if (at < k && at != discovery_at) {
+          fillers = at == count_only_at ? 5 : 10;
+        }
+        for (size_t f = 0; f < fillers; ++f) {
+          stored.push_back(probe.substr(at, 3));
+        }
+      }
+      const IndexedSide side(stored, unpadded);
+      ApproxProbeScratch scratch;
+      ExpectMatchesBruteForce({probe}, stored, side, spec,
+                              ApproxProbeOptions{}, &scratch, context);
+      std::vector<JoinMatch> out;
+      ProbeApproximateInto(side.qgrams, side.store, probe, probe_grams, spec,
+                           exec::Side::kLeft, 0, ApproxProbeOptions{},
+                           &scratch, nullptr, &out);
+      ASSERT_FALSE(out.empty()) << context;
+      EXPECT_EQ(out.front().stored_id, 0u) << context;
+      if (k < 2) continue;  // the overlap coefficient: every list scans
+
+      // The layout is as designed: the target lies in exactly two of
+      // the g-k+2 scanned lists, the count-only list one of them.
+      ASSERT_EQ(scratch.selected, g - k + 2) << context;
+      const text::GramSet target_grams = text::GramSet::Of(target, unpadded);
+      ASSERT_EQ(target_grams.size(), k) << context;
+      const auto holds_target = [&](uint64_t rank) {
+        const text::GramKey key = probe_grams.grams()[static_cast<uint32_t>(rank)];
+        return std::binary_search(target_grams.grams().begin(),
+                                  target_grams.grams().end(), key);
+      };
+      size_t scanned_hits = 0;
+      for (size_t i = 0; i < scratch.selected; ++i) {
+        if (holds_target(scratch.ranks[i])) ++scanned_hits;
+      }
+      EXPECT_EQ(scanned_hits, 2u) << context;
+      EXPECT_TRUE(holds_target(scratch.ranks[scratch.selected - 1]))
+          << context;
+
+      // The selection, replayed through the second entry point against
+      // the same index, finds the same matches.
+      std::vector<uint32_t> selection;
+      for (size_t i = 0; i < scratch.selected; ++i) {
+        selection.push_back(static_cast<uint32_t>(scratch.ranks[i]));
+      }
+      ApproxProbeScratch replay_scratch;
+      std::vector<JoinMatch> replayed;
+      ProbeSelectedApproximateInto(
+          side.qgrams, side.store, probe, probe_grams, spec,
+          exec::Side::kLeft, 0, ApproxProbeOptions{}, selection.data(),
+          selection.size(), static_cast<TupleId>(stored.size()),
+          &replay_scratch, nullptr, &replayed);
+      ASSERT_EQ(replayed.size(), out.size()) << context;
+      for (size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(replayed[i].stored_id, out[i].stored_id) << context;
+        EXPECT_EQ(replayed[i].similarity, out[i].similarity) << context;
+      }
+    }
+  }
 }
 
 TEST(ProbeSelectionTest, MinOverlapLiesBetweenOneAndProbeSize) {
